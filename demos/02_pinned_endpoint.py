@@ -39,8 +39,8 @@ for i in range(n):
           f"({targets[i][0]:+6.3f}, {targets[i][1]:+6.3f})    "
           f"({traj.endpoint[i][0]:+6.3f}, {traj.endpoint[i][1]:+6.3f})    {err:.4f}")
 
-flipped = h_guided_drift(model, lambda x, t: exact_h(x, targets, gm, schedule, t),
-                         schedule, h_sign=-1.0)
+flipped = h_guided_drift(model, lambda x, t: -exact_h(x, targets, gm, schedule, t),
+                         schedule)
 try:
     bad = sample_ode(flipped, cfg, x_start=starts)
     worst = np.linalg.norm(bad.endpoint - targets, axis=1).max()

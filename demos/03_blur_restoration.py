@@ -9,7 +9,7 @@ import numpy as np
 
 from htx import (NoiseSchedule, SamplerConfig, WeightSchedule, blur_1d,
                  linear_gaussian_posterior, rbf_field_prior)
-from htx.experiments import mean_se, restore_trials
+from htx.experiments import draw_trials, mean_se, posterior_mse, restore_trials
 
 schedule = NoiseSchedule.vp()
 prior = rbf_field_prior(cells=16, length_scale=3.0)
@@ -17,14 +17,16 @@ operator = blur_1d(kernel_std=2.0, grid_size=16, noise_std=0.25)
 cfg = SamplerConfig(steps=1000, start=schedule.t_max, end=schedule.t_min, seed=31)
 weights = WeightSchedule("power_of_sigma", exponent=5.0)
 
+# both arms and the posterior reference see the same drawn trials
 trials = 100
-guided = restore_trials(prior, operator, schedule, cfg, trials, 31, weights)
-unguided = restore_trials(prior, operator, schedule, cfg, trials, 31, None)
+drawn = draw_trials(prior, operator, trials, 31)
+guided = restore_trials(prior, schedule, cfg, drawn, weights)
+unguided = restore_trials(prior, schedule, cfg, drawn, None)
 
 rows = {
     "guided (a = 5)": [m.mse_to_y for m in guided],
     "unguided": [m.mse_to_y for m in unguided],
-    "posterior mean (knows operator)": [m.posterior_mse for m in guided],
+    "posterior mean (knows operator)": posterior_mse(prior, operator, drawn),
 }
 print(f"{trials} trials, per-coordinate squared error to the clean field:")
 for name, vals in rows.items():

@@ -7,7 +7,7 @@ tradeoff by steering throughout the trajectory instead.
 """
 
 from htx import NoiseSchedule, SamplerConfig, shrink
-from htx.experiments import mean_se, restore_trials, sdedit_trials
+from htx.experiments import draw_trials, mean_se, restore_trials, sdedit_trials
 from htx.oracle import GaussianMixture
 from htx.schedules import WeightSchedule
 
@@ -19,16 +19,16 @@ gm = GaussianMixture(np.array([0.5, 0.5]),
                      np.stack([np.eye(2), np.eye(2)]))
 op = shrink(0.5, 2, noise_std=0.1)
 cfg = SamplerConfig(steps=1000, start=schedule.t_max, end=schedule.t_min, seed=23)
-trials = 100
+drawn = draw_trials(gm, op, 100, 23)  # every arm below starts from these trials
 
 print("t0      mse_to_coarse     mse_to_y")
 for t0 in (0.2, 0.5, 0.8):
-    rows, _ = sdedit_trials(gm, op, schedule, cfg, trials, 23, t0)
+    rows, _ = sdedit_trials(gm, schedule, cfg, drawn, t0)
     mc, se_c = mean_se([m.mse_to_coarse for m in rows])
     my, se_y = mean_se([m.mse_to_y for m in rows])
     print(f"{t0:.1f}    {mc:7.3f} +- {se_c:.3f}   {my:7.3f} +- {se_y:.3f}")
 
-guided = restore_trials(gm, op, schedule, cfg, trials, 23,
+guided = restore_trials(gm, schedule, cfg, drawn,
                         WeightSchedule("power_of_sigma", exponent=5.0))
 my, se_y = mean_se([m.mse_to_y for m in guided])
 mc, se_c = mean_se([m.mse_to_coarse for m in guided])

@@ -74,6 +74,9 @@ DEFAULTS = {
     },
 }
 
+INTEGER_FIELDS = (("experiment", "trials"), ("experiment", "seed"),
+                  ("sampler", "steps"), ("sampler", "record_every"))
+
 
 def _merge_section(name: str, overrides: dict) -> dict:
     base = copy.deepcopy(DEFAULTS[name])
@@ -102,17 +105,23 @@ class ExperimentConfig:
         cfg = cls(**sections)
         if cfg.experiment["kind"] not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {cfg.experiment['kind']!r}")
+        for section, key in INTEGER_FIELDS:
+            value = getattr(cfg, section)[key]
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
         if cfg.experiment["trials"] < 1:
             raise ConfigError("trial count must be >= 1")
         return cfg
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            try:
+        try:
+            with open(path) as fh:
                 doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
         return cls.from_dict(doc)
 
     def to_dict(self) -> dict:

@@ -2,17 +2,18 @@
 
 Every driver returns a RunRecord holding the full per-trial metric table, the
 aggregate rows (mean and standard error), and enough configuration to rerun
-bitwise.  Trials use common random numbers across arms: trial i of every arm
-sees the same (fine sample, degradation noise, start point), which removes
-between-arm Monte Carlo variance from ordering comparisons.
+bitwise.  Each run draws its trials once and every arm shares them: trial i
+of every arm sees the same (fine sample, degradation noise, start noise),
+which removes between-arm Monte Carlo variance from ordering comparisons.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,11 +21,13 @@ from . import oracle, report
 from ._version import __version__
 from .config import (ExperimentConfig, build_density, build_operator,
                      build_sampler, build_schedule, build_weights)
+from .errors import ConfigError
 from .guidance import (GuidanceSpec, guided_score_drift, region_exponents,
                        sdedit_start, unguided_drift)
-from .schedules import NoiseSchedule, WeightSchedule
+from .schedules import (CONSTANT, POWER_OF_SIGMA, POWER_OF_TIME, NoiseSchedule,
+                        WeightSchedule)
 from .scorenet import mixture_score_model
-from .solvers import SamplerConfig, sample_ode, trial_rng
+from .solvers import SamplerConfig, ode_ensemble, sample_ode, trial_rng
 
 ERROR_CURVE_POINTS = 9
 
@@ -36,19 +39,18 @@ class MetricSet:
     mse_to_y: float
     mse_to_coarse: float
     loglik_p0: float
-    error_curve: list[float] = field(default_factory=list)
-    posterior_mse: float | None = None
-    moment_distances: dict | None = None
 
     def as_row(self) -> dict:
-        row = {
-            "mse_to_y": self.mse_to_y,
-            "mse_to_coarse": self.mse_to_coarse,
-            "loglik_p0": self.loglik_p0,
-        }
-        if self.posterior_mse is not None:
-            row["posterior_mse"] = self.posterior_mse
-        return row
+        return asdict(self)
+
+
+class Trials(NamedTuple):
+    """Per-trial draws that every arm of a run shares."""
+
+    fine: np.ndarray         # (n, d) clean samples y
+    coarse: np.ndarray       # (n, d) degraded references y~ in data space
+    measurement: np.ndarray  # (n, m) noisy measurements
+    z: np.ndarray            # (n, d) standard-normal start noise
 
 
 @dataclass
@@ -82,8 +84,20 @@ class RunRecord:
 
     @classmethod
     def from_json(cls, path) -> "RunRecord":
-        with open(path) as fh:
-            doc = json.load(fh)
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read run record {path}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{path} is not a run record: not a JSON object")
+        known = {f.name: f for f in fields(cls)}
+        missing = [name for name, f in known.items() if name not in doc
+                   and f.default is MISSING and f.default_factory is MISSING]
+        unknown = sorted(set(doc) - set(known))
+        if missing or unknown:
+            raise ConfigError(f"{path} is not a run record: missing keys {missing}, "
+                              f"unknown keys {unknown}")
         return cls(**doc)
 
     def save(self, out_root) -> Path:
@@ -129,102 +143,67 @@ def aggregate_rows(per_trial: list[dict], series: str, x: float) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _draw_trials(gm: oracle.GaussianMixture, op: oracle.DegradationOperator,
-                 n_trials: int, seed: int):
-    """Per-trial (fine, coarse, measurement, start) from private streams."""
+def draw_trials(gm: oracle.GaussianMixture, op: oracle.DegradationOperator,
+                n: int, seed: int) -> Trials:
+    """Trial i draws y, its degradation, then z from its private stream (seed, i)."""
     d = gm.dim
-    fine = np.empty((n_trials, d))
-    coarse = np.empty((n_trials, d))
-    meas = np.empty((n_trials, op.measurement_dim))
-    starts = np.empty((n_trials, d))
-    for i in range(n_trials):
+    trials = Trials(np.empty((n, d)), np.empty((n, d)),
+                    np.empty((n, op.measurement_dim)), np.empty((n, d)))
+    for i in range(n):
         rng = trial_rng(seed, i)
         y = oracle.gm_sample(gm, 1, rng)[0]
         pair = oracle.degrade(op, y, rng)
-        fine[i] = y
-        coarse[i] = pair.coarse
-        meas[i] = pair.measurement
-        starts[i] = rng.standard_normal(d)
-    return fine, coarse, meas, starts
+        trials.fine[i] = y
+        trials.coarse[i] = pair.coarse
+        trials.measurement[i] = pair.measurement
+        trials.z[i] = rng.standard_normal(d)
+    return trials
 
 
-def _error_curve(schedule: NoiseSchedule, scfg: SamplerConfig,
-                 fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
-    """Surrogate-error magnitude (alpha/sigma^2) ||coarse - fine|| on a time grid."""
-    ts = np.linspace(scfg.start, scfg.end, ERROR_CURVE_POINTS)
-    a, s = schedule.alpha_sigma(ts)
-    gaps = np.linalg.norm(coarse - fine, axis=-1)
-    return (a / (s * s))[None, :] * gaps[:, None]
+def posterior_mse(gm: oracle.GaussianMixture, op: oracle.DegradationOperator,
+                  trials: Trials) -> np.ndarray | None:
+    """Per-trial squared error of the conjugate posterior mean; None if noiseless."""
+    if op.noise_std == 0:
+        return None
+    return np.array([np.mean((oracle.linear_gaussian_posterior(gm, op, meas).mean() - y) ** 2)
+                     for y, meas in zip(trials.fine, trials.measurement)])
 
 
-def restore_trials(gm: oracle.GaussianMixture, op: oracle.DegradationOperator,
-                   schedule: NoiseSchedule, scfg: SamplerConfig, n_trials: int,
-                   seed: int, weights: WeightSchedule | None,
-                   exponent_map: np.ndarray | None = None,
-                   with_posterior: bool = True) -> list[MetricSet]:
-    """One restoration arm; weights=None runs the unguided reference.
+def _metrics(gm: oracle.GaussianMixture, trials: Trials,
+             endpoints: np.ndarray) -> list[MetricSet]:
+    loglik = oracle.gm_logpdf(gm, endpoints)
+    return [MetricSet(
+        mse_to_y=float(np.mean((x - y) ** 2)),
+        mse_to_coarse=float(np.mean((x - coarse) ** 2)),
+        loglik_p0=float(ll),
+    ) for x, y, coarse, ll in zip(endpoints, trials.fine, trials.coarse, loglik)]
+
+
+def restore_trials(gm: oracle.GaussianMixture, schedule: NoiseSchedule,
+                   scfg: SamplerConfig, trials: Trials, weights: WeightSchedule | None,
+                   exponent_map: np.ndarray | None = None) -> list[MetricSet]:
+    """One restoration arm from starts z; weights=None runs the unguided reference.
 
     All trials integrate as a single batch: the guided drift broadcasts over a
     matrix of per-trial coarse references.
     """
     model = mixture_score_model(gm, schedule)
-    fine, coarse, meas, starts = _draw_trials(gm, op, n_trials, seed)
     if weights is None:
         drift = unguided_drift(model, schedule)
     else:
-        spec = GuidanceSpec(coarse=coarse, weights=weights, exponent_map=exponent_map)
+        spec = GuidanceSpec(coarse=trials.coarse, weights=weights, exponent_map=exponent_map)
         drift = guided_score_drift(model, spec, schedule)
-    traj = sample_ode(drift, scfg, x_start=starts)
-    endpoints = traj.endpoint
-
-    post_mse = None
-    if with_posterior and op.noise_std > 0:
-        post_mse = np.empty(n_trials)
-        for i in range(n_trials):
-            post = oracle.linear_gaussian_posterior(gm, op, meas[i])
-            post_mse[i] = float(np.mean((post.mean() - fine[i]) ** 2))
-
-    curves = _error_curve(schedule, scfg, fine, coarse)
-    loglik = oracle.gm_logpdf(gm, endpoints)
-    out = []
-    for i in range(n_trials):
-        out.append(MetricSet(
-            mse_to_y=float(np.mean((endpoints[i] - fine[i]) ** 2)),
-            mse_to_coarse=float(np.mean((endpoints[i] - coarse[i]) ** 2)),
-            loglik_p0=float(loglik[i]),
-            error_curve=curves[i].tolist(),
-            posterior_mse=None if post_mse is None else float(post_mse[i]),
-        ))
-    return out
+    return _metrics(gm, trials, sample_ode(drift, scfg, x_start=trials.z).endpoint)
 
 
-def sdedit_trials(gm: oracle.GaussianMixture, op: oracle.DegradationOperator,
-                  schedule: NoiseSchedule, scfg: SamplerConfig, n_trials: int,
-                  seed: int, t0: float) -> tuple[list[MetricSet], np.ndarray]:
-    """Start-guided baseline arm: noise each coarse sample to t0, sample unguided."""
-    model = mixture_score_model(gm, schedule)
-    d = gm.dim
-    fine = np.empty((n_trials, d))
-    coarse = np.empty((n_trials, d))
-    starts = np.empty((n_trials, d))
-    for i in range(n_trials):
-        rng = trial_rng(seed, i)
-        y = oracle.gm_sample(gm, 1, rng)[0]
-        pair = oracle.degrade(op, y, rng)
-        fine[i] = y
-        coarse[i] = pair.coarse
-        starts[i], _ = sdedit_start(pair.coarse, t0, schedule, rng)
-    cfg = SamplerConfig(steps=scfg.steps, start=t0, end=scfg.end,
-                        solver=scfg.solver, seed=seed, record_every=scfg.record_every)
-    traj = sample_ode(unguided_drift(model, schedule), cfg, x_start=starts)
-    endpoints = traj.endpoint
-    loglik = oracle.gm_logpdf(gm, endpoints)
-    rows = [MetricSet(
-        mse_to_y=float(np.mean((endpoints[i] - fine[i]) ** 2)),
-        mse_to_coarse=float(np.mean((endpoints[i] - coarse[i]) ** 2)),
-        loglik_p0=float(loglik[i]),
-    ) for i in range(n_trials)]
-    return rows, endpoints
+def sdedit_trials(gm: oracle.GaussianMixture, schedule: NoiseSchedule,
+                  scfg: SamplerConfig, trials: Trials,
+                  t0: float) -> tuple[list[MetricSet], np.ndarray]:
+    """Start-guided baseline arm: start at alpha(t0) y~ + sigma(t0) z, sample unguided."""
+    starts, _ = sdedit_start(trials.coarse, t0, schedule, trials.z)
+    drift = unguided_drift(mixture_score_model(gm, schedule), schedule)
+    endpoints = sample_ode(drift, replace(scfg, start=t0), x_start=starts).endpoint
+    return _metrics(gm, trials, endpoints), endpoints
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +212,13 @@ def sdedit_trials(gm: oracle.GaussianMixture, op: oracle.DegradationOperator,
 
 
 def _setup(cfg: ExperimentConfig):
+    """Build the run's objects and draw its trials once for every arm."""
     schedule = build_schedule(cfg)
     gm = build_density(cfg)
     op = build_operator(cfg, gm.dim)
     scfg = build_sampler(cfg, schedule)
-    return gm, op, schedule, scfg
+    trials = draw_trials(gm, op, cfg.experiment["trials"], cfg.experiment["seed"])
+    return gm, op, schedule, scfg, trials
 
 
 def _exponent_map_from_config(cfg: ExperimentConfig, op: oracle.DegradationOperator):
@@ -249,31 +230,46 @@ def _exponent_map_from_config(cfg: ExperimentConfig, op: oracle.DegradationOpera
     return region_exponents(op.valid, valid_e, invalid_e)
 
 
+def _sweep(cfg: ExperimentConfig, kind: str, setup, arms) -> RunRecord:
+    """Run restoration arms (name, series, x, weights, exponent_map) on shared trials.
+
+    The posterior-mean reference is a property of the trials, so it is
+    computed once and added to every arm's rows.
+    """
+    gm, op, schedule, scfg, trials = setup
+    post = posterior_mse(gm, op, trials)
+    per_trial = {}
+    aggregates = []
+    for name, series, x, weights, exponent_map in arms:
+        rows = [m.as_row() for m in restore_trials(gm, schedule, scfg, trials, weights,
+                                                   exponent_map)]
+        if post is not None:
+            for row, p in zip(rows, post):
+                row["posterior_mse"] = float(p)
+        per_trial[name] = rows
+        aggregates.append(aggregate_rows(rows, series, x))
+    return RunRecord(kind=kind, digest=cfg.digest(), config=cfg.to_dict(),
+                     seed=cfg.experiment["seed"], per_trial=per_trial,
+                     aggregates=aggregates)
+
+
 def run_restore(cfg: ExperimentConfig) -> RunRecord:
     """Guided restoration with an unguided arm and the posterior-mean reference."""
-    gm, op, schedule, scfg = _setup(cfg)
-    trials = cfg.experiment["trials"]
-    seed = cfg.experiment["seed"]
-    weights = build_weights(cfg)
-    emap = _exponent_map_from_config(cfg, op)
-
-    guided = restore_trials(gm, op, schedule, scfg, trials, seed, weights, emap)
-    unguided = restore_trials(gm, op, schedule, scfg, trials, seed, None)
-    per_trial = {
-        "guided": [m.as_row() for m in guided],
-        "unguided": [m.as_row() for m in unguided],
-    }
-    aggregates = [
-        aggregate_rows(per_trial["guided"], "guided", cfg.guidance["exponent"]),
-        aggregate_rows(per_trial["unguided"], "unguided", cfg.guidance["exponent"]),
-    ]
-    extras = {"error_curve_times": np.linspace(scfg.start, scfg.end,
-                                               ERROR_CURVE_POINTS).tolist(),
-              "guided_error_curves_mean": np.mean([m.error_curve for m in guided],
-                                                  axis=0).tolist()}
-    return RunRecord(kind="restore", digest=cfg.digest(), config=cfg.to_dict(),
-                     seed=seed, per_trial=per_trial, aggregates=aggregates,
-                     extras=extras)
+    setup = _setup(cfg)
+    _, op, schedule, scfg, trials = setup
+    x = cfg.guidance["exponent"]
+    record = _sweep(cfg, "restore", setup, [
+        ("guided", "guided", x, build_weights(cfg), _exponent_map_from_config(cfg, op)),
+        ("unguided", "unguided", x, None, None),
+    ])
+    # surrogate-error magnitude (alpha/sigma^2) ||y~ - y|| on a time grid
+    times = np.linspace(scfg.start, scfg.end, ERROR_CURVE_POINTS)
+    a, s = schedule.alpha_sigma(times)
+    gaps = np.linalg.norm(trials.coarse - trials.fine, axis=-1)
+    curves = (a / (s * s))[None, :] * gaps[:, None]
+    record.extras = {"error_curve_times": times.tolist(),
+                     "guided_error_curves_mean": curves.mean(axis=0).tolist()}
+    return record
 
 
 def run_ablate_exponent(cfg: ExperimentConfig, exponents=None) -> RunRecord:
@@ -281,53 +277,28 @@ def run_ablate_exponent(cfg: ExperimentConfig, exponents=None) -> RunRecord:
     exponents = list(cfg.experiment["exponents"] if exponents is None else exponents)
     if len(exponents) < 1:
         raise ValueError("need at least one exponent")
-    gm, op, schedule, scfg = _setup(cfg)
-    trials = cfg.experiment["trials"]
-    seed = cfg.experiment["seed"]
-
-    per_trial = {}
-    aggregates = []
-    for a in exponents:
-        arm = f"a={a:g}"
-        rows = [m.as_row() for m in restore_trials(
-            gm, op, schedule, scfg, trials, seed, build_weights(cfg, exponent=a))]
-        per_trial[arm] = rows
-        agg = aggregate_rows(rows, cfg.guidance["family"], float(a))
-        aggregates.append(agg)
-    return RunRecord(kind="ablate_exponent", digest=cfg.digest(), config=cfg.to_dict(),
-                     seed=seed, per_trial=per_trial, aggregates=aggregates)
+    return _sweep(cfg, "ablate_exponent", _setup(cfg), [
+        (f"a={a:g}", cfg.guidance["family"], float(a), build_weights(cfg, exponent=a), None)
+        for a in exponents])
 
 
 def run_ablate_weight_family(cfg: ExperimentConfig, families=None,
                              exponents=None) -> RunRecord:
     """One arm per (weight family, exponent) pair."""
-    from .schedules import CONSTANT, POWER_OF_SIGMA, POWER_OF_TIME
-
     families = list(families or (POWER_OF_SIGMA, POWER_OF_TIME))
     exponents = list(exponents or (3.0, 5.0, 7.0))
-    gm, op, schedule, scfg = _setup(cfg)
-    trials = cfg.experiment["trials"]
-    seed = cfg.experiment["seed"]
-
-    per_trial = {}
-    aggregates = []
+    arms = []
     for family in families:
         for a in exponents:
             ws = WeightSchedule(family, exponent=a, constant=cfg.guidance["constant"])
-            arm = f"{family}:a={a:g}" if family != CONSTANT else f"constant:c={ws.constant:g}"
-            rows = [m.as_row() for m in restore_trials(
-                gm, op, schedule, scfg, trials, seed, ws)]
-            per_trial[arm] = rows
-            aggregates.append(aggregate_rows(rows, family, float(a)))
-    return RunRecord(kind="ablate_weight_family", digest=cfg.digest(),
-                     config=cfg.to_dict(), seed=seed, per_trial=per_trial,
-                     aggregates=aggregates)
+            name = f"{family}:a={a:g}" if family != CONSTANT else f"constant:c={ws.constant:g}"
+            arms.append((name, family, float(a), ws, None))
+    return _sweep(cfg, "ablate_weight_family", _setup(cfg), arms)
 
 
 def run_baseline_sdedit(cfg: ExperimentConfig, t0_list=None) -> RunRecord:
     """Start-guided baseline swept over the noising time t0."""
-    gm, op, schedule, scfg = _setup(cfg)
-    trials = cfg.experiment["trials"]
+    gm, _, schedule, scfg, trials = _setup(cfg)
     seed = cfg.experiment["seed"]
     if t0_list is None:
         t0_list = [f * schedule.horizon for f in cfg.experiment["t0_fractions"]]
@@ -335,7 +306,7 @@ def run_baseline_sdedit(cfg: ExperimentConfig, t0_list=None) -> RunRecord:
     per_trial = {}
     aggregates = []
     for t0 in t0_list:
-        rows, _ = sdedit_trials(gm, op, schedule, scfg, trials, seed, float(t0))
+        rows, _ = sdedit_trials(gm, schedule, scfg, trials, float(t0))
         arm = f"t0={t0:g}"
         per_trial[arm] = [m.as_row() for m in rows]
         aggregates.append(aggregate_rows(per_trial[arm], "sdedit", float(t0)))
@@ -345,14 +316,13 @@ def run_baseline_sdedit(cfg: ExperimentConfig, t0_list=None) -> RunRecord:
 
 def run_sample_unguided(cfg: ExperimentConfig) -> RunRecord:
     """Unguided endpoint draws from the oracle density, with moment diagnostics."""
-    gm, _, schedule, scfg = _setup(cfg)
+    schedule = build_schedule(cfg)
+    gm = build_density(cfg)
     trials = cfg.experiment["trials"]
     seed = cfg.experiment["seed"]
-    model = mixture_score_model(gm, schedule)
-    starts = np.stack([trial_rng(seed, i).standard_normal(gm.dim)
-                       for i in range(trials)])
-    traj = sample_ode(unguided_drift(model, schedule), scfg, x_start=starts)
-    endpoints = traj.endpoint
+    drift = unguided_drift(mixture_score_model(gm, schedule), schedule)
+    paths = ode_ensemble(drift, build_sampler(cfg, schedule), trials)
+    endpoints = np.stack([p.endpoint for p in paths])
     loglik = oracle.gm_logpdf(gm, endpoints)
     rows = [{"loglik_p0": float(loglik[i])} for i in range(trials)]
     agg = aggregate_rows(rows, "unguided", 0.0)

@@ -110,16 +110,11 @@ def unguided_drift(model: ScoreModel, schedule: NoiseSchedule) -> GuidedDrift:
     return GuidedDrift(fn, model.dim)
 
 
-def h_guided_drift(model: ScoreModel, h_fn: Callable, schedule: NoiseSchedule,
-                   h_sign: float = 1.0) -> GuidedDrift:
-    """Drift f - g^2 (s + h) / 2 for an arbitrary correction closure h(x, t).
-
-    `h_sign` exists as a test hook: flipping it must break the endpoint
-    guarantee, which the verification suite exercises.
-    """
+def h_guided_drift(model: ScoreModel, h_fn: Callable, schedule: NoiseSchedule) -> GuidedDrift:
+    """Drift f - g^2 (s + h) / 2 for an arbitrary correction closure h(x, t)."""
 
     def fn(x, t):
-        correction = model.score(x, t) + h_sign * h_fn(x, t)
+        correction = model.score(x, t) + h_fn(x, t)
         return schedule.drift_f(x, t) - 0.5 * schedule.diffusion_g2(t) * correction
 
     return GuidedDrift(fn, model.dim)
@@ -199,14 +194,13 @@ def approximation_error(t, y, coarse, schedule: NoiseSchedule) -> float:
     return float(a / (s * s) * np.linalg.norm(gap))
 
 
-def sdedit_start(coarse, t0: float, schedule: NoiseSchedule,
-                 rng: np.random.Generator):
+def sdedit_start(coarse, t0: float, schedule: NoiseSchedule, z):
     """Noise the coarse sample to time t0: x = alpha_t0 y~ + sigma_t0 z.
 
-    The start-guided baseline then samples unguided from (x, t0).
+    z is standard-normal noise shaped like coarse ((d,) or (n, d)).  The
+    start-guided baseline then samples unguided from (x, t0).
     """
     if not schedule.t_min < t0 <= schedule.t_max:
         raise ConfigError(f"t0 must lie in ({schedule.t_min}, {schedule.t_max}]")
     a, s = schedule.alpha_sigma(t0)
-    coarse = np.asarray(coarse, dtype=float)
-    return a * coarse + s * rng.standard_normal(coarse.shape), t0
+    return a * np.asarray(coarse, dtype=float) + s * np.asarray(z, dtype=float), t0

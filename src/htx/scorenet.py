@@ -66,12 +66,16 @@ class MlpNet:
     def forward(self, x, t, schedule: NoiseSchedule):
         """Predicted noise at (x, t); x may be (d,) or (n, d)."""
         single = np.asarray(x).ndim == 1
-        h = self._features(x, t, schedule)
-        w1, b1, w2, b2, w3, b3 = self.params
-        h = np.tanh(h @ w1.T + b1)
-        h = np.tanh(h @ w2.T + b2)
-        out = h @ w3.T + b3
+        *_, out = _layers(self.params, self._features(x, t, schedule))
         return out[0] if single else out
+
+
+def _layers(params, h0):
+    """Both tanh hidden activations and the output for input features h0."""
+    w1, b1, w2, b2, w3, b3 = params
+    h1 = np.tanh(h0 @ w1.T + b1)
+    h2 = np.tanh(h1 @ w2.T + b2)
+    return h1, h2, h2 @ w3.T + b3
 
 
 def eps_to_score(eps, sigma):
@@ -126,12 +130,10 @@ def dsm_loss_grad_at(net: MlpNet, x0: np.ndarray, t: np.ndarray, eps: np.ndarray
     a = a[:, None]
     s = s[:, None]
     xt = a * x0 + s * eps
-    w1, b1, w2, b2, w3, b3 = net.params
     cond = np.concatenate([a, s], axis=1)
     h0 = np.concatenate([xt, cond], axis=1)
-    h1 = np.tanh(h0 @ w1.T + b1)
-    h2 = np.tanh(h1 @ w2.T + b2)
-    pred = h2 @ w3.T + b3
+    h1, h2, pred = _layers(net.params, h0)
+    _, _, w2, _, w3, _ = net.params
 
     n = x0.shape[0]
     resid = (pred - eps) / s if weighted else (pred - eps)

@@ -7,8 +7,9 @@ uniform grid.  The deterministic update is
 
 and the stochastic one adds g(t) sqrt(dt) z with z standard normal.  Ensembles
 integrate many trajectories as one batched state; each trajectory owns a
-private random stream spawned from (seed, index), so the batched result is
-identical to integrating each trajectory alone with its own stream.
+private random stream spawned from (seed, index), so the batched result
+matches, up to rounding in the batched arithmetic, integrating each
+trajectory alone with its own stream.
 """
 
 from __future__ import annotations
@@ -106,6 +107,21 @@ def sample_ode(drift: GuidedDrift, cfg: SamplerConfig, x_start=None,
     return Trajectory(times=times, states=states, endpoint=endpoint, seed=cfg.seed)
 
 
+def _reverse_sde(model: ScoreModel, h_term, schedule: NoiseSchedule):
+    """Drift f - g^2 (s + h) and noise scale g of the reverse SDE; h_term may be None."""
+
+    def drift_fn(x, t):
+        correction = model.score(x, t)
+        if h_term is not None:
+            correction = correction + h_term(x, t)
+        return schedule.drift_f(x, t) - schedule.diffusion_g2(t) * correction
+
+    def noise_scale(t):
+        return np.sqrt(schedule.diffusion_g2(t))
+
+    return drift_fn, noise_scale
+
+
 def sample_sde(model: ScoreModel, h_term, schedule: NoiseSchedule,
                cfg: SamplerConfig, rng: np.random.Generator | None = None,
                x_start=None) -> Trajectory:
@@ -120,24 +136,35 @@ def sample_sde(model: ScoreModel, h_term, schedule: NoiseSchedule,
         x_start = rng.standard_normal(model.dim)
     x_start = np.asarray(x_start, dtype=float)
     noise = rng.standard_normal((cfg.steps,) + x_start.shape)
-
-    def drift_fn(x, t):
-        correction = model.score(x, t)
-        if h_term is not None:
-            correction = correction + h_term(x, t)
-        return schedule.drift_f(x, t) - schedule.diffusion_g2(t) * correction
-
-    def noise_scale(t):
-        return np.sqrt(schedule.diffusion_g2(t))
-
+    drift_fn, noise_scale = _reverse_sde(model, h_term, schedule)
     times, states, endpoint = _integrate(drift_fn, cfg, x_start,
                                          noise_scale_fn=noise_scale, noise_block=noise)
     return Trajectory(times=times, states=states, endpoint=endpoint, seed=cfg.seed)
 
 
-def _split(times, states, n, seed):
-    return [Trajectory(times=times, states=states[:, i, :],
-                       endpoint=states[-1, i, :], seed=seed) for i in range(n)]
+def _ensemble(drift_fn, cfg: SamplerConfig, n: int, dim: int, start_fn, chunk: int,
+              noise_scale_fn=None) -> list[Trajectory]:
+    """n trajectories in batches of `chunk`; trajectory i draws from trial_rng(seed, i).
+
+    Its stream gives the start (start_fn(rng), else standard normal) and then,
+    for the SDE, its (steps, dim) noise block, exactly as a lone run given
+    that stream would.
+    """
+    out: list[Trajectory] = []
+    for lo in range(0, n, chunk):
+        m = min(lo + chunk, n) - lo
+        starts = np.empty((m, dim))
+        noise = None if noise_scale_fn is None else np.empty((cfg.steps, m, dim))
+        for i in range(m):
+            rng = trial_rng(cfg.seed, lo + i)
+            starts[i] = rng.standard_normal(dim) if start_fn is None else start_fn(rng)
+            if noise is not None:
+                noise[:, i, :] = rng.standard_normal((cfg.steps, dim))
+        times, states, _ = _integrate(drift_fn, cfg, starts,
+                                      noise_scale_fn=noise_scale_fn, noise_block=noise)
+        out.extend(Trajectory(times=times, states=states[:, i, :],
+                              endpoint=states[-1, i, :], seed=cfg.seed) for i in range(m))
+    return out
 
 
 def ode_ensemble(drift: GuidedDrift, cfg: SamplerConfig, n: int,
@@ -147,42 +174,15 @@ def ode_ensemble(drift: GuidedDrift, cfg: SamplerConfig, n: int,
     Starts come from per-trajectory streams: start_fn(rng) when given, else
     standard normal draws.
     """
-    starts = np.empty((n, drift.dim))
-    for i in range(n):
-        rng = trial_rng(cfg.seed, i)
-        starts[i] = rng.standard_normal(drift.dim) if start_fn is None else start_fn(rng)
-    times, states, _ = _integrate(drift, cfg, starts)
-    return _split(times, states, n, cfg.seed)
+    return _ensemble(drift, cfg, n, drift.dim, start_fn, chunk=max(n, 1))
 
 
 def sde_ensemble(model: ScoreModel, h_term, schedule: NoiseSchedule,
                  cfg: SamplerConfig, n: int, start_fn=None,
                  chunk: int = 2000) -> list[Trajectory]:
     """n stochastic trajectories, chunked to bound the pre-drawn noise memory."""
-
-    def drift_fn(x, t):
-        correction = model.score(x, t)
-        if h_term is not None:
-            correction = correction + h_term(x, t)
-        return schedule.drift_f(x, t) - schedule.diffusion_g2(t) * correction
-
-    def noise_scale(t):
-        return np.sqrt(schedule.diffusion_g2(t))
-
-    out: list[Trajectory] = []
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        m = hi - lo
-        starts = np.empty((m, model.dim))
-        noise = np.empty((cfg.steps, m, model.dim))
-        for i in range(m):
-            rng = trial_rng(cfg.seed, lo + i)
-            starts[i] = rng.standard_normal(model.dim) if start_fn is None else start_fn(rng)
-            noise[:, i, :] = rng.standard_normal((cfg.steps, model.dim))
-        times, states, _ = _integrate(drift_fn, cfg, starts,
-                                      noise_scale_fn=noise_scale, noise_block=noise)
-        out.extend(_split(times, states, m, cfg.seed))
-    return out
+    drift_fn, noise_scale = _reverse_sde(model, h_term, schedule)
+    return _ensemble(drift_fn, cfg, n, model.dim, start_fn, chunk, noise_scale)
 
 
 def marginal_stats(trajectories: list[Trajectory], t: float):

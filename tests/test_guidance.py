@@ -25,13 +25,6 @@ def two_mode():
                            np.stack([np.eye(2), np.eye(2)]))
 
 
-class _ZeroRng:
-    """Stub generator whose normal draws are identically zero."""
-
-    def standard_normal(self, shape):
-        return np.zeros(shape)
-
-
 class TestApproxH:
     def test_reduces_to_conditional_score_at_zero_score(self):
         out = approx_h(np.zeros(2), T_ALPHA_06, np.array([1.0, 0.0]),
@@ -254,22 +247,22 @@ class TestPerCoordinateWeights:
 class TestSdeditStart:
     def test_zero_noise_gives_kernel_mean(self):
         coarse = np.array([1.0, 0.0])
-        x, t0 = sdedit_start(coarse, T_ALPHA_06, VP, _ZeroRng())
+        x, t0 = sdedit_start(coarse, T_ALPHA_06, VP, np.zeros(2))
         np.testing.assert_allclose(x, [0.6, 0.0], rtol=1e-9)
         assert t0 == T_ALPHA_06
 
     def test_full_noise_limit_shrinks_signal(self):
         coarse = np.array([10.0, 0.0])
-        x, _ = sdedit_start(coarse, VP.t_max, VP, _ZeroRng())
+        x, _ = sdedit_start(coarse, VP.t_max, VP, np.zeros(2))
         assert np.linalg.norm(x) < 0.1  # alpha(1) ~ 6.6e-3 scales the coarse away
 
     def test_low_noise_limit_keeps_signal(self):
         coarse = np.array([1.0, 2.0])
-        x, _ = sdedit_start(coarse, VP.t_min + 1e-6, VP, _ZeroRng())
+        x, _ = sdedit_start(coarse, VP.t_min + 1e-6, VP, np.zeros(2))
         np.testing.assert_allclose(x, coarse, atol=1e-3)
 
     def test_t0_range_enforced(self):
         with pytest.raises(ConfigError):
-            sdedit_start(np.zeros(2), VP.t_min, VP, _ZeroRng())
+            sdedit_start(np.zeros(2), VP.t_min, VP, np.zeros(2))
         with pytest.raises(ConfigError):
-            sdedit_start(np.zeros(2), 1.5, VP, _ZeroRng())
+            sdedit_start(np.zeros(2), 1.5, VP, np.zeros(2))

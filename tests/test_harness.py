@@ -1,6 +1,9 @@
 """Config handling, run records, reports, and the CLI surface."""
 
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,6 +163,16 @@ class TestAblations:
         const0 = [r["mse_to_y"] for r in record.per_trial["constant:c=0"]]
         np.testing.assert_allclose(np.mean(const0), np.mean(un), atol=1e-12)
 
+    def test_arms_share_drawn_trials(self):
+        # common random numbers: an arm's rows do not depend on the driver that
+        # runs it, and the posterior reference is the same for every arm
+        cfg = small_restore_config()
+        restore = run_restore(cfg)
+        ablate = run_ablate_exponent(cfg, exponents=[cfg.guidance["exponent"]])
+        assert ablate.per_trial["a=5"] == restore.per_trial["guided"]
+        assert ([r["posterior_mse"] for r in restore.per_trial["guided"]]
+                == [r["posterior_mse"] for r in restore.per_trial["unguided"]])
+
     def test_sdedit_rows(self):
         cfg = small_restore_config(trials=8)
         record = run_baseline_sdedit(cfg, t0_list=[0.3, 0.6])
@@ -248,6 +261,23 @@ class TestCli:
         bad.write_text(json.dumps({"experiment": {"kind": "bogus"}}))
         assert main(["restore", "--config", str(bad)]) == 2
 
+    @pytest.mark.parametrize("doc", [
+        None,  # no file at the --config path
+        {"experiment": {"trials": "5"}},
+        {"sampler": {"steps": 2.5}},
+        {"experiment": {"seed": True}},
+    ])
+    def test_bad_config_input_exit_two(self, tmp_path, doc):
+        cfg_path = tmp_path / "cfg.json"
+        if doc is not None:
+            cfg_path.write_text(json.dumps(doc))
+        assert main(["restore", "--config", str(cfg_path)]) == 2
+
+    def test_report_on_non_record_exit_two(self, tmp_path):
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps({"experiment": {"kind": "restore"}}))
+        assert main(["report", "--record", str(path)]) == 2
+
     def test_trials_flag_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
@@ -275,3 +305,21 @@ class TestCli:
         assert main(["report", "--record", str(out / "record.json"),
                      "--format", "csv", "--out", str(tmp_path / "again")]) == 0
         assert (tmp_path / "again" / "metrics.csv").exists()
+
+
+def test_tracing_targets_resolve():
+    """Every function the benchmark's tracer wraps exists under its listed name."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = [t for ts in tracing.LAYERS.values() for t in ts]
+    targets += list(tracing.COUNTED.values())
+    for module_name, attr in targets:
+        owner = importlib.import_module(module_name)
+        if "." in attr:
+            cls_name, attr = attr.split(".")
+            owner = vars(getattr(owner, cls_name))
+            assert attr in owner, f"{module_name}.{cls_name}.{attr}"
+        else:
+            assert callable(getattr(owner, attr, None)), f"{module_name}.{attr}"

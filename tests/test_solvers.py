@@ -129,6 +129,15 @@ class TestEnsembles:
             np.testing.assert_allclose(paths[i].endpoint, solo.endpoint,
                                        rtol=0, atol=1e-12)
 
+    def test_sde_ensemble_matches_single_runs(self):
+        model = mixture_score_model(two_mode(), VP)
+        cfg = SamplerConfig(steps=60, solver=EULER_MARUYAMA, seed=11, record_every=20)
+        paths = sde_ensemble(model, None, VP, cfg, 5, chunk=2)
+        for i in range(5):
+            solo = sample_sde(model, None, VP, cfg, rng=trial_rng(cfg.seed, i))
+            # batched score arithmetic may differ from a lone run in the last bit
+            np.testing.assert_allclose(paths[i].states, solo.states, rtol=0, atol=1e-12)
+
     def test_sde_ensemble_chunking_invariant(self):
         model = mixture_score_model(two_mode(), VP)
         cfg = SamplerConfig(steps=50, solver=EULER_MARUYAMA, seed=13)
