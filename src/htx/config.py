@@ -76,9 +76,16 @@ DEFAULTS = {
 
 INTEGER_FIELDS = (("experiment", "trials"), ("experiment", "seed"),
                   ("sampler", "steps"), ("sampler", "record_every"))
+OPTIONAL_NUMBER_FIELDS = (("sampler", "start"), ("sampler", "end"))
 
 
-def _merge_section(name: str, overrides: dict) -> dict:
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _merge_section(name: str, overrides) -> dict:
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"section {name!r} must be an object, got {overrides!r}")
     base = copy.deepcopy(DEFAULTS[name])
     for key, value in overrides.items():
         if key not in base:
@@ -98,6 +105,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError(f"a config must be an object, got {doc!r}")
         unknown = set(doc) - set(DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")
@@ -109,6 +118,10 @@ class ExperimentConfig:
             value = getattr(cfg, section)[key]
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
+        for section, key in OPTIONAL_NUMBER_FIELDS:
+            value = getattr(cfg, section)[key]
+            if value is not None and not _is_number(value):
+                raise ConfigError(f"{section}.{key} must be a number or null, got {value!r}")
         if cfg.experiment["trials"] < 1:
             raise ConfigError("trial count must be >= 1")
         return cfg
@@ -165,11 +178,29 @@ def rbf_field_prior(cells: int, length_scale: float, variance: float = 1.0,
     return oracle.GaussianMixture(np.array([1.0]), np.zeros((1, cells)), cov[None])
 
 
+def _float_array(sec: dict, key: str, ndim: int) -> np.ndarray:
+    try:
+        arr = np.asarray(sec[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"density.{key} must be numeric: {exc}") from exc
+    if arr.ndim != ndim:
+        raise ConfigError(f"density.{key} must be a {ndim}-d array, got {sec[key]!r}")
+    return arr
+
+
 def build_density(cfg: ExperimentConfig) -> oracle.GaussianMixture:
     sec = cfg.density
     if sec["kind"] == "mixture":
-        means = np.asarray(sec["means"], dtype=float)
-        weights = np.asarray(sec["weights"], dtype=float)
+        means = _float_array(sec, "means", ndim=2)
+        weights = _float_array(sec, "weights", ndim=1)
+        if weights.shape[0] != means.shape[0]:
+            raise ConfigError("density.weights must give one weight per row of density.means")
+        if np.any(weights <= 0) or abs(weights.sum() - 1.0) > 1e-12:
+            raise ConfigError(f"density.weights must be positive and sum to 1, "
+                              f"got {sec['weights']!r}")
+        if not _is_number(sec["variance"]) or not sec["variance"] > 0:
+            raise ConfigError(f"density.variance must be a positive number, "
+                              f"got {sec['variance']!r}")
         covs = np.stack([sec["variance"] * np.eye(means.shape[1])] * means.shape[0])
         return oracle.GaussianMixture(weights, means, covs)
     if sec["kind"] == "gaussian_field":

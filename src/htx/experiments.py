@@ -30,6 +30,9 @@ from .scorenet import mixture_score_model
 from .solvers import SamplerConfig, ode_ensemble, sample_ode, trial_rng
 
 ERROR_CURVE_POINTS = 9
+# keys emit_report reads from every row of a record's aggregates and checks
+AGGREGATE_KEYS = ("series", "x", "n")
+CHECK_KEYS = ("name", "passed", "value", "threshold", "detail")
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,14 @@ class RunRecord:
         if missing or unknown:
             raise ConfigError(f"{path} is not a run record: missing keys {missing}, "
                               f"unknown keys {unknown}")
+        for name, keys in (("aggregates", AGGREGATE_KEYS), ("checks", CHECK_KEYS)):
+            rows = doc.get(name, [])
+            if not isinstance(rows, list):
+                raise ConfigError(f"{path}: {name} must be a list")
+            for i, row in enumerate(rows):
+                absent = [key for key in keys if not isinstance(row, dict) or key not in row]
+                if absent:
+                    raise ConfigError(f"{path}: {name}[{i}] lacks keys {absent}")
         return cls(**doc)
 
     def save(self, out_root) -> Path:

@@ -4,13 +4,25 @@ Gaussian mixtures are closed under the forward diffusion x_t = alpha x_0 + sigma
 so the diffused density, its score, the endpoint-conditioned drift correction,
 and the restoration posterior under a linear-Gaussian degradation are all exact.
 
-All mixture evaluations run in log space (log-sum-exp) so responsibilities never
-underflow for finite inputs.
+Each component covariance is factored once, at construction, as
+Sigma_k = V_k Lambda_k V_k^T.  The diffused covariance alpha^2 Sigma_k + sigma^2 I
+is diagonal in the same basis, with eigenvalues alpha^2 Lambda_k + sigma^2, so
+`gm_pushforward` only rescales and the score and log density of any diffused
+mixture need no factorization: one matmul projects x onto every V_k at once,
+one more maps the responsibility-weighted result back, and the rest is
+elementwise.  The Cholesky factor serves as the SPD check and for sampling, so
+draws do not depend on the basis.
+
+All mixture evaluations run in log space (max-shifted log-sum-exp) so
+responsibilities never underflow for finite inputs.  A point so far out that
+its squared Mahalanobis distance overflows (|x| beyond about 1e150) evaluates
+to nan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -24,7 +36,16 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 
 @dataclass(frozen=True)
 class GaussianMixture:
-    """Weighted sum of Gaussians; weights sum to 1, covariances SPD."""
+    """Weighted sum of Gaussians; weights sum to 1, covariances SPD.
+
+    Besides the three fields, a mixture carries its eigenbasis with the K
+    components side by side, so one matmul projects onto all of them:
+    `_basis` (d, K d) is [V_1 ... V_K], `_evals` (K d,) is [Lambda_1 ...
+    Lambda_K] and `_basis_means` (K d,) is [V_1^T mu_1 ... V_K^T mu_K].
+    `_blocks` (K, K d) marks which of the K d columns belong to component k,
+    so `_blocks @ v` sums v within each component, and `_log_norms` (K,)
+    holds log w_k - (d log 2 pi + log det Sigma_k) / 2.
+    """
 
     weights: np.ndarray  # (K,)
     means: np.ndarray    # (K, d)
@@ -48,11 +69,23 @@ class GaussianMixture:
             chols = np.linalg.cholesky(c)
         except np.linalg.LinAlgError as exc:
             raise ValueError("covariances must be positive definite") from exc
+        evals, basis = np.linalg.eigh(c)
+        if np.any(evals <= 0):
+            raise ValueError("covariances must be positive definite")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "covs", c)
         object.__setattr__(self, "_chols", chols)
         object.__setattr__(self, "_log_weights", np.log(w))
+        k, d = m.shape
+        object.__setattr__(self, "_basis", basis.transpose(1, 0, 2).reshape(d, k * d))
+        object.__setattr__(self, "_blocks", np.kron(np.eye(k), np.ones(d)))
+        _set_eigenvalues(self, evals.ravel(), np.matmul(m[:, None, :], basis).ravel())
+
+    @cached_property
+    def _chols(self) -> np.ndarray:
+        """Cholesky factors; made on first use for a mixture built by gm_pushforward."""
+        return np.linalg.cholesky(self.covs)
 
     @property
     def dim(self) -> int:
@@ -72,6 +105,13 @@ class GaussianMixture:
         return second - np.outer(mu, mu)
 
 
+def _set_eigenvalues(gm: GaussianMixture, evals, basis_means) -> None:
+    object.__setattr__(gm, "_evals", evals)
+    object.__setattr__(gm, "_basis_means", basis_means)
+    object.__setattr__(gm, "_log_norms", gm._log_weights
+                       - 0.5 * (gm.dim * _LOG_2PI + gm._blocks @ np.log(evals)))
+
+
 def _as_batch(x, dim):
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != dim:
@@ -81,16 +121,12 @@ def _as_batch(x, dim):
     return x, False
 
 
-def _component_logpdfs(gm: GaussianMixture, xs: np.ndarray) -> np.ndarray:
-    """Per-component log N(x; mu_k, Sigma_k) for xs of shape (n, d) -> (n, K)."""
-    n, d = xs.shape
-    out = np.empty((n, gm.n_components))
-    for k in range(gm.n_components):
-        chol = gm._chols[k]
-        z = solve_triangular(chol, (xs - gm.means[k]).T, lower=True)
-        log_det = np.sum(np.log(np.diag(chol)))
-        out[:, k] = -0.5 * d * _LOG_2PI - log_det - 0.5 * np.sum(z * z, axis=0)
-    return out
+def _log_terms(gm: GaussianMixture, xs: np.ndarray):
+    """log w_k N(x; mu_k, Sigma_k) for xs (n, d) as (K, n), and u = [u_1 ... u_K]
+    as (n, K d) with u_k = Lambda_k^-1 V_k^T (mu_k - x)."""
+    z = gm._basis_means - xs @ gm._basis
+    u = z / gm._evals
+    return gm._log_norms[:, None] - 0.5 * (gm._blocks @ (z * u).T), u
 
 
 def gm_sample(gm: GaussianMixture, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -103,30 +139,40 @@ def gm_sample(gm: GaussianMixture, n: int, rng: np.random.Generator) -> np.ndarr
 
 
 def gm_pushforward(gm: GaussianMixture, schedule: NoiseSchedule, t) -> GaussianMixture:
-    """Mixture of x_t = alpha x_0 + sigma eps: means alpha mu_k, covs alpha^2 Sigma_k + sigma^2 I."""
+    """Mixture of x_t = alpha x_0 + sigma eps: means alpha mu_k, covs alpha^2 Sigma_k + sigma^2 I.
+
+    The result keeps the parent's eigenbasis with eigenvalues alpha^2 Lambda_k + sigma^2,
+    so nothing is refactored or revalidated: the invariants hold by construction.
+    """
     a, s = schedule.alpha_sigma(t)
-    eye = np.eye(gm.dim)
-    return GaussianMixture(gm.weights, a * gm.means, a * a * gm.covs + s * s * eye)
+    a2, s2 = a * a, s * s
+    pushed = object.__new__(GaussianMixture)
+    object.__setattr__(pushed, "weights", gm.weights)
+    object.__setattr__(pushed, "means", a * gm.means)
+    object.__setattr__(pushed, "covs", a2 * gm.covs + s2 * np.eye(gm.dim))
+    object.__setattr__(pushed, "_log_weights", gm._log_weights)
+    object.__setattr__(pushed, "_basis", gm._basis)
+    object.__setattr__(pushed, "_blocks", gm._blocks)
+    _set_eigenvalues(pushed, a2 * gm._evals + s2, a * gm._basis_means)
+    return pushed
 
 
 def gm_logpdf(gm: GaussianMixture, x):
     """Exact mixture log density at x; x may be (d,) or (n, d)."""
     xs, single = _as_batch(x, gm.dim)
-    lp = logsumexp(_component_logpdfs(gm, xs) + gm._log_weights, axis=1)
+    logs, _ = _log_terms(gm, xs)
+    top = logs.max(axis=0)
+    lp = top + np.log(np.exp(logs - top).sum(axis=0))
     return float(lp[0]) if single else lp
 
 
 def gm_score(gm: GaussianMixture, x):
-    """Gradient of gm_logpdf: sum_k r_k(x) Sigma_k^{-1} (mu_k - x)."""
+    """Gradient of gm_logpdf: sum_k r_k(x) Sigma_k^{-1} (mu_k - x) = sum_k r_k V_k u_k."""
     xs, single = _as_batch(x, gm.dim)
-    logs = _component_logpdfs(gm, xs) + gm._log_weights
-    resp = np.exp(logs - logsumexp(logs, axis=1, keepdims=True))
-    score = np.zeros_like(xs)
-    for k in range(gm.n_components):
-        chol = gm._chols[k]
-        half = solve_triangular(chol, (gm.means[k] - xs).T, lower=True)
-        comp = solve_triangular(chol.T, half, lower=False).T
-        score += resp[:, k, None] * comp
+    logs, u = _log_terms(gm, xs)
+    resp = np.exp(logs - logs.max(axis=0))
+    resp /= resp.sum(axis=0)
+    score = (resp.T @ gm._blocks * u) @ gm._basis.T
     return score[0] if single else score
 
 

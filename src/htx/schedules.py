@@ -66,12 +66,22 @@ class NoiseSchedule:
         return cls(OTFM, t_min=t_min, t_max=t_max)
 
     def _check_t(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t < self.t_min - _RANGE_SLACK) or np.any(t > self.t_max + _RANGE_SLACK):
+        """Validate t against [t_min, t_max]; nan and +-inf fall outside it.
+
+        A float (the solvers' grid times) is tested as a Python scalar; any
+        other t goes through numpy.  A 0-d result comes back as a float.
+        """
+        lo, hi = self.t_min - _RANGE_SLACK, self.t_max + _RANGE_SLACK
+        if isinstance(t, float):
+            inside = lo <= t <= hi
+        else:
+            t = np.asarray(t, dtype=float)
+            inside = bool(np.all(t >= lo)) and bool(np.all(t <= hi))
+        if not inside:
             raise TimeRangeError(
                 f"t outside [{self.t_min}, {self.t_max}] for {self.kind} schedule"
             )
-        return t if t.ndim else float(t)
+        return t if isinstance(t, np.ndarray) and t.ndim else float(t)
 
     def beta(self, t):
         """Instantaneous vp rate beta(t); linear in t."""

@@ -15,9 +15,10 @@ plain unweighted noise MSE is available via weighted=False.
 
 Weight file layout (little endian):
   bytes 0..6    magic b"HTXNET1"
-  byte  7       uint8 L, the number of layer sizes
-  next 4L bytes uint32 layer sizes [input, hidden..., output]
-  rest          float64 parameters, alternating row-major W then b per layer
+  byte  7       uint8 L = 4, the number of layer sizes
+  next 4L bytes uint32 layer sizes [dim + 2, h1, h2, dim]
+  rest          float64 parameters, alternating row-major W then b per layer,
+                and nothing after them
 """
 
 from __future__ import annotations
@@ -222,17 +223,30 @@ def save_weights(net: MlpNet, path):
 
 
 def load_weights(path) -> MlpNet:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    """Read a weight file, rejecting any blob that is not exactly one saved net."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read weight file {path}: {exc}") from exc
     if blob[: len(_MAGIC)] != _MAGIC:
         raise ConfigError(f"not a weight file: bad magic in {path}")
-    off = len(_MAGIC)
-    (n_sizes,) = struct.unpack_from("<B", blob, off)
-    off += 1
-    sizes = struct.unpack_from(f"<{n_sizes}I", blob, off)
-    off += 4 * n_sizes
+    off = len(_MAGIC) + 1 + 4 * 4  # magic, L = 4, four uint32 sizes
+    if len(blob) < off:
+        raise ConfigError(f"{path}: truncated header")
+    if blob[len(_MAGIC)] != 4:
+        raise ConfigError(f"{path}: header must list 4 layer sizes [input, h1, h2, output]")
+    sizes = struct.unpack_from("<4I", blob, len(_MAGIC) + 1)
+    if min(sizes) < 1 or sizes[0] != sizes[-1] + 2:
+        raise ConfigError(f"{path}: layer sizes {list(sizes)} need positive widths "
+                          f"and input width dim + 2")
+    pairs = list(zip(sizes[:-1], sizes[1:]))
+    expected = off + 8 * sum(fan_out * (fan_in + 1) for fan_in, fan_out in pairs)
+    if len(blob) != expected:
+        problem = "truncated parameters" if len(blob) < expected else "trailing bytes"
+        raise ConfigError(f"{path}: {problem}: {len(blob)} bytes, expected {expected}")
     params = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+    for fan_in, fan_out in pairs:
         w = np.frombuffer(blob, dtype="<f8", count=fan_out * fan_in, offset=off)
         off += w.nbytes
         b = np.frombuffer(blob, dtype="<f8", count=fan_out, offset=off)

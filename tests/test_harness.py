@@ -273,6 +273,44 @@ class TestCli:
             cfg_path.write_text(json.dumps(doc))
         assert main(["restore", "--config", str(cfg_path)]) == 2
 
+    @pytest.mark.parametrize("doc", [
+        {"experiment": 5},
+        {"sampler": [1000]},
+        {"sampler": {"start": "x"}},
+        {"sampler": {"end": True}},
+        {"density": {"weights": [0.5, 0.6]}},
+        {"density": {"weights": [1.0]}},
+        {"density": {"weights": "half"}},
+        {"density": {"variance": 0.0}},
+    ])
+    def test_bad_section_or_field_exit_two(self, tmp_path, doc):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["restore", "--config", str(cfg_path)]) == 2
+
+    def test_config_errors_name_the_field(self):
+        for doc, name in (({"experiment": 5}, "'experiment'"),
+                          ({"sampler": {"start": "x"}}, "sampler.start")):
+            with pytest.raises(ConfigError, match=name):
+                ExperimentConfig.from_dict(doc)
+        cfg = ExperimentConfig.from_dict({"density": {"weights": [0.5, 0.6]}})
+        with pytest.raises(ConfigError, match="density.weights"):
+            build_density(cfg)
+
+    @pytest.mark.parametrize("rows", [
+        {"aggregates": [{"series": "guided", "n": 3}]},
+        {"aggregates": [7]},
+        {"aggregates": [], "checks": [{"name": "c", "passed": True}]},
+    ])
+    def test_report_on_malformed_rows_exit_two(self, tmp_path, rows):
+        record = run_restore(small_restore_config(trials=2))
+        out = record.save(tmp_path / "runs")
+        doc = json.loads((out / "record.json").read_text())
+        doc.update(rows)
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", "--record", str(path)]) == 2
+
     def test_report_on_non_record_exit_two(self, tmp_path):
         path = tmp_path / "record.json"
         path.write_text(json.dumps({"experiment": {"kind": "restore"}}))

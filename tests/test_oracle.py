@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from htx.config import rbf_field_prior
 from htx.errors import ConfigError, DegeneratePosteriorError
 from htx.oracle import (DegradationOperator, GaussianMixture, blur_1d,
                         conditional_score, degrade, downsample, exact_h,
@@ -141,6 +142,75 @@ class TestDensityAndScore:
         gm = two_mode()
         s = gm_score(gm, np.array([0.0, 1.0]))
         np.testing.assert_allclose(s[0], 0.0, atol=1e-12)
+
+
+def field_prior():
+    return rbf_field_prior(16, 3.0, jitter=1e-6)
+
+
+def direct_logpdf_and_score(gm, x):
+    """Mixture log density and score at one point, each component solved directly."""
+    logs, grads = [], []
+    for w, mu, cov in zip(gm.weights, gm.means, gm.covs):
+        diff = x - mu
+        sol = np.linalg.solve(cov, diff)
+        _, log_det = np.linalg.slogdet(cov)
+        logs.append(np.log(w) - 0.5 * (gm.dim * np.log(2 * np.pi) + log_det + diff @ sol))
+        grads.append(-sol)
+    logs = np.array(logs)
+    top = logs.max()
+    resp = np.exp(logs - top)
+    return top + np.log(resp.sum()), (resp / resp.sum()) @ np.array(grads)
+
+
+def freshly_diffused(gm, sch, t):
+    """The diffused mixture built and validated from its closed form."""
+    a, s = sch.alpha_sigma(t)
+    return GaussianMixture(gm.weights, a * gm.means, a * a * gm.covs + s * s * np.eye(gm.dim))
+
+
+class TestEigenbasisOracle:
+    @pytest.mark.parametrize("prior", [two_mode, field_prior])
+    @pytest.mark.parametrize("t", [1.0, 0.5, 0.1, 1e-2, 1e-3])
+    def test_pushed_matches_direct_solve(self, prior, t):
+        sch = NoiseSchedule.vp()
+        gm = prior()
+        pushed = gm_pushforward(gm, sch, t)
+        ref = freshly_diffused(gm, sch, t)
+        rng = np.random.default_rng(11)
+        xs = np.vstack([gm_sample(ref, 20, rng), 2.0 * rng.standard_normal((5, gm.dim))])
+        batch = zip(gm_logpdf(pushed, xs), gm_score(pushed, xs))
+        for x, batched in zip(xs, batch):
+            ref_lp, ref_score = direct_logpdf_and_score(ref, x)
+            for lp, score in (batched, (gm_logpdf(pushed, x), gm_score(pushed, x))):
+                assert abs(lp - ref_lp) <= 1e-10 * max(1.0, abs(ref_lp))
+                assert np.linalg.norm(score - ref_score) <= 1e-10 * np.linalg.norm(ref_score)
+
+    @pytest.mark.parametrize("prior", [two_mode, field_prior])
+    def test_pushed_is_a_complete_mixture(self, prior):
+        sch = NoiseSchedule.vp()
+        gm = prior()
+        pushed = gm_pushforward(gm, sch, 0.3)
+        ref = freshly_diffused(gm, sch, 0.3)
+        np.testing.assert_array_equal(pushed.weights, ref.weights)
+        np.testing.assert_array_equal(pushed.means, ref.means)
+        np.testing.assert_array_equal(pushed.covs, ref.covs)
+        np.testing.assert_array_equal(pushed.mean(), ref.mean())
+        np.testing.assert_array_equal(pushed.covariance(), ref.covariance())
+        np.testing.assert_array_equal(gm_sample(pushed, 64, np.random.default_rng(4)),
+                                      gm_sample(ref, 64, np.random.default_rng(4)))
+
+    def test_pushforward_composes(self):
+        # pushing a pushed mixture reuses the basis it inherited
+        sch = NoiseSchedule.otfm()
+        gm = field_prior()
+        twice = gm_pushforward(gm_pushforward(gm, sch, 0.4), sch, 0.2)
+        direct = freshly_diffused(freshly_diffused(gm, sch, 0.4), sch, 0.2)
+        np.testing.assert_array_equal(twice.covs, direct.covs)
+        x = np.linspace(-1.0, 1.0, gm.dim)
+        ref_lp, ref_score = direct_logpdf_and_score(direct, x)
+        assert abs(gm_logpdf(twice, x) - ref_lp) <= 1e-10 * abs(ref_lp)
+        assert np.linalg.norm(gm_score(twice, x) - ref_score) <= 1e-10 * np.linalg.norm(ref_score)
 
 
 class TestConditionalScoreAndExactH:

@@ -105,6 +105,22 @@ class TestCalculusConsistency:
         with pytest.raises(TimeRangeError):
             sch.drift_f(np.ones(2), -0.1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_times_rejected(self, bad):
+        sch = NoiseSchedule.vp()
+        for t in (bad, np.float64(bad), np.array(bad), np.array([0.5, bad])):
+            with pytest.raises(TimeRangeError):
+                sch.alpha_sigma(t)
+
+    def test_scalar_and_array_paths_agree(self):
+        sch = NoiseSchedule.vp()
+        grid = np.linspace(sch.t_max, sch.t_min, 7)
+        a_arr, s_arr = sch.alpha_sigma(grid)
+        for k, t in enumerate(grid):
+            assert sch.alpha_sigma(t) == (a_arr[k], s_arr[k])
+            assert sch.alpha_sigma(np.array(t)) == sch.alpha_sigma(float(t))
+        assert type(sch._check_t(np.float64(0.5))) is float
+
 
 class TestWeightSchedule:
     def test_power_of_sigma_values(self):

@@ -1,9 +1,11 @@
 """Score net: forward pass, gradients, training, conversions, persistence."""
 
+import struct
+
 import numpy as np
 import pytest
 
-from htx.errors import SingularityError, TrainingError
+from htx.errors import ConfigError, SingularityError, TrainingError
 from htx.oracle import GaussianMixture
 from htx.schedules import NoiseSchedule
 from htx.scorenet import (MlpNet, TrainConfig, dsm_loss_grad, dsm_loss_grad_at,
@@ -248,6 +250,23 @@ class TestPersistence:
         path = tmp_path / "junk.htx"
         path.write_bytes(b"NOTANET" + b"\x00" * 32)
         with pytest.raises(Exception):
+            load_weights(path)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda blob: blob[:9],                     # header cut inside the sizes
+        lambda blob: blob[:-8],                    # last bias missing
+        lambda blob: blob[:30],                    # body cut short
+        lambda blob: blob + b"\x00" * 8,           # trailing bytes
+        lambda blob: blob[:7] + b"\x03" + blob[8:],  # wrong number of layer sizes
+        lambda blob: blob[:8] + struct.pack("<I", 5) + blob[12:],  # input width != dim + 2
+        lambda blob: blob[:7],                     # magic only
+    ])
+    def test_corrupt_weight_file_is_config_error(self, tmp_path, corrupt):
+        net = MlpNet.init(2, hidden=(3, 3), rng=np.random.default_rng(21))
+        path = tmp_path / "net.htx"
+        save_weights(net, path)
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(ConfigError):
             load_weights(path)
 
 
