@@ -12,7 +12,7 @@ from .schedules import NoiseSchedule, WeightSchedule
 from .oracle import (DegradationOperator, GaussianMixture, PairedSample, blur_1d,
                      conditional_score, degrade, downsample, exact_h, gm_logpdf,
                      gm_pushforward, gm_sample, gm_score, identity_operator,
-                     linear_gaussian_posterior, mask, shrink)
+                     linear_gaussian_posterior, mask, posterior_mean, shrink)
 from .scorenet import (MlpNet, ScoreModel, TrainConfig, dsm_loss_grad, eps_to_score,
                        load_weights, mixture_score_model, net_score_model,
                        save_weights, score_to_eps, score_to_velocity, train,

@@ -75,12 +75,23 @@ DEFAULTS = {
 }
 
 INTEGER_FIELDS = (("experiment", "trials"), ("experiment", "seed"),
-                  ("sampler", "steps"), ("sampler", "record_every"))
-OPTIONAL_NUMBER_FIELDS = (("sampler", "start"), ("sampler", "end"))
+                  ("density", "cells"), ("sampler", "steps"), ("sampler", "record_every"))
+# operator.factor is a shrink scale or, for downsample, an integer (build_operator)
+NUMBER_FIELDS = (("density", "variance"), ("density", "length_scale"), ("density", "jitter"),
+                 ("operator", "kernel_std"), ("operator", "factor"), ("operator", "noise_std"),
+                 ("schedule", "beta_min"), ("schedule", "beta_max"), ("schedule", "t_min"),
+                 ("guidance", "exponent"), ("guidance", "constant"))
+OPTIONAL_NUMBER_FIELDS = (("schedule", "t_max"), ("guidance", "valid_exponent"),
+                          ("guidance", "invalid_exponent"), ("sampler", "start"),
+                          ("sampler", "end"))
 
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _merge_section(name: str, overrides) -> dict:
@@ -116,8 +127,12 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment kind {cfg.experiment['kind']!r}")
         for section, key in INTEGER_FIELDS:
             value = getattr(cfg, section)[key]
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not _is_integer(value):
                 raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
+        for section, key in NUMBER_FIELDS:
+            value = getattr(cfg, section)[key]
+            if not _is_number(value):
+                raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
         for section, key in OPTIONAL_NUMBER_FIELDS:
             value = getattr(cfg, section)[key]
             if value is not None and not _is_number(value):
@@ -198,7 +213,7 @@ def build_density(cfg: ExperimentConfig) -> oracle.GaussianMixture:
         if np.any(weights <= 0) or abs(weights.sum() - 1.0) > 1e-12:
             raise ConfigError(f"density.weights must be positive and sum to 1, "
                               f"got {sec['weights']!r}")
-        if not _is_number(sec["variance"]) or not sec["variance"] > 0:
+        if not sec["variance"] > 0:
             raise ConfigError(f"density.variance must be a positive number, "
                               f"got {sec['variance']!r}")
         covs = np.stack([sec["variance"] * np.eye(means.shape[1])] * means.shape[0])
@@ -218,6 +233,9 @@ def build_operator(cfg: ExperimentConfig, dim: int) -> oracle.DegradationOperato
     if kind == "blur":
         return oracle.blur_1d(sec["kernel_std"], dim, noise_std)
     if kind == "downsample":
+        if not _is_integer(sec["factor"]):
+            raise ConfigError(f"operator.factor must be an integer for downsample, "
+                              f"got {sec['factor']!r}")
         return oracle.downsample(sec["factor"], dim, noise_std)
     if kind == "mask":
         return oracle.mask(sec["indices"], dim, noise_std)

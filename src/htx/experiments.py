@@ -173,11 +173,15 @@ def draw_trials(gm: oracle.GaussianMixture, op: oracle.DegradationOperator,
 
 def posterior_mse(gm: oracle.GaussianMixture, op: oracle.DegradationOperator,
                   trials: Trials) -> np.ndarray | None:
-    """Per-trial squared error of the conjugate posterior mean; None if noiseless."""
+    """Per-trial squared error of the conjugate posterior mean; None if noiseless.
+
+    The means of all trials come from one `oracle.posterior_mean` call, which
+    factors each component once for the whole batch of measurements.
+    """
     if op.noise_std == 0:
         return None
-    return np.array([np.mean((oracle.linear_gaussian_posterior(gm, op, meas).mean() - y) ** 2)
-                     for y, meas in zip(trials.fine, trials.measurement)])
+    return np.mean((oracle.posterior_mean(gm, op, trials.measurement) - trials.fine) ** 2,
+                   axis=1)
 
 
 def _metrics(gm: oracle.GaussianMixture, trials: Trials,

@@ -26,7 +26,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import logsumexp
 
 from .errors import ConfigError, DegeneratePosteriorError, SingularityError
 from .schedules import NoiseSchedule
@@ -63,12 +62,7 @@ class GaussianMixture:
             raise ValueError("mixture weights must be positive")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("mixture weights must sum to 1")
-        if not np.allclose(c, np.swapaxes(c, 1, 2), atol=1e-12):
-            raise ValueError("covariances must be symmetric")
-        try:
-            chols = np.linalg.cholesky(c)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("covariances must be positive definite") from exc
+        chols = _check_covariances(c)
         evals, basis = np.linalg.eigh(c)
         if np.any(evals <= 0):
             raise ValueError("covariances must be positive definite")
@@ -103,6 +97,16 @@ class GaussianMixture:
         second = np.einsum("k,kij->ij", self.weights, self.covs)
         second += np.einsum("k,ki,kj->ij", self.weights, self.means, self.means)
         return second - np.outer(mu, mu)
+
+
+def _check_covariances(covs: np.ndarray) -> np.ndarray:
+    """Cholesky factors of covariances (K, d, d); ValueError unless each is SPD."""
+    if not np.allclose(covs, np.swapaxes(covs, 1, 2), atol=1e-12):
+        raise ValueError("covariances must be symmetric")
+    try:
+        return np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("covariances must be positive definite") from exc
 
 
 def _set_eigenvalues(gm: GaussianMixture, evals, basis_means) -> None:
@@ -328,40 +332,74 @@ def mask(indices, dim: int, noise_std: float = 0.0) -> DegradationOperator:
     return DegradationOperator(a, noise_std, lift, ~erased)
 
 
+def _kalman(gm: GaussianMixture, op: DegradationOperator, measurements):
+    """Conjugate (Kalman) update of every component for a batch of measurements.
+
+    measurements is (n, m).  Nothing but the residual depends on the
+    measurement, so each component's innovation covariance, its Cholesky
+    factor, the gain and the Joseph-form covariance are made once; one
+    triangular solve against all n residuals gives the log marginal
+    likelihoods and one matmul the n posterior means.  Returns the posterior
+    weights (n, K), each row normalised by a max-shifted log-sum-exp, the
+    means (n, K, d) and the covariances (K, d, d) that every row shares.
+    """
+    if op.noise_std <= 0:
+        raise DegeneratePosteriorError("posterior needs noise_std > 0")
+    a = op.matrix
+    m = op.measurement_dim
+    s2 = op.noise_std ** 2
+    n, k_count = measurements.shape[0], gm.n_components
+    log_w = np.empty((n, k_count))
+    means = np.empty((n, k_count, gm.dim))
+    covs = np.empty_like(gm.covs)
+    for k in range(k_count):
+        cross = a @ gm.covs[k]  # (m, d)
+        chol = np.linalg.cholesky(cross @ a.T + s2 * np.eye(m))
+        resid = measurements - a @ gm.means[k]  # (n, m)
+        z = solve_triangular(chol, resid.T, lower=True)
+        log_w[:, k] = (gm._log_weights[k] - 0.5 * m * _LOG_2PI
+                       - np.sum(np.log(np.diag(chol))) - 0.5 * np.sum(z * z, axis=0))
+        gain_t = solve_triangular(chol.T, solve_triangular(chol, cross, lower=True),
+                                  lower=False)  # (m, d), the gain transposed
+        means[:, k] = gm.means[k] + resid @ gain_t
+        shrinkage = np.eye(gm.dim) - gain_t.T @ a
+        cov = shrinkage @ gm.covs[k] @ shrinkage.T + s2 * (gain_t.T @ gain_t)
+        covs[k] = 0.5 * (cov + cov.T)
+    weights = np.exp(log_w - log_w.max(axis=1, keepdims=True))
+    weights /= weights.sum(axis=1, keepdims=True)
+    return weights, means, covs
+
+
 def linear_gaussian_posterior(gm: GaussianMixture, op: DegradationOperator,
                               measurement) -> GaussianMixture:
     """Exact posterior p(y | measurement) for a mixture prior and Gaussian noise.
 
     Each component gets the conjugate (Kalman) update; weights are reweighted
     by the component marginal likelihood of the measurement.  The covariance
-    update uses the Joseph form to stay positive definite.
+    update uses the Joseph form to stay positive definite.  A component whose
+    posterior weight underflows to exactly 0 is dropped from the result.
     """
-    if op.noise_std <= 0:
-        raise DegeneratePosteriorError("posterior needs noise_std > 0")
     ym = np.asarray(measurement, dtype=float)
-    a = op.matrix
-    m = op.measurement_dim
-    s2 = op.noise_std ** 2
-    eye_m = np.eye(m)
-    eye_d = np.eye(op.dim)
+    if ym.shape != (op.measurement_dim,):
+        raise ValueError(f"expected a measurement of width {op.measurement_dim}, "
+                         f"got shape {ym.shape}")
+    weights, means, covs = _kalman(gm, op, ym[None])
+    keep = weights[0] > 0
+    return GaussianMixture(weights[0, keep], means[0, keep], covs[keep])
 
-    log_w = np.empty(gm.n_components)
-    means = np.empty_like(gm.means)
-    covs = np.empty_like(gm.covs)
-    for k in range(gm.n_components):
-        innovation_cov = a @ gm.covs[k] @ a.T + s2 * eye_m
-        chol = np.linalg.cholesky(innovation_cov)
-        resid = ym - a @ gm.means[k]
-        z = solve_triangular(chol, resid, lower=True)
-        log_w[k] = (gm._log_weights[k] - 0.5 * m * _LOG_2PI
-                    - np.sum(np.log(np.diag(chol))) - 0.5 * z @ z)
-        gain_t = solve_triangular(chol.T, solve_triangular(chol, a @ gm.covs[k], lower=True),
-                                  lower=False)
-        gain = gain_t.T  # (d, m)
-        means[k] = gm.means[k] + gain @ resid
-        shrinkage = eye_d - gain @ a
-        cov = shrinkage @ gm.covs[k] @ shrinkage.T + s2 * (gain @ gain.T)
-        covs[k] = 0.5 * (cov + cov.T)
-    weights = np.exp(log_w - logsumexp(log_w))
-    weights /= weights.sum()
-    return GaussianMixture(weights, means, covs)
+
+def posterior_mean(gm: GaussianMixture, op: DegradationOperator, measurements):
+    """Conjugate posterior mean sum_k w_k m_k for one measurement (m,) or a batch (n, m).
+
+    Every row is conditioned on the same per-component factorization, and
+    the shared posterior covariances pass the check a GaussianMixture runs,
+    once for the whole batch.
+    """
+    ys = np.asarray(measurements, dtype=float)
+    if ys.ndim not in (1, 2) or ys.shape[-1] != op.measurement_dim:
+        raise ValueError(f"expected measurements of width {op.measurement_dim} as (m,) "
+                         f"or (n, m), got shape {ys.shape}")
+    weights, means, covs = _kalman(gm, op, np.atleast_2d(ys))
+    _check_covariances(covs)
+    mean = np.einsum("nk,nkd->nd", weights, means)
+    return mean[0] if ys.ndim == 1 else mean

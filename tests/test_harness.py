@@ -282,6 +282,12 @@ class TestCli:
         {"density": {"weights": [1.0]}},
         {"density": {"weights": "half"}},
         {"density": {"variance": 0.0}},
+        {"schedule": {"beta_min": "x"}},
+        {"density": {"kind": "gaussian_field", "cells": "16"}},
+        {"guidance": {"exponent": "5"}},
+        {"operator": {"noise_std": "0.1"}},
+        {"operator": {"kind": "blur", "kernel_std": "2"}},
+        {"operator": {"kind": "downsample", "factor": 2.0}},
     ])
     def test_bad_section_or_field_exit_two(self, tmp_path, doc):
         cfg_path = tmp_path / "cfg.json"
@@ -290,12 +296,25 @@ class TestCli:
 
     def test_config_errors_name_the_field(self):
         for doc, name in (({"experiment": 5}, "'experiment'"),
-                          ({"sampler": {"start": "x"}}, "sampler.start")):
+                          ({"sampler": {"start": "x"}}, "sampler.start"),
+                          ({"density": {"cells": 16.0}}, "density.cells"),
+                          ({"guidance": {"invalid_exponent": "1"}},
+                           "guidance.invalid_exponent")):
             with pytest.raises(ConfigError, match=name):
                 ExperimentConfig.from_dict(doc)
         cfg = ExperimentConfig.from_dict({"density": {"weights": [0.5, 0.6]}})
         with pytest.raises(ConfigError, match="density.weights"):
             build_density(cfg)
+
+    def test_underflowed_posterior_weight_exit_zero(self, tmp_path):
+        # the conjugate posterior gives one mode of each trial a weight of exactly 0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "experiment": {"trials": 3, "out": str(tmp_path / "runs")},
+            "density": {"variance": 0.001},
+            "operator": {"noise_std": 0.01},
+        }))
+        assert main(["restore", "--config", str(cfg_path)]) == 0
 
     @pytest.mark.parametrize("rows", [
         {"aggregates": [{"series": "guided", "n": 3}]},

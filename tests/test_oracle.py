@@ -8,7 +8,8 @@ from htx.errors import ConfigError, DegeneratePosteriorError
 from htx.oracle import (DegradationOperator, GaussianMixture, blur_1d,
                         conditional_score, degrade, downsample, exact_h,
                         gm_logpdf, gm_pushforward, gm_sample, gm_score,
-                        identity_operator, linear_gaussian_posterior, mask, shrink)
+                        identity_operator, linear_gaussian_posterior, mask,
+                        posterior_mean, shrink)
 from htx.schedules import NoiseSchedule
 
 # Frozen from a 50-digit mpmath evaluation of log(0.5 * 2 * phi(3)).
@@ -392,3 +393,55 @@ class TestConjugatePosterior:
         prior = GaussianMixture(np.array([1.0]), np.zeros((1, 2)), np.eye(2)[None])
         with pytest.raises(DegeneratePosteriorError):
             linear_gaussian_posterior(prior, mask([0], 2), np.zeros(2))
+
+    def test_underflowed_component_dropped(self):
+        # the far mode's posterior weight is about exp(-1.6e4), exactly 0 in float64
+        prior = GaussianMixture(np.array([0.5, 0.5]), np.array([[-3.0], [3.0]]),
+                                np.stack([1e-3 * np.eye(1)] * 2))
+        post = linear_gaussian_posterior(prior, identity_operator(1, noise_std=0.01),
+                                         np.array([3.0]))
+        assert post.n_components == 1
+        np.testing.assert_array_equal(post.weights, [1.0])
+        np.testing.assert_allclose(post.means[0], [3.0], rtol=1e-12)
+
+
+def _field():
+    return rbf_field_prior(16, 3.0)
+
+
+class TestBatchedPosterior:
+    """posterior_mean over a batch against one linear_gaussian_posterior per row.
+
+    Batching changes the order of floating-point operations, so rows agree to
+    a relative 1e-12 (measured differences are about 1e-14), not bitwise.
+    """
+
+    @pytest.mark.parametrize("prior, op", [
+        (two_mode, lambda: shrink(0.5, 2, noise_std=0.1)),
+        (two_mode, lambda: blur_1d(0.5, 2, noise_std=0.3)),
+        (_field, lambda: blur_1d(2.0, 16, noise_std=0.25)),
+        (_field, lambda: downsample(2, 16, noise_std=0.25)),  # m < d
+    ], ids=["two_mode-shrink", "two_mode-blur", "field-blur", "field-downsample"])
+    def test_matches_per_row_posterior(self, prior, op):
+        gm, op = prior(), op()
+        rng = np.random.default_rng(5)
+        meas = op.measure(gm_sample(gm, 40, rng), rng)
+        batch = posterior_mean(gm, op, meas)
+        reference = np.array([linear_gaussian_posterior(gm, op, ym).mean() for ym in meas])
+        assert batch.shape == (40, gm.dim)
+        # atol covers coordinates of a mean that sit near 0
+        tol = dict(rtol=1e-12, atol=1e-12 * np.abs(reference).max())
+        np.testing.assert_allclose(batch, reference, **tol)
+        np.testing.assert_allclose(posterior_mean(gm, op, meas[0]), batch[0], **tol)
+
+    def test_zero_noise_rejected(self):
+        with pytest.raises(DegeneratePosteriorError):
+            posterior_mean(standard_normal_2d(), mask([0], 2), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("meas", [np.zeros(3), np.zeros((4, 1)), np.zeros((2, 4, 2))])
+    def test_wrong_measurement_shape_rejected(self, meas):
+        op = shrink(0.5, 2, noise_std=0.1)
+        with pytest.raises(ValueError, match="width 2"):
+            posterior_mean(two_mode(), op, meas)
+        with pytest.raises(ValueError, match="width 2"):
+            linear_gaussian_posterior(two_mode(), op, meas)
