@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from . import oracle
 from .errors import ConfigError
 from .schedules import NoiseSchedule, WeightSchedule
-from .solvers import EULER_MARUYAMA, EULER_ODE, SamplerConfig
+from .solvers import EULER_ODE, SamplerConfig
 
 EXPERIMENT_KINDS = (
     "restore", "ablate_exponent", "ablate_weight_family",
@@ -63,11 +64,9 @@ DEFAULTS = {
         "constant": 1.0,
         "valid_exponent": None,
         "invalid_exponent": None,
-        "parameterization": "score",
     },
     "sampler": {
         "steps": 1000,
-        "solver": EULER_ODE,
         "record_every": 0,
         "start": None,  # defaults to schedule.t_max
         "end": None,    # defaults to schedule.t_min
@@ -84,10 +83,13 @@ NUMBER_FIELDS = (("density", "variance"), ("density", "length_scale"), ("density
 OPTIONAL_NUMBER_FIELDS = (("schedule", "t_max"), ("guidance", "valid_exponent"),
                           ("guidance", "invalid_exponent"), ("sampler", "start"),
                           ("sampler", "end"))
+NUMBER_LIST_FIELDS = (("experiment", "exponents"), ("experiment", "t0_fractions"))
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite int or float; JSON's 1e400 parses as inf and is not one."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def _is_integer(value) -> bool:
@@ -137,6 +139,11 @@ class ExperimentConfig:
             value = getattr(cfg, section)[key]
             if value is not None and not _is_number(value):
                 raise ConfigError(f"{section}.{key} must be a number or null, got {value!r}")
+        for section, key in NUMBER_LIST_FIELDS:
+            value = getattr(cfg, section)[key]
+            if not (isinstance(value, list) and value and all(map(_is_number, value))):
+                raise ConfigError(f"{section}.{key} must be a non-empty list of numbers, "
+                                  f"got {value!r}")
         if cfg.experiment["trials"] < 1:
             raise ConfigError("trial count must be >= 1")
         return cfg
@@ -187,6 +194,8 @@ def rbf_field_prior(cells: int, length_scale: float, variance: float = 1.0,
     """
     if cells < 1 or length_scale <= 0 or variance <= 0:
         raise ConfigError("field prior needs positive cells, length_scale, variance")
+    if jitter < 0:
+        raise ConfigError(f"density.jitter must be >= 0, got {jitter!r}")
     idx = np.arange(cells, dtype=float)
     cov = variance * np.exp(-0.5 * ((idx[:, None] - idx[None, :]) / length_scale) ** 2)
     cov += jitter * np.eye(cells)
@@ -238,7 +247,12 @@ def build_operator(cfg: ExperimentConfig, dim: int) -> oracle.DegradationOperato
                               f"got {sec['factor']!r}")
         return oracle.downsample(sec["factor"], dim, noise_std)
     if kind == "mask":
-        return oracle.mask(sec["indices"], dim, noise_std)
+        indices = sec["indices"]
+        if not (isinstance(indices, list)
+                and all(_is_integer(i) and 0 <= i < dim for i in indices)):
+            raise ConfigError(f"operator.indices must be a list of integers in [0, {dim}), "
+                              f"got {indices!r}")
+        return oracle.mask(indices, dim, noise_std)
     if kind == "shrink":
         return oracle.shrink(sec["factor"], dim, noise_std)
     raise ConfigError(f"unknown operator kind {kind!r}")
@@ -252,11 +266,14 @@ def build_weights(cfg: ExperimentConfig, exponent: float | None = None) -> Weigh
 
 
 def build_sampler(cfg: ExperimentConfig, schedule: NoiseSchedule,
-                  solver: str | None = None) -> SamplerConfig:
+                  solver: str = EULER_ODE) -> SamplerConfig:
     sec = cfg.sampler
     start = schedule.t_max if sec["start"] is None else sec["start"]
     end = schedule.t_min if sec["end"] is None else sec["end"]
-    return SamplerConfig(steps=sec["steps"], start=start, end=end,
-                         solver=solver or sec["solver"],
+    for key, value in (("start", start), ("end", end)):
+        if not schedule.t_min <= value <= schedule.t_max:
+            raise ConfigError(f"sampler.{key} must lie in the schedule's "
+                              f"[{schedule.t_min}, {schedule.t_max}], got {value!r}")
+    return SamplerConfig(steps=sec["steps"], start=start, end=end, solver=solver,
                          seed=cfg.experiment["seed"],
                          record_every=sec["record_every"])

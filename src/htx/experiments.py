@@ -316,7 +316,7 @@ def run_baseline_sdedit(cfg: ExperimentConfig, t0_list=None) -> RunRecord:
     gm, _, schedule, scfg, trials = _setup(cfg)
     seed = cfg.experiment["seed"]
     if t0_list is None:
-        t0_list = [f * schedule.horizon for f in cfg.experiment["t0_fractions"]]
+        t0_list = cfg.experiment["t0_fractions"]
 
     per_trial = {}
     aggregates = []

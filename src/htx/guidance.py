@@ -20,12 +20,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, SingularityError
+from .oracle import conditional_score
 from .schedules import CONSTANT, OTFM, VP, NoiseSchedule, WeightSchedule
 from .scorenet import ScoreModel
-
-SCORE = "score"
-VELOCITY = "velocity"
-EPSILON = "epsilon"
 
 
 @dataclass(frozen=True)
@@ -41,15 +38,12 @@ class GuidanceSpec:
     coarse: np.ndarray
     weights: WeightSchedule
     exponent_map: np.ndarray | None = None
-    parameterization: str = SCORE
 
     def __post_init__(self):
         coarse = np.asarray(self.coarse, dtype=float)
         if coarse.ndim not in (1, 2):
             raise ConfigError("coarse must be (d,) or (n, d)")
         object.__setattr__(self, "coarse", coarse)
-        if self.parameterization not in (SCORE, VELOCITY, EPSILON):
-            raise ConfigError(f"unknown parameterization {self.parameterization!r}")
         if self.exponent_map is not None:
             emap = np.asarray(self.exponent_map, dtype=float)
             if emap.shape != (self.dim,):
@@ -79,9 +73,7 @@ class GuidedDrift:
 def lambda_weights(spec: GuidanceSpec, schedule: NoiseSchedule, t):
     """Guidance weight at time t: scalar, or (d,) under an exponent map."""
     _, s = schedule.alpha_sigma(t)
-    if spec.exponent_map is None:
-        return spec.weights.weight(s, t, schedule.horizon)
-    return spec.weights.weight_with_exponent(s, t, schedule.horizon, spec.exponent_map)
+    return spec.weights.weight(s, t, spec.exponent_map)
 
 
 def region_exponents(valid: np.ndarray, valid_exponent: float,
@@ -94,45 +86,45 @@ def region_exponents(valid: np.ndarray, valid_exponent: float,
 
 def approx_h(x, t, coarse, score_at_x, schedule: NoiseSchedule):
     """Tractable surrogate correction (alpha coarse - x) / sigma^2 - score."""
-    a, s = schedule.alpha_sigma(t)
-    if np.any(s == 0.0):
-        raise SingularityError("surrogate correction undefined at sigma = 0")
-    coarse = np.asarray(coarse, dtype=float)
-    return (a * coarse - np.asarray(x, dtype=float)) / (s * s) - np.asarray(score_at_x, dtype=float)
+    return conditional_score(x, coarse, schedule, t) - np.asarray(score_at_x, dtype=float)
+
+
+def score_drift(model: ScoreModel, schedule: NoiseSchedule, c: float,
+                correction: Callable | None = None):
+    """The one score-form drift law f - c g^2 (s + correction(x, t, s)).
+
+    c = 1/2 gives the deterministic flow, c = 1 the reverse SDE; correction,
+    when given, sees the model score s already evaluated at (x, t).
+    """
+
+    def fn(x, t):
+        s = model.score(x, t)
+        if correction is not None:
+            s = s + correction(x, t, s)
+        return schedule.drift_f(x, t) - c * schedule.diffusion_g2(t) * s
+
+    return fn
 
 
 def unguided_drift(model: ScoreModel, schedule: NoiseSchedule) -> GuidedDrift:
     """Plain deterministic sampling drift f - g^2 s / 2."""
-
-    def fn(x, t):
-        return schedule.drift_f(x, t) - 0.5 * schedule.diffusion_g2(t) * model.score(x, t)
-
-    return GuidedDrift(fn, model.dim)
+    return GuidedDrift(score_drift(model, schedule, 0.5), model.dim)
 
 
 def h_guided_drift(model: ScoreModel, h_fn: Callable, schedule: NoiseSchedule) -> GuidedDrift:
     """Drift f - g^2 (s + h) / 2 for an arbitrary correction closure h(x, t)."""
-
-    def fn(x, t):
-        correction = model.score(x, t) + h_fn(x, t)
-        return schedule.drift_f(x, t) - 0.5 * schedule.diffusion_g2(t) * correction
-
-    return GuidedDrift(fn, model.dim)
+    return GuidedDrift(score_drift(model, schedule, 0.5, lambda x, t, s: h_fn(x, t)),
+                       model.dim)
 
 
 def guided_score_drift(model: ScoreModel, spec: GuidanceSpec,
                        schedule: NoiseSchedule) -> GuidedDrift:
     """Score-form guided drift; the weight interpolates toward the kernel score."""
-    if spec.parameterization != SCORE:
-        raise ConfigError("spec parameterization must be 'score'")
 
-    def fn(x, t):
-        s = model.score(x, t)
-        lam = lambda_weights(spec, schedule, t)
-        blended = s + lam * (approx_h(x, t, spec.coarse, s, schedule))
-        return schedule.drift_f(x, t) - 0.5 * schedule.diffusion_g2(t) * blended
+    def correction(x, t, s):
+        return lambda_weights(spec, schedule, t) * approx_h(x, t, spec.coarse, s, schedule)
 
-    return GuidedDrift(fn, spec.dim)
+    return GuidedDrift(score_drift(model, schedule, 0.5, correction), spec.dim)
 
 
 def guided_velocity_drift(model: ScoreModel, spec: GuidanceSpec,
@@ -140,8 +132,6 @@ def guided_velocity_drift(model: ScoreModel, spec: GuidanceSpec,
     """Velocity-form guided drift v + lambda ((x - y~) / sigma - v); otfm only."""
     if schedule.kind != OTFM:
         raise ConfigError("velocity-form guidance requires the otfm schedule")
-    if spec.parameterization != VELOCITY:
-        raise ConfigError("spec parameterization must be 'velocity'")
 
     def fn(x, t):
         _, s = schedule.alpha_sigma(t)
@@ -169,8 +159,6 @@ def guided_epsilon_drift(model: ScoreModel, spec: GuidanceSpec,
     """Noise-form guided drift: the unguided vp drift driven by the blended noise."""
     if schedule.kind != VP:
         raise ConfigError("noise-form guidance requires the vp schedule")
-    if spec.parameterization != EPSILON:
-        raise ConfigError("spec parameterization must be 'epsilon'")
 
     def fn(x, t):
         _, s = schedule.alpha_sigma(t)

@@ -1,8 +1,8 @@
 """Diffusion-time geometry: noise schedules and guidance weight schedules.
 
 A noise schedule fixes the forward marginal x_t = alpha_t x_0 + sigma_t eps
-through the coefficient pair (alpha_t, sigma_t) on the clamped time interval
-[t_min, t_max]:
+through the coefficient pair (alpha_t, sigma_t).  Diffusion time runs over
+(0, 1], and every schedule is clamped to an interval [t_min, t_max] inside it:
 
   vp:    alpha_t = exp(-t^2 (beta_max - beta_min) / 4 - t beta_min / 2),
          sigma_t = sqrt(1 - alpha_t^2),  with beta(t) = beta_min + t (beta_max - beta_min)
@@ -42,7 +42,6 @@ class NoiseSchedule:
     kind: str
     beta_min: float = 0.1
     beta_max: float = 20.0
-    horizon: float = 1.0
     t_min: float = 1e-3
     t_max: float = 1.0
 
@@ -51,8 +50,8 @@ class NoiseSchedule:
             raise ConfigError(f"unknown schedule kind {self.kind!r}")
         if self.kind == VP and not 0.0 < self.beta_min < self.beta_max:
             raise ConfigError("vp schedule needs 0 < beta_min < beta_max")
-        if not 0.0 < self.t_min < self.t_max <= self.horizon:
-            raise ConfigError("need 0 < t_min < t_max <= horizon")
+        if not 0.0 < self.t_min < self.t_max <= 1.0:
+            raise ConfigError("need 0 < t_min < t_max <= 1")
         if self.kind == OTFM and self.t_max >= 1.0:
             raise ConfigError("otfm needs t_max < 1 (alpha vanishes at t = 1)")
 
@@ -130,7 +129,7 @@ class WeightSchedule:
 
     Families:
       power_of_sigma: lambda = sigma^a      (default; decays as sampling denoises)
-      power_of_time:  lambda = (t / T)^a
+      power_of_time:  lambda = t^a          (diffusion time runs over [0, 1])
       constant:       lambda = c            (c = 0 unguided, c = 1 fully pinned)
     """
 
@@ -146,12 +145,12 @@ class WeightSchedule:
         if not 0.0 <= self.constant <= 1.0:
             raise ConfigError("constant weight must lie in [0, 1]")
 
-    def weight(self, sigma, t, horizon: float = 1.0):
-        """Evaluate lambda; power_of_sigma ignores t, power_of_time ignores sigma."""
-        return self.weight_with_exponent(sigma, t, horizon, self.exponent)
+    def weight(self, sigma, t, exponent=None):
+        """Evaluate lambda; power_of_sigma ignores t, power_of_time ignores sigma.
 
-    def weight_with_exponent(self, sigma, t, horizon: float, exponent):
-        """Evaluate lambda with an explicit (possibly per-coordinate) exponent."""
+        `exponent` overrides the schedule's own and may be per-coordinate.
+        """
+        exponent = self.exponent if exponent is None else exponent
         if np.any(np.asarray(exponent) < 0):
             raise ConfigError("weight exponent must be >= 0")
         if self.family == CONSTANT:
@@ -161,7 +160,7 @@ class WeightSchedule:
                 raise ValueError("sigma outside [0, 1]")
             base = sigma
         else:
-            if np.any(t < 0) or np.any(t > horizon + _RANGE_SLACK):
-                raise ValueError("t outside [0, horizon]")
-            base = t / horizon
+            if np.any(t < 0) or np.any(t > 1 + _RANGE_SLACK):
+                raise ValueError("t outside [0, 1]")
+            base = t
         return np.clip(base ** exponent, 0.0, 1.0)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
-from .guidance import GuidedDrift
+from .guidance import GuidedDrift, score_drift
 from .schedules import NoiseSchedule
 from .scorenet import ScoreModel
 
@@ -109,17 +109,12 @@ def sample_ode(drift: GuidedDrift, cfg: SamplerConfig, x_start=None,
 
 def _reverse_sde(model: ScoreModel, h_term, schedule: NoiseSchedule):
     """Drift f - g^2 (s + h) and noise scale g of the reverse SDE; h_term may be None."""
-
-    def drift_fn(x, t):
-        correction = model.score(x, t)
-        if h_term is not None:
-            correction = correction + h_term(x, t)
-        return schedule.drift_f(x, t) - schedule.diffusion_g2(t) * correction
+    correction = None if h_term is None else (lambda x, t, s: h_term(x, t))
 
     def noise_scale(t):
         return np.sqrt(schedule.diffusion_g2(t))
 
-    return drift_fn, noise_scale
+    return score_drift(model, schedule, 1.0, correction), noise_scale
 
 
 def sample_sde(model: ScoreModel, h_term, schedule: NoiseSchedule,

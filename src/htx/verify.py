@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .config import ExperimentConfig, rbf_field_prior
+from .config import ExperimentConfig
 from .errors import DivergenceError
-from .experiments import (RunRecord, draw_trials, mean_se, posterior_mse,
-                          restore_trials, run_ablate_exponent, sdedit_trials)
+from .experiments import (RunRecord, draw_trials, mean_se, run_ablate_exponent,
+                          run_restore, sdedit_trials)
 from .guidance import (GuidanceSpec, guided_epsilon_drift, guided_score_drift,
                        guided_velocity_drift, h_guided_drift, unguided_drift)
 from .schedules import CONSTANT, NoiseSchedule, WeightSchedule
@@ -169,13 +169,12 @@ def check_parameterization_equivalence(seed: int = 3, n: int = 1000) -> CheckRes
     model_ot = mixture_score_model(gm, otfm)
     coarse = oracle.gm_sample(gm, 1, rng)[0]
     for _ in range(n_lams):
-        ws = WeightSchedule(CONSTANT, constant=float(rng.uniform(0.0, 1.0)))
-        d_score = guided_score_drift(model_vp, GuidanceSpec(coarse, ws), vp)
-        d_eps = guided_epsilon_drift(
-            model_vp, GuidanceSpec(coarse, ws, parameterization="epsilon"), vp)
-        d_score_ot = guided_score_drift(model_ot, GuidanceSpec(coarse, ws), otfm)
-        d_vel = guided_velocity_drift(
-            model_ot, GuidanceSpec(coarse, ws, parameterization="velocity"), otfm)
+        spec = GuidanceSpec(coarse, WeightSchedule(CONSTANT,
+                                                   constant=float(rng.uniform(0.0, 1.0))))
+        d_score = guided_score_drift(model_vp, spec, vp)
+        d_eps = guided_epsilon_drift(model_vp, spec, vp)
+        d_score_ot = guided_score_drift(model_ot, spec, otfm)
+        d_vel = guided_velocity_drift(model_ot, spec, otfm)
         for t in rng.uniform(0.01, 0.99, size=n_ts):
             xs = rng.normal(scale=2.0, size=(n_xs, 2))
             worst = max(worst, float(np.max(np.abs(d_score(xs, t) - d_eps(xs, t)))),
@@ -395,24 +394,21 @@ def _grad_rel_error(net, layer, flat_idx, x0, ts, eps, schedule, grads) -> float
 
 def check_restoration_beats_ignorance(seed: int = 31, trials: int = 200) -> CheckResult:
     """Guided restoration beats unguided sampling and respects the MMSE floor."""
-    schedule = NoiseSchedule.vp()
-    scfg = SamplerConfig(steps=1000, start=schedule.t_max, end=schedule.t_min, seed=seed)
-    ws = WeightSchedule("power_of_sigma", exponent=5.0)
     toys = {
-        "shrink": (_two_mode_mixture(), oracle.shrink(0.5, 2, noise_std=0.1)),
-        "blur": (rbf_field_prior(16, 3.0), oracle.blur_1d(2.0, 16, noise_std=0.25)),
+        "shrink": ({"kind": "mixture"}, {"kind": "shrink", "factor": 0.5, "noise_std": 0.1}),
+        "blur": ({"kind": "gaussian_field", "cells": 16, "length_scale": 3.0},
+                 {"kind": "blur", "kernel_std": 2.0, "noise_std": 0.25}),
     }
     worst_sep = math.inf
     details = []
     passed = True
-    for name, (gm, op) in toys.items():
-        drawn = draw_trials(gm, op, trials, seed)
-        guided = restore_trials(gm, schedule, scfg, drawn, ws)
-        unguided = restore_trials(gm, schedule, scfg, drawn, None)
-        g_mean, g_se = mean_se([m.mse_to_y for m in guided])
-        u_mean, u_se = mean_se([m.mse_to_y for m in unguided])
-        p_mean, _ = mean_se(posterior_mse(gm, op, drawn))
-        sep = (u_mean - g_mean) / math.hypot(g_se, u_se)
+    for name, (density, operator) in toys.items():
+        cfg = ExperimentConfig.from_dict({"experiment": {"trials": trials, "seed": seed},
+                                          "density": density, "operator": operator})
+        guided, unguided = run_restore(cfg).aggregates
+        g_mean, u_mean = guided["mse_to_y_mean"], unguided["mse_to_y_mean"]
+        p_mean = guided["posterior_mse_mean"]
+        sep = (u_mean - g_mean) / math.hypot(guided["mse_to_y_se"], unguided["mse_to_y_se"])
         worst_sep = min(worst_sep, sep)
         ok = sep > 3.0 and g_mean >= p_mean
         passed = passed and ok

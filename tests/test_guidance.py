@@ -7,12 +7,14 @@ from hypothesis import given, strategies as st
 from htx.errors import ConfigError
 from htx.guidance import (GuidanceSpec, approx_h, approximation_error, guided_eps,
                           guided_epsilon_drift, guided_score_drift,
-                          guided_velocity_drift, lambda_weights, region_exponents,
-                          sdedit_start, unguided_drift)
+                          guided_velocity_drift, h_guided_drift, lambda_weights,
+                          region_exponents, sdedit_start, unguided_drift)
 from htx.oracle import (GaussianMixture, conditional_score, exact_h, gm_pushforward,
                         gm_sample, gm_score)
-from htx.schedules import (CONSTANT, POWER_OF_SIGMA, NoiseSchedule, WeightSchedule)
+from htx.schedules import (CONSTANT, POWER_OF_SIGMA, POWER_OF_TIME, NoiseSchedule,
+                           WeightSchedule)
 from htx.scorenet import ScoreModel, mixture_score_model
+from htx.solvers import EULER_MARUYAMA, SamplerConfig, sample_sde
 
 VP = NoiseSchedule.vp()
 OTFM = NoiseSchedule.otfm()
@@ -123,8 +125,6 @@ class TestGuidedScoreDrift:
                 return np.array([1.0, 0.0])
 
         class StubSchedule:
-            horizon = 1.0
-
             def alpha_sigma(self, t):
                 return 0.6, 0.8
 
@@ -138,11 +138,82 @@ class TestGuidedScoreDrift:
         drift = guided_score_drift(Stub(), spec, StubSchedule())
         np.testing.assert_allclose(drift(np.zeros(2), 0.5), [-0.484375, 0.0])
 
-    def test_requires_score_parameterization(self):
-        spec = GuidanceSpec(np.zeros(2), WeightSchedule(POWER_OF_SIGMA),
-                            parameterization="velocity")
-        with pytest.raises(ConfigError):
-            guided_score_drift(mixture_score_model(two_mode(), VP), spec, VP)
+
+class TestDriftLaw:
+    """Every score-form drift is f - c g^2 (s + correction), bit for bit.
+
+    The formulas are written out here in the order of operations the sampler
+    uses, so any rewrite of the drift assembly must keep every last bit.
+    """
+
+    @staticmethod
+    def _setup(schedule, batched):
+        gm = two_mode()
+        rng = np.random.default_rng(12)
+        shape = (7, 2) if batched else (2,)
+        x = rng.normal(scale=2.0, size=shape)
+        target = rng.normal(scale=2.0, size=shape)
+        coarse = rng.normal(scale=2.0, size=shape)
+        return gm, mixture_score_model(gm, schedule), x, target, coarse
+
+    @pytest.mark.parametrize("schedule", [VP, OTFM], ids=["vp", "otfm"])
+    @pytest.mark.parametrize("batched", [False, True], ids=["single", "batched"])
+    def test_ode_drifts(self, schedule, batched):
+        gm, model, x, target, coarse = self._setup(schedule, batched)
+        emap = np.array([1.0, 6.0])
+
+        def h_fn(x, t):
+            return exact_h(x, target, gm, schedule, t)
+
+        drifts = {
+            "unguided": unguided_drift(model, schedule),
+            "h": h_guided_drift(model, h_fn, schedule),
+            "scalar": guided_score_drift(
+                model, GuidanceSpec(coarse, WeightSchedule(POWER_OF_SIGMA, exponent=4.0)),
+                schedule),
+            "map": guided_score_drift(
+                model, GuidanceSpec(coarse, WeightSchedule(POWER_OF_TIME, exponent=4.0),
+                                    exponent_map=emap), schedule),
+        }
+        for t in (schedule.t_max, 0.6, 0.2, 0.01):
+            f = schedule.drift_f(x, t)
+            g2 = schedule.diffusion_g2(t)
+            s = model.score(x, t)
+            a, sig = schedule.alpha_sigma(t)
+            surrogate = (a * coarse - x) / (sig * sig) - s
+            lam_scalar = np.clip(sig ** 4.0, 0.0, 1.0)
+            lam_map = np.clip(t ** emap, 0.0, 1.0)
+            expected = {
+                "unguided": f - 0.5 * g2 * s,
+                "h": f - 0.5 * g2 * (s + h_fn(x, t)),
+                "scalar": f - 0.5 * g2 * (s + lam_scalar * surrogate),
+                "map": f - 0.5 * g2 * (s + lam_map * surrogate),
+            }
+            for name, drift in drifts.items():
+                np.testing.assert_array_equal(drift(x, t), expected[name], err_msg=name)
+
+    @pytest.mark.parametrize("schedule", [VP, OTFM], ids=["vp", "otfm"])
+    @pytest.mark.parametrize("batched", [False, True], ids=["single", "batched"])
+    @pytest.mark.parametrize("with_h", [False, True], ids=["plain", "h"])
+    def test_reverse_sde_step(self, schedule, batched, with_h):
+        gm, model, x, target, _ = self._setup(schedule, batched)
+
+        def h_fn(x, t):
+            return exact_h(x, target, gm, schedule, t)
+
+        t, end = 0.7, 0.6
+        cfg = SamplerConfig(steps=1, start=t, end=end, solver=EULER_MARUYAMA)
+        got = sample_sde(model, h_fn if with_h else None, schedule, cfg,
+                         rng=np.random.default_rng(3), x_start=x).endpoint
+        z = np.random.default_rng(3).standard_normal((1,) + x.shape)[0]
+        dt = t - end
+        f = schedule.drift_f(x, t)
+        g2 = schedule.diffusion_g2(t)
+        s = model.score(x, t)
+        if with_h:
+            s = s + h_fn(x, t)
+        expected = x - (f - g2 * s) * dt + np.sqrt(g2) * np.sqrt(dt) * z
+        np.testing.assert_array_equal(got, expected)
 
 
 class TestVelocityAndEpsilonForms:
@@ -152,11 +223,9 @@ class TestVelocityAndEpsilonForms:
         coarse = np.zeros(2)
         t = 0.5
         v = model.velocity(x, t)
-        spec0 = GuidanceSpec(coarse, WeightSchedule(CONSTANT, constant=0.0),
-                             parameterization="velocity")
+        spec0 = GuidanceSpec(coarse, WeightSchedule(CONSTANT, constant=0.0))
         np.testing.assert_allclose(guided_velocity_drift(model, spec0, OTFM)(x, t), v)
-        spec1 = GuidanceSpec(coarse, WeightSchedule(CONSTANT, constant=1.0),
-                             parameterization="velocity")
+        spec1 = GuidanceSpec(coarse, WeightSchedule(CONSTANT, constant=1.0))
         np.testing.assert_allclose(guided_velocity_drift(model, spec1, OTFM)(x, t),
                                    (x - coarse) / 0.5)
 
@@ -168,14 +237,12 @@ class TestVelocityAndEpsilonForms:
             def velocity(self, x, t):
                 return np.array([1.0])
 
-        spec = GuidanceSpec(np.array([0.0]), WeightSchedule(CONSTANT, constant=0.5),
-                            parameterization="velocity")
+        spec = GuidanceSpec(np.array([0.0]), WeightSchedule(CONSTANT, constant=0.5))
         drift = guided_velocity_drift(Stub(), spec, OTFM)
         np.testing.assert_allclose(drift(np.array([1.0]), 0.5), [1.5])
 
     def test_velocity_requires_otfm(self):
-        spec = GuidanceSpec(np.zeros(2), WeightSchedule(POWER_OF_SIGMA),
-                            parameterization="velocity")
+        spec = GuidanceSpec(np.zeros(2), WeightSchedule(POWER_OF_SIGMA))
         with pytest.raises(ConfigError):
             guided_velocity_drift(mixture_score_model(two_mode(), VP), spec, VP)
 
@@ -200,10 +267,10 @@ class TestVelocityAndEpsilonForms:
             ws = WeightSchedule(CONSTANT, constant=lam)
             ds = guided_score_drift(model_vp, GuidanceSpec(coarse, ws), VP)
             de = guided_epsilon_drift(
-                model_vp, GuidanceSpec(coarse, ws, parameterization="epsilon"), VP)
+                model_vp, GuidanceSpec(coarse, ws), VP)
             dso = guided_score_drift(model_ot, GuidanceSpec(coarse, ws), OTFM)
             dv = guided_velocity_drift(
-                model_ot, GuidanceSpec(coarse, ws, parameterization="velocity"), OTFM)
+                model_ot, GuidanceSpec(coarse, ws), OTFM)
             for _ in range(10):
                 x = rng.normal(scale=2.0, size=2)
                 t = rng.uniform(0.01, 0.99)

@@ -288,6 +288,20 @@ class TestCli:
         {"operator": {"noise_std": "0.1"}},
         {"operator": {"kind": "blur", "kernel_std": "2"}},
         {"operator": {"kind": "downsample", "factor": 2.0}},
+        {"operator": {"kind": "mask", "indices": [20]}},
+        {"operator": {"kind": "mask", "indices": 5}},
+        {"operator": {"kind": "mask", "indices": [-1]}},
+        {"operator": {"kind": "mask", "indices": [0.5]}},
+        {"density": {"kind": "gaussian_field", "jitter": -1.0}},
+        {"experiment": {"exponents": []}},
+        {"experiment": {"exponents": ["a"]}},
+        {"experiment": {"t0_fractions": "x"}},
+        {"sampler": {"start": 2.0}},
+        {"sampler": {"end": 0.0}},
+        {"density": {"variance": float("inf")}},
+        {"guidance": {"exponent": float("nan")}},
+        {"guidance": {"parameterization": "score"}},
+        {"sampler": {"solver": "euler_maruyama"}},
     ])
     def test_bad_section_or_field_exit_two(self, tmp_path, doc):
         cfg_path = tmp_path / "cfg.json"
@@ -299,12 +313,27 @@ class TestCli:
                           ({"sampler": {"start": "x"}}, "sampler.start"),
                           ({"density": {"cells": 16.0}}, "density.cells"),
                           ({"guidance": {"invalid_exponent": "1"}},
-                           "guidance.invalid_exponent")):
+                           "guidance.invalid_exponent"),
+                          ({"experiment": {"exponents": []}}, "experiment.exponents"),
+                          ({"experiment": {"exponents": ["a"]}}, "experiment.exponents"),
+                          ({"experiment": {"t0_fractions": "x"}}, "experiment.t0_fractions"),
+                          (json.loads('{"density": {"variance": 1e400}}'), "density.variance")):
             with pytest.raises(ConfigError, match=name):
                 ExperimentConfig.from_dict(doc)
         cfg = ExperimentConfig.from_dict({"density": {"weights": [0.5, 0.6]}})
         with pytest.raises(ConfigError, match="density.weights"):
             build_density(cfg)
+        cfg = ExperimentConfig.from_dict({"density": {"kind": "gaussian_field", "jitter": -1.0}})
+        with pytest.raises(ConfigError, match="density.jitter"):
+            build_density(cfg)
+        for indices in ([20], 5, [-1], [0.5]):
+            cfg = ExperimentConfig.from_dict({"operator": {"kind": "mask", "indices": indices}})
+            with pytest.raises(ConfigError, match="operator.indices"):
+                build_operator(cfg, 2)
+        for key, value in (("start", 2.0), ("end", 0.0)):
+            cfg = ExperimentConfig.from_dict({"sampler": {key: value}})
+            with pytest.raises(ConfigError, match=f"sampler.{key}"):
+                build_sampler(cfg, build_schedule(cfg))
 
     def test_underflowed_posterior_weight_exit_zero(self, tmp_path):
         # the conjugate posterior gives one mode of each trial a weight of exactly 0

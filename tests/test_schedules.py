@@ -131,9 +131,9 @@ class TestWeightSchedule:
 
     def test_power_of_time_values(self):
         ws = WeightSchedule(POWER_OF_TIME, exponent=3.0)
-        np.testing.assert_allclose(ws.weight(0.3, 0.5, horizon=1.0), 0.125)
-        np.testing.assert_allclose(ws.weight(0.3, 1.0, horizon=1.0), 1.0)
-        np.testing.assert_allclose(ws.weight(0.3, 0.0, horizon=1.0), 0.0)
+        np.testing.assert_allclose(ws.weight(0.3, 0.5), 0.125)
+        np.testing.assert_allclose(ws.weight(0.3, 1.0), 1.0)
+        np.testing.assert_allclose(ws.weight(0.3, 0.0), 0.0)
 
     def test_constant_boundaries(self):
         assert WeightSchedule(CONSTANT, constant=0.0).weight(0.3, 0.3) == 0.0

@@ -82,7 +82,7 @@ class TestSde:
     def test_zero_noise_schedule_reduces_to_ode(self):
         # duck-typed schedule with g^2 = 0: the SDE becomes dx = f dt
         class ZeroNoise:
-            t_min, t_max, horizon, kind = VP.t_min, VP.t_max, VP.horizon, VP.kind
+            t_min, t_max, kind = VP.t_min, VP.t_max, VP.kind
 
             def alpha_sigma(self, t):
                 return VP.alpha_sigma(t)
