@@ -1,7 +1,8 @@
 """Command-line entry points.
 
 Exit status: 0 on success, 1 if any verification check fails, 2 on a
-configuration error.
+configuration error or on a run that the given input drove to a non-finite
+state (a diverged sampler, a non-finite training loss, a singular step).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import experiments, verify
 from .config import ExperimentConfig, build_density, build_schedule
-from .errors import ConfigError
+from .errors import ConfigError, DivergenceError, SingularityError, TrainingError
 from .scorenet import MlpNet, TrainConfig, save_weights, train
 from .oracle import gm_sample
 
@@ -76,6 +77,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.steps < 1:
+        raise ConfigError(f"train --steps must be >= 1, got {args.steps}")
     cfg = _load_config(args)
     schedule = build_schedule(cfg)
     gm = build_density(cfg)
@@ -141,6 +144,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (DivergenceError, SingularityError, TrainingError) as exc:
+        print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -146,6 +146,11 @@ class ExperimentConfig:
                                   f"got {value!r}")
         if cfg.experiment["trials"] < 1:
             raise ConfigError("trial count must be >= 1")
+        if cfg.experiment["seed"] < 0:
+            raise ConfigError(f"experiment.seed must be >= 0, got {cfg.experiment['seed']}")
+        out = cfg.experiment["out"]
+        if not (isinstance(out, str) and out):
+            raise ConfigError(f"experiment.out must be a non-empty path string, got {out!r}")
         return cfg
 
     @classmethod

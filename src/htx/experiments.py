@@ -112,7 +112,10 @@ class RunRecord:
         return cls(**doc)
 
     def save(self, out_root) -> Path:
-        """Write record.json, metrics.csv, and SVG charts under <out>/<digest>/."""
+        """Write record.json, metrics.csv, and SVG charts under <out>/<digest>/.
+
+        record.json is strict JSON: a non-finite value is written as null.
+        """
         out = Path(out_root) / self.digest
         out.mkdir(parents=True, exist_ok=True)
         csv_path = emit_report(self, "csv", out)
@@ -120,16 +123,23 @@ class RunRecord:
         if len(self.aggregates) > 1:
             self.artifacts.extend(emit_report(self, "svg", out))
         record_path = out / "record.json"
-        record_path.write_text(json.dumps(self.to_dict(), indent=2, default=_jsonable))
+        record_path.write_text(json.dumps(_jsonable(self.to_dict()), indent=2,
+                                          allow_nan=False))
         return out
 
 
 def _jsonable(value):
+    """value with numpy scalars and arrays as Python values and every non-finite
+    float as None, so the record is valid JSON (null where a metric is undefined)."""
+    if isinstance(value, dict):
+        return {key: _jsonable(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_jsonable(item) for item in value]
     if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON serializable: {type(value)}")
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def mean_se(values) -> tuple[float, float]:
@@ -343,7 +353,9 @@ def run_sample_unguided(cfg: ExperimentConfig) -> RunRecord:
     agg = aggregate_rows(rows, "unguided", 0.0)
     agg["moment_distances"] = {
         "mean_gap": float(np.linalg.norm(endpoints.mean(axis=0) - gm.mean())),
-        "cov_gap": float(np.linalg.norm(np.cov(endpoints.T) - gm.covariance())),
+        # a sample covariance needs two endpoints; with one it is undefined (null)
+        "cov_gap": float(np.linalg.norm(np.cov(endpoints.T) - gm.covariance()))
+        if trials > 1 else math.nan,
     }
     record = RunRecord(kind="sample_unguided", digest=cfg.digest(),
                        config=cfg.to_dict(), seed=seed,

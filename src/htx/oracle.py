@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import ConfigError, DegeneratePosteriorError, SingularityError
-from .schedules import NoiseSchedule
+from .schedules import MEMO_CAP, NoiseSchedule
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -80,6 +80,11 @@ class GaussianMixture:
     def _chols(self) -> np.ndarray:
         """Cholesky factors; made on first use for a mixture built by gm_pushforward."""
         return np.linalg.cholesky(self.covs)
+
+    @cached_property
+    def _pushforwards(self) -> dict:
+        """gm_pushforward's memo: (schedule, float t) -> diffused mixture."""
+        return {}
 
     @property
     def dim(self) -> int:
@@ -147,18 +152,54 @@ def gm_pushforward(gm: GaussianMixture, schedule: NoiseSchedule, t) -> GaussianM
 
     The result keeps the parent's eigenbasis with eigenvalues alpha^2 Lambda_k + sigma^2,
     so nothing is refactored or revalidated: the invariants hold by construction.
+    Its covariances are formed on first use.  For a float t the result is made
+    once per (schedule, t) and kept on the parent, at most MEMO_CAP of them
+    (the memo is cleared when full); its arrays are read-only because every
+    later caller at that time shares them.
     """
+    if not isinstance(t, float):
+        return _pushforward(gm, schedule, t)
+    memo = gm._pushforwards
+    key = (schedule, t)
+    pushed = memo.get(key)
+    if pushed is None:
+        pushed = _pushforward(gm, schedule, t)
+        if len(memo) >= MEMO_CAP:
+            memo.clear()
+        memo[key] = pushed
+    return pushed
+
+
+def _pushforward(gm: GaussianMixture, schedule: NoiseSchedule, t) -> GaussianMixture:
     a, s = schedule.alpha_sigma(t)
     a2, s2 = a * a, s * s
-    pushed = object.__new__(GaussianMixture)
+    pushed = object.__new__(_DiffusedMixture)
     object.__setattr__(pushed, "weights", gm.weights)
     object.__setattr__(pushed, "means", a * gm.means)
-    object.__setattr__(pushed, "covs", a2 * gm.covs + s2 * np.eye(gm.dim))
+    object.__setattr__(pushed, "_parent_covs", gm.covs)
+    object.__setattr__(pushed, "_scales", (a2, s2))
     object.__setattr__(pushed, "_log_weights", gm._log_weights)
     object.__setattr__(pushed, "_basis", gm._basis)
     object.__setattr__(pushed, "_blocks", gm._blocks)
     _set_eigenvalues(pushed, a2 * gm._evals + s2, a * gm._basis_means)
+    for arr in (pushed.means, pushed._evals, pushed._basis_means, pushed._log_norms):
+        arr.flags.writeable = False
     return pushed
+
+
+class _DiffusedMixture(GaussianMixture):
+    """A mixture made by gm_pushforward; its covariances are formed on first use.
+
+    It holds the parent's covariance array, never the parent, so a parent's
+    memo of its pushforwards forms no reference cycle.
+    """
+
+    @cached_property
+    def covs(self) -> np.ndarray:
+        a2, s2 = self._scales
+        covs = a2 * self._parent_covs + s2 * np.eye(self.dim)
+        covs.flags.writeable = False
+        return covs
 
 
 def gm_logpdf(gm: GaussianMixture, x):
@@ -183,7 +224,7 @@ def gm_score(gm: GaussianMixture, x):
 def conditional_score(x, x0, schedule: NoiseSchedule, t):
     """Score of the forward kernel N(x; alpha x0, sigma^2 I): (alpha x0 - x) / sigma^2."""
     a, s = schedule.alpha_sigma(t)
-    if np.any(s == 0.0):
+    if (s == 0.0) if isinstance(s, float) else np.any(s == 0.0):
         raise SingularityError("conditional score undefined at sigma = 0")
     return (a * np.asarray(x0, dtype=float) - np.asarray(x, dtype=float)) / (s * s)
 

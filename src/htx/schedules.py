@@ -33,11 +33,16 @@ POWER_OF_TIME = "power_of_time"
 CONSTANT = "constant"
 
 _RANGE_SLACK = 1e-12  # absorbs float drift on time grids
+# entries per time-keyed memo, above the largest grid the package runs (2,000 steps)
+MEMO_CAP = 4096
 
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Coefficient pair (alpha_t, sigma_t) with its drift and diffusion."""
+    """Coefficient pair (alpha_t, sigma_t) with its drift and diffusion.
+
+    Coefficients at a float t are computed once per instance (`_coefficients`).
+    """
 
     kind: str
     beta_min: float = 0.1
@@ -54,6 +59,7 @@ class NoiseSchedule:
             raise ConfigError("need 0 < t_min < t_max <= 1")
         if self.kind == OTFM and self.t_max >= 1.0:
             raise ConfigError("otfm needs t_max < 1 (alpha vanishes at t = 1)")
+        object.__setattr__(self, "_memo", {})
 
     @classmethod
     def vp(cls, beta_min: float = 0.1, beta_max: float = 20.0,
@@ -88,30 +94,65 @@ class NoiseSchedule:
             raise ConfigError("beta(t) is defined for the vp schedule only")
         return self.beta_min + t * (self.beta_max - self.beta_min)
 
-    def alpha_sigma(self, t):
-        """Return (alpha_t, sigma_t); accepts scalar or array t."""
-        t = self._check_t(t)
+    def _coefficients(self, t) -> tuple:
+        """(alpha, sigma, alpha'/alpha, sigma', g^2) at t; a float t is computed once.
+
+        Every trajectory and arm of a run walks the same grid, so each float
+        grid time is checked and computed on its first visit only; any other
+        t is checked and computed afresh.  A memo entry is what the fresh
+        computation returns, so a hit is bitwise equal to it.  The memo
+        belongs to this instance and is cleared when it reaches MEMO_CAP
+        entries.
+        """
+        if not isinstance(t, float):
+            return self._evaluate(self._check_t(t))
+        entry = self._memo.get(t)
+        if entry is None:
+            entry = self._evaluate(self._check_t(t))
+            if len(self._memo) >= MEMO_CAP:
+                self._memo.clear()
+            self._memo[t] = entry
+        return entry
+
+    def _evaluate(self, t) -> tuple:
+        a, s = self._alpha_sigma(t)
+        lad = self._log_alpha_dot(t)
+        if self.kind == VP:
+            # sigma^2 = 1 - alpha^2  =>  sigma' = -alpha alpha' / sigma
+            sd = -a * (a * lad) / s
+        else:
+            sd = np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
+        return a, s, lad, sd, 2.0 * s * sd - 2.0 * lad * s * s
+
+    def _alpha_sigma(self, t):
         if self.kind == VP:
             a = np.exp(-0.25 * t * t * (self.beta_max - self.beta_min)
                        - 0.5 * t * self.beta_min)
             return a, np.sqrt(1.0 - a * a)
         return 1.0 - t, t
 
-    def log_alpha_dot(self, t):
-        """d(log alpha_t)/dt, the per-coordinate drift rate."""
-        t = self._check_t(t)
+    def _log_alpha_dot(self, t):
         if self.kind == VP:
             return -0.5 * self.beta(t)
         return -1.0 / (1.0 - t)
 
+    # alpha_sigma and log_alpha_dot keep a direct array path: training calls
+    # alpha_sigma on a fresh batch of times every step
+    def alpha_sigma(self, t):
+        """Return (alpha_t, sigma_t); accepts scalar or array t."""
+        if isinstance(t, float):
+            return self._coefficients(t)[:2]
+        return self._alpha_sigma(self._check_t(t))
+
+    def log_alpha_dot(self, t):
+        """d(log alpha_t)/dt, the per-coordinate drift rate."""
+        if isinstance(t, float):
+            return self._coefficients(t)[2]
+        return self._log_alpha_dot(self._check_t(t))
+
     def sigma_dot(self, t):
         """d(sigma_t)/dt."""
-        t = self._check_t(t)
-        if self.kind == VP:
-            a, s = self.alpha_sigma(t)
-            # sigma^2 = 1 - alpha^2  =>  sigma' = -alpha alpha' / sigma
-            return -a * (a * self.log_alpha_dot(t)) / s
-        return np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
+        return self._coefficients(t)[3]
 
     def drift_f(self, x, t):
         """Forward drift f(x, t) = (alpha'_t / alpha_t) x."""
@@ -119,8 +160,7 @@ class NoiseSchedule:
 
     def diffusion_g2(self, t):
         """Squared diffusion g^2(t) = 2 sigma sigma' - 2 (alpha'/alpha) sigma^2."""
-        _, s = self.alpha_sigma(t)
-        return 2.0 * s * self.sigma_dot(t) - 2.0 * self.log_alpha_dot(t) * s * s
+        return self._coefficients(t)[4]
 
 
 @dataclass(frozen=True)
@@ -151,16 +191,27 @@ class WeightSchedule:
         `exponent` overrides the schedule's own and may be per-coordinate.
         """
         exponent = self.exponent if exponent is None else exponent
-        if np.any(np.asarray(exponent) < 0):
+        if (exponent < 0 if isinstance(exponent, float)
+                else np.any(np.asarray(exponent) < 0)):
             raise ConfigError("weight exponent must be >= 0")
         if self.family == CONSTANT:
             return self.constant
         if self.family == POWER_OF_SIGMA:
-            if np.any(sigma < 0) or np.any(sigma > 1 + _RANGE_SLACK):
+            if _outside_unit(sigma):
                 raise ValueError("sigma outside [0, 1]")
             base = sigma
         else:
-            if np.any(t < 0) or np.any(t > 1 + _RANGE_SLACK):
+            if _outside_unit(t):
                 raise ValueError("t outside [0, 1]")
             base = t
         return np.clip(base ** exponent, 0.0, 1.0)
+
+
+def _outside_unit(v) -> bool:
+    """True if any of v lies below 0 or above 1 (+ slack); nan lies in neither.
+
+    A float is compared as a Python scalar, anything else through numpy.
+    """
+    if isinstance(v, float):
+        return v < 0 or v > 1 + _RANGE_SLACK
+    return bool(np.any(v < 0) or np.any(v > 1 + _RANGE_SLACK))

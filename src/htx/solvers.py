@@ -82,9 +82,10 @@ def _integrate(drift_fn, cfg: SamplerConfig, x0: np.ndarray,
     x = np.array(x0, dtype=float)
     if 0 in rec_pos:
         rec_states[rec_pos[0]] = x
+    grid = times.tolist()  # float times hit the schedule and mixture memos
     for k in range(cfg.steps):
-        t = times[k]
-        dt = times[k] - times[k + 1]
+        t = grid[k]
+        dt = t - grid[k + 1]
         x = x - drift_fn(x, t) * dt
         if noise_block is not None:
             x = x + noise_scale_fn(t) * np.sqrt(dt) * noise_block[k]

@@ -302,11 +302,48 @@ class TestCli:
         {"guidance": {"exponent": float("nan")}},
         {"guidance": {"parameterization": "score"}},
         {"sampler": {"solver": "euler_maruyama"}},
+        {"experiment": {"out": 5}},
+        ({}, ["--seed", "-1"]),  # (config, extra command-line flags)
     ])
-    def test_bad_section_or_field_exit_two(self, tmp_path, doc):
+    def test_bad_section_or_field_exit_two(self, tmp_path, doc, monkeypatch):
+        # a case that got past the checks would write under the default out dir
+        monkeypatch.chdir(tmp_path)
+        doc, flags = doc if isinstance(doc, tuple) else (doc, [])
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
-        assert main(["restore", "--config", str(cfg_path)]) == 2
+        assert main(["restore", "--config", str(cfg_path), *flags]) == 2
+        assert not (tmp_path / "runs").exists()
+
+    def test_diverged_run_exit_two_names_the_step(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "experiment": {"trials": 3, "out": str(tmp_path / "runs")},
+            "density": {"means": [[1e200, 0], [0, 0]]},
+            "sampler": {"steps": 20},
+        }))
+        with np.errstate(all="ignore"):
+            assert main(["restore", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == ["run failed: DivergenceError: non-finite state at step 0"]
+
+    def test_train_zero_steps_exit_two(self, tmp_path, capsys):
+        assert main(["train", "--steps", "0", "--out", str(tmp_path / "w")]) == 2
+        assert "--steps" in capsys.readouterr().err
+        assert not (tmp_path / "w").exists()
+
+    def test_sample_one_trial_writes_strict_json(self, tmp_path):
+        # one endpoint has no sample covariance; the record says null, not NaN
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"sampler": {"steps": 30}}))
+        assert main(["sample", "--config", str(cfg_path), "--trials", "1",
+                     "--out", str(tmp_path / "r")]) == 0
+        (record_path,) = (tmp_path / "r").glob("*/record.json")
+
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+        doc = json.loads(record_path.read_text(), parse_constant=reject)
+        assert doc["aggregates"][0]["moment_distances"]["cov_gap"] is None
+        assert RunRecord.from_json(record_path).aggregates[0]["n"] == 1
 
     def test_config_errors_name_the_field(self):
         for doc, name in (({"experiment": 5}, "'experiment'"),

@@ -1,16 +1,24 @@
 """Gaussian-mixture oracle: densities, scores, degradations, posteriors."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from htx.config import rbf_field_prior
+from htx.config import (ExperimentConfig, build_density, build_operator, build_sampler,
+                        build_schedule, build_weights, rbf_field_prior)
 from htx.errors import ConfigError, DegeneratePosteriorError
 from htx.oracle import (DegradationOperator, GaussianMixture, blur_1d,
                         conditional_score, degrade, downsample, exact_h,
                         gm_logpdf, gm_pushforward, gm_sample, gm_score,
                         identity_operator, linear_gaussian_posterior, mask,
                         posterior_mean, shrink)
-from htx.schedules import NoiseSchedule
+from htx.experiments import draw_trials, restore_trials, run_restore
+from htx.guidance import h_guided_drift
+from htx.schedules import MEMO_CAP, NoiseSchedule
+from htx.scorenet import mixture_score_model
+from htx.solvers import EULER_MARUYAMA, SamplerConfig, sample_ode, sde_ensemble
 
 # Frozen from a 50-digit mpmath evaluation of log(0.5 * 2 * phi(3)).
 LOG_MIX_AT_ZERO = -5.4189385332046727
@@ -212,6 +220,101 @@ class TestEigenbasisOracle:
         ref_lp, ref_score = direct_logpdf_and_score(direct, x)
         assert abs(gm_logpdf(twice, x) - ref_lp) <= 1e-10 * abs(ref_lp)
         assert np.linalg.norm(gm_score(twice, x) - ref_score) <= 1e-10 * np.linalg.norm(ref_score)
+
+
+def _exact_h_runs(gm, sch):
+    """Endpoints of an exact-h sample_ode run and an sde_ensemble on (gm, sch)."""
+    model = mixture_score_model(gm, sch)
+    y = np.array([2.5, -0.5])
+
+    def h(x, t):
+        return exact_h(x, y, gm, sch, t)
+    ode = sample_ode(h_guided_drift(model, h, sch), SamplerConfig(steps=120),
+                     x_start=np.array([0.3, -1.2]))
+    paths = sde_ensemble(model, h, sch, SamplerConfig(steps=120, solver=EULER_MARUYAMA,
+                                                      seed=4, record_every=40), 6, chunk=4)
+    return [ode.endpoint, *(p.states for p in paths)]
+
+
+class TestPushforwardMemo:
+    @pytest.mark.parametrize("prior", [two_mode, field_prior])
+    @pytest.mark.parametrize("kind", ["vp", "otfm"])
+    def test_memoised_equals_unmemoised(self, prior, kind):
+        # a 0-d array t bypasses both memos and runs the construction afresh
+        sch = NoiseSchedule.vp() if kind == "vp" else NoiseSchedule.otfm()
+        gm = prior()
+        for visit in range(2):
+            for t in np.linspace(sch.t_max, sch.t_min, 50).tolist():
+                pushed, fresh = gm_pushforward(gm, sch, t), gm_pushforward(gm, sch, np.array(t))
+                for name in ("weights", "means", "covs", "_evals", "_basis_means", "_log_norms"):
+                    np.testing.assert_array_equal(getattr(pushed, name), getattr(fresh, name))
+        assert len(gm._pushforwards) == 50
+        a, s = sch.alpha_sigma(0.5)
+        np.testing.assert_array_equal(gm_pushforward(gm, sch, 0.5).covs,
+                                      a * a * gm.covs + s * s * np.eye(gm.dim))
+
+    def test_warm_objects_reproduce_fresh_runs(self):
+        sch, gm = NoiseSchedule.vp(), two_mode()
+        first = _exact_h_runs(gm, sch)
+        assert gm._pushforwards and sch._memo
+        for warm, fresh in zip(_exact_h_runs(gm, sch),
+                               _exact_h_runs(two_mode(), NoiseSchedule.vp())):
+            np.testing.assert_array_equal(warm, fresh)
+        for again, fresh in zip(_exact_h_runs(gm, sch), first):
+            np.testing.assert_array_equal(again, fresh)
+
+    def test_restore_arms_on_warm_objects_match_fresh_ones(self):
+        cfg = ExperimentConfig.from_dict({
+            "experiment": {"trials": 6, "seed": 2},
+            "density": {"kind": "gaussian_field", "cells": 8},
+            "sampler": {"steps": 80}})
+
+        def arm(gm, sch, weights):
+            op = build_operator(cfg, gm.dim)
+            trials = draw_trials(gm, op, 6, 2)
+            return [m.as_row() for m in restore_trials(gm, sch, build_sampler(cfg, sch),
+                                                        trials, weights)]
+        # run_restore runs its unguided arm on the memos its guided arm filled
+        record = run_restore(cfg)
+        gm, sch = build_density(cfg), build_schedule(cfg)
+        warm_guided = arm(gm, sch, build_weights(cfg))
+        assert gm._pushforwards
+        warm_unguided = arm(gm, sch, None)
+        fresh_guided = arm(build_density(cfg), build_schedule(cfg), build_weights(cfg))
+        fresh_unguided = arm(build_density(cfg), build_schedule(cfg), None)
+        assert warm_guided == fresh_guided and warm_unguided == fresh_unguided
+        for rows, ref in ((record.per_trial["guided"], fresh_guided),
+                          (record.per_trial["unguided"], fresh_unguided)):
+            assert [{k: r[k] for k in ref[0]} for r in rows] == ref
+
+    def test_memo_is_bounded(self):
+        sch, gm = NoiseSchedule.vp(), standard_normal_2d()
+        for t in np.linspace(sch.t_min, sch.t_max, MEMO_CAP + 10).tolist():
+            gm_pushforward(gm, sch, t)
+            assert len(gm._pushforwards) <= MEMO_CAP
+        assert gm_pushforward(gm, sch, sch.t_max) is gm_pushforward(gm, sch, sch.t_max)
+
+    def test_memoised_arrays_are_read_only(self):
+        pushed = gm_pushforward(two_mode(), NoiseSchedule.vp(), 0.4)
+        for arr in (pushed.means, pushed.covs, pushed._evals, pushed._basis_means,
+                    pushed._log_norms):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_used_mixture_is_freed_without_gc(self):
+        # nothing links a diffused mixture back to its parent, so no cycle keeps
+        # the parent, its memo or its pushforwards alive once the caller lets go
+        gc.disable()
+        try:
+            sch, gm = NoiseSchedule.vp(), two_mode()
+            _exact_h_runs(gm, sch)
+            pushed = gm_pushforward(gm, sch, 0.5)
+            pushed.covs, pushed._chols  # noqa: B018 -- form the lazy arrays too
+            refs = [weakref.ref(gm), weakref.ref(pushed)]
+            del gm, pushed
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestConditionalScoreAndExactH:
