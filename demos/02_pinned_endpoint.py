@@ -9,9 +9,9 @@ accident of scale.
 import numpy as np
 
 from htx import (GaussianMixture, NoiseSchedule, SamplerConfig, exact_h,
-                 gm_sample, h_guided_drift, mixture_score_model, sample_ode,
-                 trial_rng)
+                 h_guided_drift, identity_operator, mixture_score_model, sample_ode)
 from htx.errors import DivergenceError
+from htx.experiments import draw_trials
 
 schedule = NoiseSchedule.vp(t_min=1e-4)
 gm = GaussianMixture(np.array([0.5, 0.5]),
@@ -20,12 +20,9 @@ gm = GaussianMixture(np.array([0.5, 0.5]),
 model = mixture_score_model(gm, schedule)
 
 n = 12
-targets = np.empty((n, 2))
-starts = np.empty((n, 2))
-for i in range(n):
-    rng = trial_rng(7, i)
-    targets[i] = gm_sample(gm, 1, rng)[0]
-    starts[i] = rng.standard_normal(2)
+# trial i draws its target, then its start, from the stream trial_rng(7, i)
+trials = draw_trials(gm, identity_operator(2), n, seed=7)
+targets, starts = trials.fine, trials.z
 
 drift = h_guided_drift(model, lambda x, t: exact_h(x, targets, gm, schedule, t),
                        schedule)

@@ -22,7 +22,7 @@ from .guidance import (GuidanceSpec, GuidedDrift, approx_h, approximation_error,
                        guided_velocity_drift, h_guided_drift, lambda_weights,
                        region_exponents, sdedit_start, unguided_drift)
 from .solvers import (SamplerConfig, Trajectory, marginal_stats, ode_ensemble,
-                      sample_ode, sample_sde, sde_ensemble, trial_rng)
+                      sample_ode, sde_ensemble, trial_rng)
 from .config import ExperimentConfig, rbf_field_prior
 from .experiments import (MetricSet, RunRecord, run_ablate_exponent,
                           run_ablate_weight_family, run_baseline_sdedit,

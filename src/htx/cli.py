@@ -99,8 +99,9 @@ def cmd_train(args) -> int:
 def cmd_report(args) -> int:
     record = experiments.RunRecord.from_json(args.record)
     out = Path(args.out or Path(args.record).parent)
-    path = experiments.emit_report(record, args.format, out)
-    print(f"wrote {path}")
+    written = experiments.emit_report(record, args.format, out)
+    for path in [written] if args.format == "csv" else written:
+        print(f"wrote {path}")
     return 0
 
 
@@ -141,7 +142,10 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # a non-finite value ends as one of the errors below or as null in the
+        # record; numpy's overflow warnings on the way would only precede it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -204,7 +204,12 @@ class WeightSchedule:
             if _outside_unit(t):
                 raise ValueError("t outside [0, 1]")
             base = t
-        return np.clip(base ** exponent, 0.0, 1.0)
+        lam = base ** exponent
+        if isinstance(lam, float):
+            # np.clip costs more than the rest of the call on a scalar; this
+            # clamp gives the same bits, keeping -0.0 and letting nan through
+            return 0.0 if lam < 0.0 else 1.0 if lam > 1.0 else lam
+        return np.clip(lam, 0.0, 1.0)
 
 
 def _outside_unit(v) -> bool:

@@ -10,8 +10,7 @@ Training minimizes the denoising objective in score-residual form,
 
   E || -eps_hat / sigma_t  -  (-eps / sigma_t) ||^2,
 
-with x_t = alpha_t x_0 + sigma_t eps and t uniform on [t_min, t_max].  The
-plain unweighted noise MSE is available via weighted=False.
+with x_t = alpha_t x_0 + sigma_t eps and t uniform on [t_min, t_max].
 
 Weight file layout (little endian):
   bytes 0..6    magic b"HTXNET1"
@@ -34,6 +33,11 @@ from .errors import ConfigError, SingularityError, TrainingError
 from .schedules import NoiseSchedule
 
 _MAGIC = b"HTXNET1"
+# Adam: step size, moment decay rates, denominator floor
+LEARNING_RATE = 1e-3
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -108,20 +112,16 @@ def velocity_to_score(v, x, t, schedule: NoiseSchedule):
 class TrainConfig:
     steps: int = 5000
     batch: int = 256
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
         # steps = 0 is permitted as the degenerate no-op run
-        if self.steps < 0 or self.batch < 1 or self.learning_rate <= 0:
-            raise ConfigError("need steps >= 0, batch >= 1, learning_rate > 0")
+        if self.steps < 0 or self.batch < 1:
+            raise ConfigError("need steps >= 0, batch >= 1")
 
 
 def dsm_loss_grad_at(net: MlpNet, x0: np.ndarray, t: np.ndarray, eps: np.ndarray,
-                     schedule: NoiseSchedule, weighted: bool = True):
+                     schedule: NoiseSchedule):
     """Loss and exact parameter gradients for fixed draws (t, eps).
 
     Separating the stochastic draws from the differentiable computation lets
@@ -137,10 +137,10 @@ def dsm_loss_grad_at(net: MlpNet, x0: np.ndarray, t: np.ndarray, eps: np.ndarray
     _, _, w2, _, w3, _ = net.params
 
     n = x0.shape[0]
-    resid = (pred - eps) / s if weighted else (pred - eps)
+    resid = (pred - eps) / s
     loss = float(np.sum(resid * resid) / n)
 
-    g_out = 2.0 * resid / (s * n) if weighted else 2.0 * resid / n
+    g_out = 2.0 * resid / (s * n)
     g_w3 = g_out.T @ h2
     g_b3 = g_out.sum(axis=0)
     g_h2 = (g_out @ w3) * (1.0 - h2 * h2)
@@ -153,23 +153,21 @@ def dsm_loss_grad_at(net: MlpNet, x0: np.ndarray, t: np.ndarray, eps: np.ndarray
 
 
 def dsm_loss_grad(net: MlpNet, batch: np.ndarray, schedule: NoiseSchedule,
-                  rng: np.random.Generator, weighted: bool = True):
+                  rng: np.random.Generator):
     """Draw (t, eps) for the batch, then evaluate loss and gradients."""
     batch = np.atleast_2d(np.asarray(batch, dtype=float))
     if batch.shape[0] < 1:
         raise ValueError("batch must be non-empty")
     t = rng.uniform(schedule.t_min, schedule.t_max, size=batch.shape[0])
     eps = rng.standard_normal(batch.shape)
-    return dsm_loss_grad_at(net, batch, t, eps, schedule, weighted)
+    return dsm_loss_grad_at(net, batch, t, eps, schedule)
 
 
-def train(net: MlpNet, data: np.ndarray, cfg: TrainConfig, schedule: NoiseSchedule,
-          weighted: bool = True, eval_fn: Callable[[MlpNet], float] | None = None,
-          record_every: int = 100):
+def train(net: MlpNet, data: np.ndarray, cfg: TrainConfig, schedule: NoiseSchedule):
     """Adam on the denoising objective; returns (trained net, loss curve).
 
-    The curve has one row per recorded step: (step, loss) plus eval_fn(net)
-    when given.  Identical (seed, config, data) reproduces it bitwise.
+    The curve has one (step, loss) row every 100 steps and one for the
+    trained net.  Identical (seed, config, data) reproduces it bitwise.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if data.shape[0] < cfg.batch:
@@ -179,35 +177,27 @@ def train(net: MlpNet, data: np.ndarray, cfg: TrainConfig, schedule: NoiseSchedu
     moment1 = [np.zeros_like(p) for p in params]
     moment2 = [np.zeros_like(p) for p in params]
     curve = []
-
-    def record(step, loss):
-        current = MlpNet(params=tuple(p.copy() for p in params), dim=net.dim)
-        row = [float(step), loss]
-        if eval_fn is not None:
-            row.append(float(eval_fn(current)))
-        curve.append(row)
-
     for step in range(cfg.steps):
         idx = rng.integers(0, data.shape[0], size=cfg.batch)
         current = MlpNet(params=tuple(params), dim=net.dim)
-        loss, grads = dsm_loss_grad(current, data[idx], schedule, rng, weighted)
+        loss, grads = dsm_loss_grad(current, data[idx], schedule, rng)
         if not np.isfinite(loss):
             raise TrainingError(step)
-        if step % record_every == 0:
-            record(step, loss)
-        scale1 = 1.0 - cfg.beta1 ** (step + 1)
-        scale2 = 1.0 - cfg.beta2 ** (step + 1)
+        if step % 100 == 0:
+            curve.append([float(step), loss])
+        scale1 = 1.0 - BETA1 ** (step + 1)
+        scale2 = 1.0 - BETA2 ** (step + 1)
         for i, g in enumerate(grads):
-            moment1[i] = cfg.beta1 * moment1[i] + (1.0 - cfg.beta1) * g
-            moment2[i] = cfg.beta2 * moment2[i] + (1.0 - cfg.beta2) * g * g
-            step_dir = (moment1[i] / scale1) / (np.sqrt(moment2[i] / scale2) + cfg.adam_eps)
-            params[i] = params[i] - cfg.learning_rate * step_dir
+            moment1[i] = BETA1 * moment1[i] + (1.0 - BETA1) * g
+            moment2[i] = BETA2 * moment2[i] + (1.0 - BETA2) * g * g
+            step_dir = (moment1[i] / scale1) / (np.sqrt(moment2[i] / scale2) + ADAM_EPS)
+            params[i] = params[i] - LEARNING_RATE * step_dir
 
     trained = MlpNet(params=tuple(params), dim=net.dim)
     if cfg.steps > 0:
         final_rng = np.random.default_rng(cfg.seed + 1)
-        loss, _ = dsm_loss_grad(trained, data[: cfg.batch], schedule, final_rng, weighted)
-        record(cfg.steps, loss)
+        loss, _ = dsm_loss_grad(trained, data[: cfg.batch], schedule, final_rng)
+        curve.append([float(cfg.steps), loss])
     return trained, np.asarray(curve)
 
 

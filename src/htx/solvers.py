@@ -5,11 +5,12 @@ uniform grid.  The deterministic update is
 
   x_{t - dt} = x_t - drift(x_t, t) dt,
 
-and the stochastic one adds g(t) sqrt(dt) z with z standard normal.  Ensembles
-integrate many trajectories as one batched state; each trajectory owns a
-private random stream spawned from (seed, index), so the batched result
-matches, up to rounding in the batched arithmetic, integrating each
-trajectory alone with its own stream.
+and the stochastic one adds g(t) sqrt(dt) z with z standard normal.
+`sample_ode` runs from a start the caller gives.  The ensembles integrate
+many trajectories as one batched state and draw trajectory i's start and,
+for the SDE, its noise block from its private stream trial_rng(seed, i), so
+their result does not depend on the batch size, up to rounding in the
+batched arithmetic.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray  # (n_recorded, d)
     endpoint: np.ndarray
-    seed: int
 
 
 def trial_rng(seed: int, index: int) -> np.random.Generator:
@@ -96,46 +96,12 @@ def _integrate(drift_fn, cfg: SamplerConfig, x0: np.ndarray,
     return times[rec_idx], rec_states, x
 
 
-def sample_ode(drift: GuidedDrift, cfg: SamplerConfig, x_start=None,
-               rng: np.random.Generator | None = None) -> Trajectory:
-    """Deterministic reverse-time Euler run; draws x ~ N(0, I) if no start given."""
+def sample_ode(drift: GuidedDrift, cfg: SamplerConfig, x_start) -> Trajectory:
+    """Deterministic reverse-time Euler run from x_start, (d,) or (n, d)."""
     if cfg.solver != EULER_ODE:
         raise ConfigError("sample_ode requires the euler_ode solver")
-    if x_start is None:
-        rng = rng or np.random.default_rng(cfg.seed)
-        x_start = rng.standard_normal(drift.dim)
     times, states, endpoint = _integrate(drift, cfg, np.asarray(x_start, dtype=float))
-    return Trajectory(times=times, states=states, endpoint=endpoint, seed=cfg.seed)
-
-
-def _reverse_sde(model: ScoreModel, h_term, schedule: NoiseSchedule):
-    """Drift f - g^2 (s + h) and noise scale g of the reverse SDE; h_term may be None."""
-    correction = None if h_term is None else (lambda x, t, s: h_term(x, t))
-
-    def noise_scale(t):
-        return np.sqrt(schedule.diffusion_g2(t))
-
-    return score_drift(model, schedule, 1.0, correction), noise_scale
-
-
-def sample_sde(model: ScoreModel, h_term, schedule: NoiseSchedule,
-               cfg: SamplerConfig, rng: np.random.Generator | None = None,
-               x_start=None) -> Trajectory:
-    """Euler-Maruyama run of the reverse SDE, optionally with a correction term.
-
-    Update: x_{t-dt} = x_t - [f - g^2 (s + h)] dt + g sqrt(dt) z.
-    """
-    if cfg.solver != EULER_MARUYAMA:
-        raise ConfigError("sample_sde requires the euler_maruyama solver")
-    rng = rng or np.random.default_rng(cfg.seed)
-    if x_start is None:
-        x_start = rng.standard_normal(model.dim)
-    x_start = np.asarray(x_start, dtype=float)
-    noise = rng.standard_normal((cfg.steps,) + x_start.shape)
-    drift_fn, noise_scale = _reverse_sde(model, h_term, schedule)
-    times, states, endpoint = _integrate(drift_fn, cfg, x_start,
-                                         noise_scale_fn=noise_scale, noise_block=noise)
-    return Trajectory(times=times, states=states, endpoint=endpoint, seed=cfg.seed)
+    return Trajectory(times=times, states=states, endpoint=endpoint)
 
 
 def _ensemble(drift_fn, cfg: SamplerConfig, n: int, dim: int, start_fn, chunk: int,
@@ -143,8 +109,7 @@ def _ensemble(drift_fn, cfg: SamplerConfig, n: int, dim: int, start_fn, chunk: i
     """n trajectories in batches of `chunk`; trajectory i draws from trial_rng(seed, i).
 
     Its stream gives the start (start_fn(rng), else standard normal) and then,
-    for the SDE, its (steps, dim) noise block, exactly as a lone run given
-    that stream would.
+    for the SDE, its (steps, dim) noise block.
     """
     out: list[Trajectory] = []
     for lo in range(0, n, chunk):
@@ -159,7 +124,7 @@ def _ensemble(drift_fn, cfg: SamplerConfig, n: int, dim: int, start_fn, chunk: i
         times, states, _ = _integrate(drift_fn, cfg, starts,
                                       noise_scale_fn=noise_scale_fn, noise_block=noise)
         out.extend(Trajectory(times=times, states=states[:, i, :],
-                              endpoint=states[-1, i, :], seed=cfg.seed) for i in range(m))
+                              endpoint=states[-1, i, :]) for i in range(m))
     return out
 
 
@@ -176,9 +141,18 @@ def ode_ensemble(drift: GuidedDrift, cfg: SamplerConfig, n: int,
 def sde_ensemble(model: ScoreModel, h_term, schedule: NoiseSchedule,
                  cfg: SamplerConfig, n: int, start_fn=None,
                  chunk: int = 2000) -> list[Trajectory]:
-    """n stochastic trajectories, chunked to bound the pre-drawn noise memory."""
-    drift_fn, noise_scale = _reverse_sde(model, h_term, schedule)
-    return _ensemble(drift_fn, cfg, n, model.dim, start_fn, chunk, noise_scale)
+    """n Euler-Maruyama runs of the reverse SDE, optionally with a correction h.
+
+    Update: x_{t-dt} = x_t - [f - g^2 (s + h)] dt + g sqrt(dt) z; h_term may be
+    None.  Trajectories run in batches of `chunk` to bound the pre-drawn noise.
+    """
+    correction = None if h_term is None else (lambda x, t, s: h_term(x, t))
+
+    def noise_scale(t):
+        return np.sqrt(schedule.diffusion_g2(t))
+
+    return _ensemble(score_drift(model, schedule, 1.0, correction), cfg, n, model.dim,
+                     start_fn, chunk, noise_scale)
 
 
 def marginal_stats(trajectories: list[Trajectory], t: float):

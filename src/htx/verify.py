@@ -9,7 +9,7 @@ seeds drive every random draw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .schedules import CONSTANT, NoiseSchedule, WeightSchedule
 from .scorenet import (MlpNet, TrainConfig, dsm_loss_grad_at, mixture_score_model,
                        net_score_model, train)
 from .solvers import (EULER_MARUYAMA, SamplerConfig, marginal_stats, ode_ensemble,
-                      sample_ode, sde_ensemble, trial_rng)
+                      sample_ode, sde_ensemble)
 
 
 @dataclass
@@ -73,36 +73,29 @@ def check_identity_gap(seed: int = 11, n: int = 500) -> CheckResult:
     return CheckResult("identity_gap", worst < 1e-12, worst, 1e-12)
 
 
-def check_endpoint_guarantee(seed: int = 7, n: int = 100, steps: int = 2000,
-                             flip_h_sign: bool = False) -> CheckResult:
+def check_endpoint_guarantee(seed: int = 7, n: int = 100, steps: int = 2000) -> CheckResult:
     """With the exact correction, every trajectory lands on its target.
 
     The guarantee is the t -> 0 limit; at the default clamp t_min = 1e-3 the
     endpoint still carries the conditional spread sigma ~ 0.01, which sits on
     the tolerance itself, so this check integrates down to t_min = 1e-4
-    (stable at 2000 Euler steps) where the spread is ~ 0.003.  flip_h_sign
-    negates the correction, which must break the guarantee.
+    (stable at 2000 Euler steps) where the spread is ~ 0.003.
     """
     schedule = NoiseSchedule.vp(t_min=1e-4)
     gm = _two_mode_mixture()
     model = mixture_score_model(gm, schedule)
-    targets = np.empty((n, 2))
-    starts = np.empty((n, 2))
-    for i in range(n):
-        rng = trial_rng(seed, i)
-        targets[i] = oracle.gm_sample(gm, 1, rng)[0]
-        starts[i] = rng.standard_normal(2)
+    trials = draw_trials(gm, oracle.identity_operator(2), n, seed)
+    targets = trials.fine
 
     def h_fn(x, t):
-        h = oracle.exact_h(x, targets, gm, schedule, t)
-        return -h if flip_h_sign else h
+        return oracle.exact_h(x, targets, gm, schedule, t)
 
     drift = h_guided_drift(model, h_fn, schedule)
     cfg = SamplerConfig(steps=steps, start=schedule.t_max, end=schedule.t_min,
                         seed=seed)
     name = "endpoint_guarantee"
     try:
-        traj = sample_ode(drift, cfg, x_start=starts)
+        traj = sample_ode(drift, cfg, x_start=trials.z)
     except DivergenceError as exc:
         return CheckResult(name, False, math.inf, 1e-2,
                            f"diverged at step {exc.step}")
@@ -317,10 +310,9 @@ def check_sdedit_limits(seed: int = 23, trials: int = 500) -> CheckResult:
                    for i in range(len(coarse_means) - 1))
 
     _, end_full = sdedit_trials(gm, schedule, scfg, drawn, schedule.t_max)
-    model = mixture_score_model(gm, schedule)
-    starts = np.stack([trial_rng(seed + 1, i).standard_normal(2) for i in range(trials)])
-    end_unguided = sample_ode(unguided_drift(model, schedule), scfg,
-                              x_start=starts).endpoint
+    unguided = ode_ensemble(unguided_drift(mixture_score_model(gm, schedule), schedule),
+                            replace(scfg, seed=seed + 1), trials)
+    end_unguided = np.stack([p.endpoint for p in unguided])
     dev = 0.0
     for k in range(2):
         a, b = end_full[:, k], end_unguided[:, k]

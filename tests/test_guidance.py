@@ -14,7 +14,7 @@ from htx.oracle import (GaussianMixture, conditional_score, exact_h, gm_pushforw
 from htx.schedules import (CONSTANT, POWER_OF_SIGMA, POWER_OF_TIME, NoiseSchedule,
                            WeightSchedule)
 from htx.scorenet import ScoreModel, mixture_score_model
-from htx.solvers import EULER_MARUYAMA, SamplerConfig, sample_sde
+from htx.solvers import EULER_MARUYAMA, SamplerConfig, sde_ensemble, trial_rng
 
 VP = NoiseSchedule.vp()
 OTFM = NoiseSchedule.otfm()
@@ -202,10 +202,15 @@ class TestDriftLaw:
             return exact_h(x, target, gm, schedule, t)
 
         t, end = 0.7, 0.6
-        cfg = SamplerConfig(steps=1, start=t, end=end, solver=EULER_MARUYAMA)
-        got = sample_sde(model, h_fn if with_h else None, schedule, cfg,
-                         rng=np.random.default_rng(3), x_start=x).endpoint
-        z = np.random.default_rng(3).standard_normal((1,) + x.shape)[0]
+        cfg = SamplerConfig(steps=1, start=t, end=end, solver=EULER_MARUYAMA, seed=3)
+        starts = np.atleast_2d(x)
+        rows = iter(starts)
+        paths = sde_ensemble(model, h_fn if with_h else None, schedule, cfg, len(starts),
+                             start_fn=lambda rng: next(rows))
+        got = np.stack([p.endpoint for p in paths]).reshape(x.shape)
+        # trajectory i's one noise row is the first draw of its stream
+        z = np.stack([trial_rng(cfg.seed, i).standard_normal((1, 2))[0]
+                      for i in range(len(starts))]).reshape(x.shape)
         dt = t - end
         f = schedule.drift_f(x, t)
         g2 = schedule.diffusion_g2(t)

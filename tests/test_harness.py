@@ -3,6 +3,9 @@
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -236,10 +239,13 @@ class TestVerifyPlumbing:
         loaded = RunRecord.from_json(out / "record.json")
         assert loaded.checks == record.checks
 
-    def test_flipped_sign_hook_fails_endpoint_check(self):
+    def test_flipped_sign_hook_fails_endpoint_check(self, monkeypatch):
+        from htx import oracle
         from htx.verify import check_endpoint_guarantee
 
-        result = check_endpoint_guarantee(n=4, steps=300, flip_h_sign=True)
+        exact_h = oracle.exact_h
+        monkeypatch.setattr(oracle, "exact_h", lambda *args: -exact_h(*args))
+        result = check_endpoint_guarantee(n=4, steps=300)
         assert not result.passed
 
 
@@ -325,6 +331,20 @@ class TestCli:
             assert main(["restore", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.strip().splitlines() == ["run failed: DivergenceError: non-finite state at step 0"]
+
+    def test_diverged_run_prints_only_its_message(self, tmp_path):
+        # numpy's overflow warnings on the way to the divergence stay silent
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"density": {"means": [[1e200, 0], [0, 0]]},
+                                        "sampler": {"steps": 20}}))
+        root = Path(__file__).resolve().parents[1]
+        paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        proc = subprocess.run([sys.executable, "-m", "htx", "restore", "--config",
+                               str(cfg_path), "--trials", "3"], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr == "run failed: DivergenceError: non-finite state at step 0\n"
 
     def test_train_zero_steps_exit_two(self, tmp_path, capsys):
         assert main(["train", "--steps", "0", "--out", str(tmp_path / "w")]) == 2
@@ -429,6 +449,20 @@ class TestCli:
                      "--format", "csv", "--out", str(tmp_path / "again")]) == 0
         assert (tmp_path / "again" / "metrics.csv").exists()
 
+    def test_report_svg_prints_one_line_per_chart(self, tmp_path, capsys):
+        # a restore record has one point per series, too few for a chart
+        cases = [(run_ablate_exponent(small_restore_config(trials=3), exponents=[1.0, 5.0]),
+                  ["mse_to_y", "mse_to_coarse", "loglik_p0"]),
+                 (run_restore(small_restore_config(trials=3)), [])]
+        for i, (record, charts) in enumerate(cases):
+            path = record.save(tmp_path / "runs") / "record.json"
+            out = tmp_path / f"svg{i}"
+            capsys.readouterr()
+            assert main(["report", "--record", str(path), "--format", "svg",
+                         "--out", str(out)]) == 0
+            assert capsys.readouterr().out.splitlines() == [
+                f"wrote {out / name}.svg" for name in charts]
+
 
 def test_tracing_targets_resolve():
     """Every function the benchmark's tracer wraps exists under its listed name."""
@@ -446,3 +480,29 @@ def test_tracing_targets_resolve():
             assert attr in owner, f"{module_name}.{cls_name}.{attr}"
         else:
             assert callable(getattr(owner, attr, None)), f"{module_name}.{attr}"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """perfbench/workloads.py, imported the way the benchmark's set-up probe does."""
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.path.remove(perfbench)
+
+
+@pytest.mark.parametrize("name", ["bridge-exact", "ensemble-sde", "restore-field",
+                                  "train-dsm"])
+def test_benchmark_workload_smoke(workloads, name, tmp_path):
+    """Each workload builds at seed 0 and its first case passes its own check.
+
+    ensemble-sde checks an SDE case against the ODE case of the same target
+    run before it, so both cases of target 0 run.
+    """
+    wl = workloads.WORKLOADS[name](0, tmp_path)
+    cases = [c for c in wl.cases if c[0] == 0] if name == "ensemble-sde" else wl.cases[:1]
+    for case in cases:
+        ok, detail = wl.check(case, wl.run(case))
+        assert ok, f"{name} {case}: {detail}"

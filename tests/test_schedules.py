@@ -200,6 +200,9 @@ class TestWeightSchedule:
             if scalar != "rejected":
                 np.testing.assert_array_equal(scalar, zero_d)
                 np.testing.assert_array_equal([scalar], batch)
+                # the float clamp gives np.clip's bits, sign of zero and nan included
+                assert (np.float64(scalar).tobytes()
+                        == np.clip(v ** 3.0, 0.0, 1.0).tobytes()), v
         for exponent in (-1.0, np.array(-1.0), np.array([1.0, -1.0])):
             with pytest.raises(ConfigError):
                 ws.weight(0.5, 0.5, exponent)

@@ -9,8 +9,7 @@ from htx.oracle import GaussianMixture, exact_h, gm_sample
 from htx.schedules import NoiseSchedule
 from htx.scorenet import mixture_score_model
 from htx.solvers import (EULER_MARUYAMA, SamplerConfig, Trajectory, marginal_stats,
-                         ode_ensemble, sample_ode, sample_sde, sde_ensemble,
-                         trial_rng)
+                         ode_ensemble, sample_ode, sde_ensemble, trial_rng)
 
 VP = NoiseSchedule.vp()
 
@@ -52,8 +51,9 @@ class TestOde:
         model = mixture_score_model(two_mode(), VP)
         drift = unguided_drift(model, VP)
         cfg = SamplerConfig(steps=100, seed=42)
-        a = sample_ode(drift, cfg, rng=np.random.default_rng(42))
-        b = sample_ode(drift, cfg, rng=np.random.default_rng(42))
+        start = np.random.default_rng(42).standard_normal(2)
+        a = sample_ode(drift, cfg, x_start=start)
+        b = sample_ode(drift, cfg, x_start=start)
         np.testing.assert_array_equal(a.endpoint, b.endpoint)
 
     def test_divergence_reports_step(self):
@@ -74,10 +74,10 @@ class TestSde:
     def test_seed_reproducibility(self):
         model = mixture_score_model(two_mode(), VP)
         cfg = SamplerConfig(steps=200, solver=EULER_MARUYAMA, seed=9)
-        a = sample_sde(model, None, VP, cfg, rng=np.random.default_rng(9))
-        b = sample_sde(model, None, VP, cfg, rng=np.random.default_rng(9))
-        np.testing.assert_array_equal(a.endpoint, b.endpoint)
-        np.testing.assert_array_equal(a.states, b.states)
+        for a, b in zip(sde_ensemble(model, None, VP, cfg, 3),
+                        sde_ensemble(model, None, VP, cfg, 3)):
+            np.testing.assert_array_equal(a.endpoint, b.endpoint)
+            np.testing.assert_array_equal(a.states, b.states)
 
     def test_zero_noise_schedule_reduces_to_ode(self):
         # duck-typed schedule with g^2 = 0: the SDE becomes dx = f dt
@@ -97,8 +97,7 @@ class TestSde:
         model = mixture_score_model(two_mode(), VP)
         cfg_sde = SamplerConfig(steps=80, solver=EULER_MARUYAMA, seed=1)
         start = np.array([0.7, -0.3])
-        sde = sample_sde(model, None, sch, cfg_sde, rng=np.random.default_rng(1),
-                         x_start=start)
+        [sde] = sde_ensemble(model, None, sch, cfg_sde, 1, start_fn=lambda rng: start)
         drift = GuidedDrift(lambda x, t: sch.drift_f(x, t), dim=2)
         ode = sample_ode(drift, SamplerConfig(steps=80), x_start=start)
         np.testing.assert_allclose(sde.endpoint, ode.endpoint, atol=1e-12)
@@ -133,10 +132,10 @@ class TestEnsembles:
         model = mixture_score_model(two_mode(), VP)
         cfg = SamplerConfig(steps=60, solver=EULER_MARUYAMA, seed=11, record_every=20)
         paths = sde_ensemble(model, None, VP, cfg, 5, chunk=2)
-        for i in range(5):
-            solo = sample_sde(model, None, VP, cfg, rng=trial_rng(cfg.seed, i))
+        solos = sde_ensemble(model, None, VP, cfg, 5, chunk=1)  # each integrated alone
+        for path, solo in zip(paths, solos):
             # batched score arithmetic may differ from a lone run in the last bit
-            np.testing.assert_allclose(paths[i].states, solo.states, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(path.states, solo.states, rtol=0, atol=1e-12)
 
     def test_sde_ensemble_chunking_invariant(self):
         model = mixture_score_model(two_mode(), VP)
@@ -151,7 +150,7 @@ class TestMarginalStats:
     def test_single_trajectory_zero_covariance(self):
         traj = Trajectory(times=np.array([1.0, 0.5]),
                           states=np.array([[1.0, 2.0], [0.5, 1.0]]),
-                          endpoint=np.array([0.5, 1.0]), seed=0)
+                          endpoint=np.array([0.5, 1.0]))
         mean, cov = marginal_stats([traj], 0.5)
         np.testing.assert_array_equal(mean, [0.5, 1.0])
         np.testing.assert_array_equal(cov, np.zeros((2, 2)))
@@ -159,7 +158,7 @@ class TestMarginalStats:
     def test_lookup_error(self):
         traj = Trajectory(times=np.array([1.0, 0.5]),
                           states=np.zeros((2, 2)),
-                          endpoint=np.zeros(2), seed=0)
+                          endpoint=np.zeros(2))
         with pytest.raises(KeyError):
             marginal_stats([traj], 0.3)
 
