@@ -14,11 +14,15 @@ class SingularityError(ArithmeticError):
 
 
 class DivergenceError(RuntimeError):
-    """A sampler state became non-finite."""
+    """A sampler state became non-finite at `step`, grid time `t`, in row `trajectory`."""
 
-    def __init__(self, step: int, message: str | None = None):
+    def __init__(self, step: int, message: str | None = None, *,
+                 t: float | None = None, trajectory: int = 0):
         self.step = step
-        super().__init__(message or f"non-finite state at step {step}")
+        self.t = t
+        self.trajectory = trajectory
+        where = "" if t is None else f" (t={t:g}, trajectory {trajectory})"
+        super().__init__(message or f"non-finite state at step {step}{where}")
 
 
 class TrainingError(RuntimeError):

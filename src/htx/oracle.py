@@ -17,10 +17,21 @@ All mixture evaluations run in log space (max-shifted log-sum-exp) so
 responsibilities never underflow for finite inputs.  A point so far out that
 its squared Mahalanobis distance overflows (|x| beyond about 1e150) evaluates
 to nan.
+
+`gm_score` keeps its last result in a one-entry slot, so a drift that scores
+the same state twice in one evaluation (the model score s, then the exact
+correction h = kernel score - s) computes it once.  A mixture and every
+mixture pushed from it share one slot.  The slot holds the scored mixture
+weakly (so it forms no reference cycle) and the state it scored strongly (so
+no other array can take over its identity), and it hits only on the same
+mixture and the same ndarray object whose shape, dtype and bytes are
+unchanged since; a hit returns a copy of what the fresh evaluation returned,
+so no caller can tell the slot is there.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -85,6 +96,11 @@ class GaussianMixture:
     def _pushforwards(self) -> dict:
         """gm_pushforward's memo: (schedule, float t) -> diffused mixture."""
         return {}
+
+    @cached_property
+    def _score_slot(self) -> list:
+        """gm_score's last result, shared with every mixture pushed from this one."""
+        return [None]
 
     @property
     def dim(self) -> int:
@@ -181,6 +197,7 @@ def _pushforward(gm: GaussianMixture, schedule: NoiseSchedule, t) -> GaussianMix
     object.__setattr__(pushed, "_log_weights", gm._log_weights)
     object.__setattr__(pushed, "_basis", gm._basis)
     object.__setattr__(pushed, "_blocks", gm._blocks)
+    object.__setattr__(pushed, "_score_slot", gm._score_slot)
     _set_eigenvalues(pushed, a2 * gm._evals + s2, a * gm._basis_means)
     for arr in (pushed.means, pushed._evals, pushed._basis_means, pushed._log_norms):
         arr.flags.writeable = False
@@ -212,13 +229,24 @@ def gm_logpdf(gm: GaussianMixture, x):
 
 
 def gm_score(gm: GaussianMixture, x):
-    """Gradient of gm_logpdf: sum_k r_k(x) Sigma_k^{-1} (mu_k - x) = sum_k r_k V_k u_k."""
+    """Gradient of gm_logpdf: sum_k r_k(x) Sigma_k^{-1} (mu_k - x) = sum_k r_k V_k u_k.
+
+    An ndarray x goes through the mixture's score slot (module docstring).
+    """
+    slot = gm._score_slot
+    last = slot[0]
+    if (last is not None and last[1] is x and last[0]() is gm and x.shape == last[2]
+            and x.dtype == last[3] and x.tobytes() == last[4]):
+        return last[5].copy()
     xs, single = _as_batch(x, gm.dim)
     logs, u = _log_terms(gm, xs)
     resp = np.exp(logs - logs.max(axis=0))
     resp /= resp.sum(axis=0)
     score = (resp.T @ gm._blocks * u) @ gm._basis.T
-    return score[0] if single else score
+    score = score[0] if single else score
+    if isinstance(x, np.ndarray):
+        slot[0] = (weakref.ref(gm), x, x.shape, x.dtype, x.tobytes(), score.copy())
+    return score
 
 
 def conditional_score(x, x0, schedule: NoiseSchedule, t):

@@ -42,6 +42,8 @@ class NoiseSchedule:
     """Coefficient pair (alpha_t, sigma_t) with its drift and diffusion.
 
     Coefficients at a float t are computed once per instance (`_coefficients`).
+    The field hash is computed once too: every pushforward memo lookup hashes
+    the schedule.
     """
 
     kind: str
@@ -60,6 +62,11 @@ class NoiseSchedule:
         if self.kind == OTFM and self.t_max >= 1.0:
             raise ConfigError("otfm needs t_max < 1 (alpha vanishes at t = 1)")
         object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_hash", hash((self.kind, self.beta_min, self.beta_max,
+                                                self.t_min, self.t_max)))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def vp(cls, beta_min: float = 0.1, beta_max: float = 20.0,

@@ -73,7 +73,11 @@ def _record_indices(cfg: SamplerConfig) -> np.ndarray:
 
 def _integrate(drift_fn, cfg: SamplerConfig, x0: np.ndarray,
                noise_scale_fn=None, noise_block: np.ndarray | None = None):
-    """Shared Euler loop; x0 is (d,) or (n, d), noise_block is (steps, *x0.shape)."""
+    """Shared Euler loop; x0 is (d,) or (n, d), noise_block is (steps, *x0.shape).
+
+    A non-finite state raises DivergenceError naming the step, its grid time
+    and the first row of x that is not finite.
+    """
     times = np.linspace(cfg.start, cfg.end, cfg.steps + 1)
     rec_idx = _record_indices(cfg)
     rec_states = np.empty((len(rec_idx),) + x0.shape)
@@ -89,8 +93,9 @@ def _integrate(drift_fn, cfg: SamplerConfig, x0: np.ndarray,
         x = x - drift_fn(x, t) * dt
         if noise_block is not None:
             x = x + noise_scale_fn(t) * np.sqrt(dt) * noise_block[k]
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(k)
+        if not np.isfinite(x).all():
+            bad = np.flatnonzero(~np.isfinite(np.atleast_2d(x)).all(axis=1))
+            raise DivergenceError(k, t=t, trajectory=int(bad[0]))
         if (k + 1) in rec_pos:
             rec_states[rec_pos[k + 1]] = x
     return times[rec_idx], rec_states, x
@@ -121,8 +126,11 @@ def _ensemble(drift_fn, cfg: SamplerConfig, n: int, dim: int, start_fn, chunk: i
             starts[i] = rng.standard_normal(dim) if start_fn is None else start_fn(rng)
             if noise is not None:
                 noise[:, i, :] = rng.standard_normal((cfg.steps, dim))
-        times, states, _ = _integrate(drift_fn, cfg, starts,
-                                      noise_scale_fn=noise_scale_fn, noise_block=noise)
+        try:
+            times, states, _ = _integrate(drift_fn, cfg, starts,
+                                          noise_scale_fn=noise_scale_fn, noise_block=noise)
+        except DivergenceError as exc:
+            raise DivergenceError(exc.step, t=exc.t, trajectory=lo + exc.trajectory) from None
         out.extend(Trajectory(times=times, states=states[:, i, :],
                               endpoint=states[-1, i, :]) for i in range(m))
     return out

@@ -330,7 +330,8 @@ class TestCli:
         with np.errstate(all="ignore"):
             assert main(["restore", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
-        assert err.strip().splitlines() == ["run failed: DivergenceError: non-finite state at step 0"]
+        assert err.strip().splitlines() == [
+            "run failed: DivergenceError: non-finite state at step 0 (t=1, trajectory 0)"]
 
     def test_diverged_run_prints_only_its_message(self, tmp_path):
         # numpy's overflow warnings on the way to the divergence stay silent
@@ -344,7 +345,8 @@ class TestCli:
                                str(cfg_path), "--trials", "3"], cwd=tmp_path, env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2
-        assert proc.stderr == "run failed: DivergenceError: non-finite state at step 0\n"
+        assert proc.stderr == ("run failed: DivergenceError: non-finite state at step 0 "
+                               "(t=1, trajectory 0)\n")
 
     def test_train_zero_steps_exit_two(self, tmp_path, capsys):
         assert main(["train", "--steps", "0", "--out", str(tmp_path / "w")]) == 2

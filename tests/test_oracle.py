@@ -313,8 +313,79 @@ class TestPushforwardMemo:
             refs = [weakref.ref(gm), weakref.ref(pushed)]
             del gm, pushed
             assert [ref() for ref in refs] == [None, None]
+            # the score slot, filled last by the pushed mixture, holds it weakly
+            gm = two_mode()
+            pushed = gm_pushforward(gm, sch, 0.5)
+            gm_score(gm, np.array([0.3, -1.2]))
+            gm_score(pushed, np.array([[0.3, -1.2], [1.0, 2.0]]))
+            assert gm._score_slot[0] is not None
+            refs = [weakref.ref(gm), weakref.ref(pushed)]
+            del gm, pushed
+            assert [ref() for ref in refs] == [None, None]
         finally:
             gc.enable()
+
+
+class TestScoreSlot:
+    """gm_score's one-entry slot returns what a slot-free evaluation returns."""
+
+    @staticmethod
+    def _fresh(make, x, sch=None, t=None):
+        # a new parent has an empty slot of its own; the copy of x is never scored again
+        gm = make() if sch is None else gm_pushforward(make(), sch, t)
+        return gm_score(gm, np.array(x, copy=True))
+
+    @pytest.mark.parametrize("x", [np.array([0.3, -1.2]),
+                                   np.array([[0.3, -1.2], [2.0, 0.5], [-4.0, 1.0]])])
+    def test_repeat_call_and_mutated_result(self, x):
+        gm = two_mode()
+        first = gm_score(gm, x)
+        again = gm_score(gm, x)
+        np.testing.assert_array_equal(again, self._fresh(two_mode, x))
+        np.testing.assert_array_equal(first, again)
+        again[...] = 99.0
+        first[...] = -99.0
+        np.testing.assert_array_equal(gm_score(gm, x), self._fresh(two_mode, x))
+
+    def test_state_mutated_in_place(self):
+        gm, x = two_mode(), np.array([0.3, -1.2])
+        gm_score(gm, x)
+        x[0] += 0.5
+        np.testing.assert_array_equal(gm_score(gm, x), self._fresh(two_mode, x))
+
+    def test_shape_reassigned_in_place(self):
+        gm, x = two_mode(), np.array([0.3, -1.2])
+        assert gm_score(gm, x).shape == (2,)
+        x.shape = (1, 2)
+        out = gm_score(gm, x)
+        assert out.shape == (1, 2)
+        np.testing.assert_array_equal(out, self._fresh(two_mode, x))
+
+    def test_equal_copy_and_list_input(self):
+        gm, x = two_mode(), np.array([0.3, -1.2])
+        copy = x.copy()
+        gm_score(gm, x)
+        np.testing.assert_array_equal(gm_score(gm, copy), self._fresh(two_mode, x))
+        np.testing.assert_array_equal(gm_score(gm, x.tolist()), self._fresh(two_mode, x))
+        assert gm._score_slot[0][1] is copy  # a list bypasses the slot
+
+    def test_grid_times_and_pushforwards_of_one_parent(self):
+        gm, vp, otfm = field_prior(), NoiseSchedule.vp(), NoiseSchedule.otfm()
+        x = np.random.default_rng(1).standard_normal((4, gm.dim))
+        at = [(vp, 0.3), (vp, 0.7), (otfm, 0.3), (None, None)]
+        pushed = [gm if sch is None else gm_pushforward(gm, sch, t) for sch, t in at]
+        fresh = [self._fresh(field_prior, x, sch, t) for sch, t in at]
+        assert all(p._score_slot is gm._score_slot for p in pushed)
+        for _ in range(2):
+            for p, ref in zip(pushed, fresh):
+                np.testing.assert_array_equal(gm_score(p, x), ref)
+                np.testing.assert_array_equal(gm_score(p, x), ref)
+
+    def test_unrelated_mixtures_alternate(self):
+        a, b, x = two_mode(), standard_normal_2d(), np.array([0.3, -1.2])
+        for _ in range(3):
+            np.testing.assert_array_equal(gm_score(a, x), self._fresh(two_mode, x))
+            np.testing.assert_array_equal(gm_score(b, x), self._fresh(standard_normal_2d, x))
 
 
 class TestConditionalScoreAndExactH:

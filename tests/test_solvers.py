@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from htx import oracle
 from htx.errors import ConfigError, DivergenceError
-from htx.guidance import GuidedDrift, h_guided_drift, unguided_drift
+from htx.guidance import (GuidanceSpec, GuidedDrift, guided_score_drift, h_guided_drift,
+                          unguided_drift)
 from htx.oracle import GaussianMixture, exact_h, gm_sample
-from htx.schedules import NoiseSchedule
+from htx.schedules import POWER_OF_SIGMA, NoiseSchedule, WeightSchedule
 from htx.scorenet import mixture_score_model
 from htx.solvers import (EULER_MARUYAMA, SamplerConfig, Trajectory, marginal_stats,
                          ode_ensemble, sample_ode, sde_ensemble, trial_rng)
@@ -62,12 +64,67 @@ class TestOde:
         with np.errstate(over="ignore"), pytest.raises(DivergenceError) as err:
             sample_ode(drift, cfg, x_start=np.array([1.0]))
         assert 0 <= err.value.step < 400
+        # a batch names its first non-finite row and the grid time of the step
+        grid = np.linspace(cfg.start, cfg.end, cfg.steps + 1)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError) as batched:
+            sample_ode(drift, cfg, x_start=np.array([[0.0], [0.0], [1.0], [-1.0]]))
+        exc = batched.value
+        assert (exc.step, exc.t, exc.trajectory) == (err.value.step, grid[exc.step], 2)
+        assert str(exc) == f"non-finite state at step {exc.step} (t={exc.t:g}, trajectory 2)"
+
+    def test_ensemble_divergence_names_the_trajectory(self):
+        # trajectory 3 starts out of range; with chunk=2 it is row 1 of the second chunk
+        model = mixture_score_model(two_mode(), VP)
+        starts = iter([[0.1, 0.2], [0.3, -0.4], [0.5, 0.6], [1e200, 0.0], [0.7, 0.8]])
+        cfg = SamplerConfig(steps=20, solver=EULER_MARUYAMA)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+            sde_ensemble(model, None, VP, cfg, 5, start_fn=lambda rng: next(starts), chunk=2)
+        assert (err.value.step, err.value.t, err.value.trajectory) == (0, cfg.start, 3)
 
     def test_batched_start(self):
         drift = GuidedDrift(lambda x, t: np.zeros_like(x), dim=2)
         starts = np.arange(6.0).reshape(3, 2)
         traj = sample_ode(drift, SamplerConfig(steps=10), x_start=starts)
         np.testing.assert_array_equal(traj.endpoint, starts)
+
+
+class TestScoreCount:
+    """Each drift evaluation scores the state once (oracle._log_terms, one call per step)."""
+
+    STEPS = 30
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = [0]
+        log_terms = oracle._log_terms
+
+        def counted(gm, xs):
+            count[0] += 1
+            return log_terms(gm, xs)
+        monkeypatch.setattr(oracle, "_log_terms", counted)
+        return count
+
+    def _setup(self):
+        gm = two_mode()
+        target = np.array([2.5, -0.5])
+        return mixture_score_model(gm, VP), lambda x, t: exact_h(x, target, gm, VP, t)
+
+    def test_ode_drifts(self, calls):
+        model, h = self._setup()
+        spec = GuidanceSpec(np.array([2.5, -0.5]), WeightSchedule(POWER_OF_SIGMA))
+        starts = np.array([[0.3, -1.2], [1.0, 0.4]])
+        for drift in (h_guided_drift(model, h, VP), unguided_drift(model, VP),
+                      guided_score_drift(model, spec, VP)):
+            calls[0] = 0
+            sample_ode(drift, SamplerConfig(steps=self.STEPS), x_start=starts)
+            assert calls[0] == self.STEPS
+
+    def test_sde_ensemble_with_h(self, calls):
+        model, h = self._setup()
+        cfg = SamplerConfig(steps=self.STEPS, solver=EULER_MARUYAMA, seed=3)
+        sde_ensemble(model, h, VP, cfg, 4)
+        assert calls[0] == self.STEPS
 
 
 class TestSde:
