@@ -10,20 +10,16 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import oracle
 from .errors import ConfigError
-from .schedules import NoiseSchedule, WeightSchedule
+from .schedules import (CONSTANT, OTFM, POWER_OF_SIGMA, POWER_OF_TIME, VP, NoiseSchedule,
+                        WeightSchedule)
 from .solvers import EULER_ODE, SamplerConfig
-
-EXPERIMENT_KINDS = (
-    "restore", "ablate_exponent", "ablate_weight_family",
-    "baseline_sdedit", "verify", "train_score", "sample_unguided",
-)
 
 DEFAULTS = {
     "experiment": {
@@ -84,12 +80,21 @@ OPTIONAL_NUMBER_FIELDS = (("schedule", "t_max"), ("guidance", "valid_exponent"),
                           ("guidance", "invalid_exponent"), ("sampler", "start"),
                           ("sampler", "end"))
 NUMBER_LIST_FIELDS = (("experiment", "exponents"), ("experiment", "t0_fractions"))
+# fields that select a variant, with the values each may take
+CHOICE_FIELDS = {
+    ("experiment", "kind"): ("restore", "ablate_exponent", "ablate_weight_family",
+                             "baseline_sdedit", "verify", "train_score", "sample_unguided"),
+    ("density", "kind"): ("mixture", "gaussian_field"),
+    ("operator", "kind"): ("identity", "blur", "downsample", "mask", "shrink"),
+    ("schedule", "kind"): (VP, OTFM),
+    ("guidance", "family"): (POWER_OF_SIGMA, POWER_OF_TIME, CONSTANT),
+}
 
 
 def _is_number(value) -> bool:
-    """A finite int or float; JSON's 1e400 parses as inf and is not one."""
+    """An int or float within float range; JSON's 1e400 parses as inf and is not one."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+            and abs(value) <= sys.float_info.max)
 
 
 def _is_integer(value) -> bool:
@@ -125,8 +130,11 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")
         sections = {name: _merge_section(name, doc.get(name, {})) for name in DEFAULTS}
         cfg = cls(**sections)
-        if cfg.experiment["kind"] not in EXPERIMENT_KINDS:
-            raise ConfigError(f"unknown experiment kind {cfg.experiment['kind']!r}")
+        for (section, key), allowed in CHOICE_FIELDS.items():
+            value = getattr(cfg, section)[key]
+            if value not in allowed:
+                raise ConfigError(f"{section}.{key} must be one of {list(allowed)}, "
+                                  f"got {value!r}")
         for section, key in INTEGER_FIELDS:
             value = getattr(cfg, section)[key]
             if not _is_integer(value):
@@ -181,13 +189,11 @@ class ExperimentConfig:
 
 def build_schedule(cfg: ExperimentConfig) -> NoiseSchedule:
     sec = cfg.schedule
-    if sec["kind"] == "vp":
+    if sec["kind"] == VP:
         t_max = 1.0 if sec["t_max"] is None else sec["t_max"]
         return NoiseSchedule.vp(sec["beta_min"], sec["beta_max"], sec["t_min"], t_max)
-    if sec["kind"] == "otfm":
-        t_max = 1.0 - 1e-3 if sec["t_max"] is None else sec["t_max"]
-        return NoiseSchedule.otfm(sec["t_min"], t_max)
-    raise ConfigError(f"unknown schedule kind {sec['kind']!r}")
+    t_max = 1.0 - 1e-3 if sec["t_max"] is None else sec["t_max"]
+    return NoiseSchedule.otfm(sec["t_min"], t_max)
 
 
 def rbf_field_prior(cells: int, length_scale: float, variance: float = 1.0,
@@ -204,16 +210,21 @@ def rbf_field_prior(cells: int, length_scale: float, variance: float = 1.0,
     idx = np.arange(cells, dtype=float)
     cov = variance * np.exp(-0.5 * ((idx[:, None] - idx[None, :]) / length_scale) ** 2)
     cov += jitter * np.eye(cells)
-    return oracle.GaussianMixture(np.array([1.0]), np.zeros((1, cells)), cov[None])
+    try:
+        return oracle.GaussianMixture(np.array([1.0]), np.zeros((1, cells)), cov[None])
+    except ValueError as exc:  # e.g. jitter 0 leaves the RBF kernel singular
+        raise ConfigError(f"density.variance, length_scale and jitter give no usable "
+                          f"field covariance: {exc}") from exc
 
 
 def _float_array(sec: dict, key: str, ndim: int) -> np.ndarray:
     try:
         arr = np.asarray(sec[key], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"density.{key} must be numeric: {exc}") from exc
-    if arr.ndim != ndim:
-        raise ConfigError(f"density.{key} must be a {ndim}-d array, got {sec[key]!r}")
+    if arr.ndim != ndim or arr.size == 0 or not np.isfinite(arr).all():
+        raise ConfigError(f"density.{key} must be a non-empty {ndim}-d array of finite "
+                          f"numbers, got {sec[key]!r}")
     return arr
 
 
@@ -232,10 +243,7 @@ def build_density(cfg: ExperimentConfig) -> oracle.GaussianMixture:
                               f"got {sec['variance']!r}")
         covs = np.stack([sec["variance"] * np.eye(means.shape[1])] * means.shape[0])
         return oracle.GaussianMixture(weights, means, covs)
-    if sec["kind"] == "gaussian_field":
-        return rbf_field_prior(sec["cells"], sec["length_scale"],
-                               sec["variance"], sec["jitter"])
-    raise ConfigError(f"unknown density kind {sec['kind']!r}")
+    return rbf_field_prior(sec["cells"], sec["length_scale"], sec["variance"], sec["jitter"])
 
 
 def build_operator(cfg: ExperimentConfig, dim: int) -> oracle.DegradationOperator:
@@ -258,9 +266,7 @@ def build_operator(cfg: ExperimentConfig, dim: int) -> oracle.DegradationOperato
             raise ConfigError(f"operator.indices must be a list of integers in [0, {dim}), "
                               f"got {indices!r}")
         return oracle.mask(indices, dim, noise_std)
-    if kind == "shrink":
-        return oracle.shrink(sec["factor"], dim, noise_std)
-    raise ConfigError(f"unknown operator kind {kind!r}")
+    return oracle.shrink(sec["factor"], dim, noise_std)
 
 
 def build_weights(cfg: ExperimentConfig, exponent: float | None = None) -> WeightSchedule:

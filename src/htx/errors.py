@@ -16,21 +16,20 @@ class SingularityError(ArithmeticError):
 class DivergenceError(RuntimeError):
     """A sampler state became non-finite at `step`, grid time `t`, in row `trajectory`."""
 
-    def __init__(self, step: int, message: str | None = None, *,
-                 t: float | None = None, trajectory: int = 0):
+    def __init__(self, step: int, *, t: float | None = None, trajectory: int = 0):
         self.step = step
         self.t = t
         self.trajectory = trajectory
         where = "" if t is None else f" (t={t:g}, trajectory {trajectory})"
-        super().__init__(message or f"non-finite state at step {step}{where}")
+        super().__init__(f"non-finite state at step {step}{where}")
 
 
 class TrainingError(RuntimeError):
     """Training loss became non-finite."""
 
-    def __init__(self, step: int, message: str | None = None):
+    def __init__(self, step: int):
         self.step = step
-        super().__init__(message or f"non-finite loss at step {step}")
+        super().__init__(f"non-finite loss at step {step}")
 
 
 class DegeneratePosteriorError(ValueError):

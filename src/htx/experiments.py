@@ -24,8 +24,7 @@ from .config import (ExperimentConfig, build_density, build_operator,
 from .errors import ConfigError
 from .guidance import (GuidanceSpec, guided_score_drift, region_exponents,
                        sdedit_start, unguided_drift)
-from .schedules import (CONSTANT, POWER_OF_SIGMA, POWER_OF_TIME, NoiseSchedule,
-                        WeightSchedule)
+from .schedules import POWER_OF_SIGMA, POWER_OF_TIME, NoiseSchedule, WeightSchedule
 from .scorenet import mixture_score_model
 from .solvers import SamplerConfig, ode_ensemble, sample_ode, trial_rng
 
@@ -297,46 +296,33 @@ def run_restore(cfg: ExperimentConfig) -> RunRecord:
     return record
 
 
-def run_ablate_exponent(cfg: ExperimentConfig, exponents=None) -> RunRecord:
-    """One guided arm per weight exponent, with common random numbers."""
-    exponents = list(cfg.experiment["exponents"] if exponents is None else exponents)
-    if len(exponents) < 1:
-        raise ValueError("need at least one exponent")
+def run_ablate_exponent(cfg: ExperimentConfig) -> RunRecord:
+    """One guided arm per exponent in experiment.exponents, with common random numbers."""
     return _sweep(cfg, "ablate_exponent", _setup(cfg), [
         (f"a={a:g}", cfg.guidance["family"], float(a), build_weights(cfg, exponent=a), None)
-        for a in exponents])
+        for a in cfg.experiment["exponents"]])
 
 
-def run_ablate_weight_family(cfg: ExperimentConfig, families=None,
-                             exponents=None) -> RunRecord:
-    """One arm per (weight family, exponent) pair."""
-    families = list(families or (POWER_OF_SIGMA, POWER_OF_TIME))
-    exponents = list(exponents or (3.0, 5.0, 7.0))
-    arms = []
-    for family in families:
-        for a in exponents:
-            ws = WeightSchedule(family, exponent=a, constant=cfg.guidance["constant"])
-            name = f"{family}:a={a:g}" if family != CONSTANT else f"constant:c={ws.constant:g}"
-            arms.append((name, family, float(a), ws, None))
-    return _sweep(cfg, "ablate_weight_family", _setup(cfg), arms)
+def run_ablate_weight_family(cfg: ExperimentConfig) -> RunRecord:
+    """One arm per (weight family, exponent): sigma^a and t^a for a in {3, 5, 7}."""
+    return _sweep(cfg, "ablate_weight_family", _setup(cfg), [
+        (f"{family}:a={a:g}", family, a,
+         WeightSchedule(family, exponent=a, constant=cfg.guidance["constant"]), None)
+        for family in (POWER_OF_SIGMA, POWER_OF_TIME) for a in (3.0, 5.0, 7.0)])
 
 
-def run_baseline_sdedit(cfg: ExperimentConfig, t0_list=None) -> RunRecord:
-    """Start-guided baseline swept over the noising time t0."""
+def run_baseline_sdedit(cfg: ExperimentConfig) -> RunRecord:
+    """Start-guided baseline swept over the noising times experiment.t0_fractions."""
     gm, _, schedule, scfg, trials = _setup(cfg)
-    seed = cfg.experiment["seed"]
-    if t0_list is None:
-        t0_list = cfg.experiment["t0_fractions"]
-
     per_trial = {}
     aggregates = []
-    for t0 in t0_list:
+    for t0 in cfg.experiment["t0_fractions"]:
         rows, _ = sdedit_trials(gm, schedule, scfg, trials, float(t0))
         arm = f"t0={t0:g}"
         per_trial[arm] = [m.as_row() for m in rows]
         aggregates.append(aggregate_rows(per_trial[arm], "sdedit", float(t0)))
     return RunRecord(kind="baseline_sdedit", digest=cfg.digest(), config=cfg.to_dict(),
-                     seed=seed, per_trial=per_trial, aggregates=aggregates)
+                     seed=cfg.experiment["seed"], per_trial=per_trial, aggregates=aggregates)
 
 
 def run_sample_unguided(cfg: ExperimentConfig) -> RunRecord:

@@ -61,6 +61,8 @@ class NoiseSchedule:
             raise ConfigError("need 0 < t_min < t_max <= 1")
         if self.kind == OTFM and self.t_max >= 1.0:
             raise ConfigError("otfm needs t_max < 1 (alpha vanishes at t = 1)")
+        if not self._alpha_sigma(self.t_min)[1] > 0.0:
+            raise ConfigError(f"t_min = {self.t_min!r} is too small: sigma(t_min) rounds to 0")
         object.__setattr__(self, "_memo", {})
         object.__setattr__(self, "_hash", hash((self.kind, self.beta_min, self.beta_max,
                                                 self.t_min, self.t_max)))

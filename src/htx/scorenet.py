@@ -48,9 +48,8 @@ class MlpNet:
     dim: int
 
     @classmethod
-    def init(cls, dim: int, hidden: tuple[int, int] = (64, 64),
-             rng: np.random.Generator | None = None) -> "MlpNet":
-        rng = rng or np.random.default_rng(0)
+    def init(cls, dim: int, hidden: tuple[int, int] = (64, 64), *,
+             rng: np.random.Generator) -> "MlpNet":
         sizes = [dim + 2, *hidden, dim]
         params = []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):

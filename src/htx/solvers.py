@@ -26,6 +26,8 @@ from .scorenet import ScoreModel
 
 EULER_ODE = "euler_ode"
 EULER_MARUYAMA = "euler_maruyama"
+# trajectories per sde_ensemble batch; bounds its pre-drawn (steps, batch, d) noise
+SDE_CHUNK = 2000
 
 
 @dataclass(frozen=True)
@@ -147,12 +149,11 @@ def ode_ensemble(drift: GuidedDrift, cfg: SamplerConfig, n: int,
 
 
 def sde_ensemble(model: ScoreModel, h_term, schedule: NoiseSchedule,
-                 cfg: SamplerConfig, n: int, start_fn=None,
-                 chunk: int = 2000) -> list[Trajectory]:
+                 cfg: SamplerConfig, n: int, start_fn=None) -> list[Trajectory]:
     """n Euler-Maruyama runs of the reverse SDE, optionally with a correction h.
 
     Update: x_{t-dt} = x_t - [f - g^2 (s + h)] dt + g sqrt(dt) z; h_term may be
-    None.  Trajectories run in batches of `chunk` to bound the pre-drawn noise.
+    None.  Trajectories run in batches of SDE_CHUNK to bound the pre-drawn noise.
     """
     correction = None if h_term is None else (lambda x, t, s: h_term(x, t))
 
@@ -160,7 +161,7 @@ def sde_ensemble(model: ScoreModel, h_term, schedule: NoiseSchedule,
         return np.sqrt(schedule.diffusion_g2(t))
 
     return _ensemble(score_drift(model, schedule, 1.0, correction), cfg, n, model.dim,
-                     start_fn, chunk, noise_scale)
+                     start_fn, SDE_CHUNK, noise_scale)
 
 
 def marginal_stats(trajectories: list[Trajectory], t: float):

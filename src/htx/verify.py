@@ -1,10 +1,11 @@
 """Named verification checks covering the package's mathematical guarantees.
 
-Each check is a standalone function returning a CheckResult; run_verify
-executes the whole battery, prints one pass/fail line per check with the
-seconds it took, and reports success only if every check passes.  The checks
-are deterministic: fixed seeds drive every random draw; the seconds appear
-only in the printed lines, never in the record.
+Each check is a standalone function returning a CheckResult; it takes no
+parameters, because its seeds and sample sizes are part of its bound.
+run_verify executes the whole battery, prints one pass/fail line per check
+with the seconds it took, and reports success only if every check passes.
+The checks are deterministic: fixed seeds drive every random draw; the
+seconds appear only in the printed lines, never in the record.
 """
 
 from __future__ import annotations
@@ -55,16 +56,16 @@ def _two_mode_mixture() -> oracle.GaussianMixture:
     return oracle.GaussianMixture(np.array([0.5, 0.5]), means, covs)
 
 
-def check_identity_gap(seed: int = 11, n: int = 500) -> CheckResult:
+def check_identity_gap() -> CheckResult:
     """|| kernel-score difference || equals (alpha/sigma^2) ||coarse - fine|| exactly.
 
     Times are drawn away from the amplification regime near t_min, where the
     1/sigma^2 factor would magnify float roundoff past the stated tolerance.
     """
     schedule = NoiseSchedule.vp()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(11)
     worst = 0.0
-    for _ in range(n):
+    for _ in range(500):
         t = rng.uniform(0.05, schedule.t_max)
         x, y, coarse = rng.normal(scale=2.0, size=(3, 2))
         lhs = np.linalg.norm(oracle.conditional_score(x, coarse, schedule, t)
@@ -75,7 +76,7 @@ def check_identity_gap(seed: int = 11, n: int = 500) -> CheckResult:
     return CheckResult("identity_gap", worst < 1e-12, worst, 1e-12)
 
 
-def check_endpoint_guarantee(seed: int = 7, n: int = 100, steps: int = 2000) -> CheckResult:
+def check_endpoint_guarantee() -> CheckResult:
     """With the exact correction, every trajectory lands on its target.
 
     The guarantee is the t -> 0 limit; at the default clamp t_min = 1e-3 the
@@ -83,6 +84,7 @@ def check_endpoint_guarantee(seed: int = 7, n: int = 100, steps: int = 2000) -> 
     the tolerance itself, so this check integrates down to t_min = 1e-4
     (stable at 2000 Euler steps) where the spread is ~ 0.003.
     """
+    seed, n = 7, 100
     schedule = NoiseSchedule.vp(t_min=1e-4)
     gm = _two_mode_mixture()
     model = mixture_score_model(gm, schedule)
@@ -93,8 +95,7 @@ def check_endpoint_guarantee(seed: int = 7, n: int = 100, steps: int = 2000) -> 
         return oracle.exact_h(x, targets, gm, schedule, t)
 
     drift = h_guided_drift(model, h_fn, schedule)
-    cfg = SamplerConfig(steps=steps, start=schedule.t_max, end=schedule.t_min,
-                        seed=seed)
+    cfg = SamplerConfig(steps=2000, start=schedule.t_max, end=schedule.t_min)
     name = "endpoint_guarantee"
     try:
         traj = sample_ode(drift, cfg, x_start=trials.z)
@@ -108,18 +109,18 @@ def check_endpoint_guarantee(seed: int = 7, n: int = 100, steps: int = 2000) -> 
                        f"over {n} random (start, target) pairs")
 
 
-def check_lambda_boundaries(seed: int = 5, n_points: int = 1000,
-                            steps: int = 2000) -> CheckResult:
+def check_lambda_boundaries() -> CheckResult:
     """lambda = 0 reduces to the unguided drift; lambda = 1 pins the endpoint.
 
     The pinning run integrates to t_min = 1e-4 for the same reason as the
     endpoint-guarantee check: the conditional spread at 1e-3 equals the
     tolerance itself.
     """
+    n_points = 1000
     schedule = NoiseSchedule.vp(t_min=1e-4)
     gm = _two_mode_mixture()
     model = mixture_score_model(gm, schedule)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(5)
     coarse = oracle.gm_sample(gm, 1, rng)[0]
 
     spec0 = GuidanceSpec(coarse=coarse, weights=WeightSchedule(CONSTANT, constant=0.0))
@@ -135,7 +136,7 @@ def check_lambda_boundaries(seed: int = 5, n_points: int = 1000,
     spec1 = GuidanceSpec(coarse=coarse, weights=WeightSchedule(CONSTANT, constant=1.0))
     drift1 = guided_score_drift(model, spec1, schedule)
     starts = rng.standard_normal((20, 2))
-    cfg = SamplerConfig(steps=steps, start=schedule.t_max, end=schedule.t_min, seed=seed)
+    cfg = SamplerConfig(steps=2000, start=schedule.t_max, end=schedule.t_min)
     traj = sample_ode(drift1, cfg, x_start=starts)
     rel = (np.linalg.norm(traj.endpoint - coarse, axis=1)
            / (1.0 + np.linalg.norm(coarse)))
@@ -147,15 +148,15 @@ def check_lambda_boundaries(seed: int = 5, n_points: int = 1000,
                        f"lambda1 endpoint {worst1:.3g} (<1e-2)")
 
 
-def check_parameterization_equivalence(seed: int = 3, n: int = 1000) -> CheckResult:
+def check_parameterization_equivalence() -> CheckResult:
     """Score-, noise-, and velocity-form guided drifts are the same function.
 
     Times are kept off the extreme clamp boundaries so the comparison is not
     dominated by the 1/sigma^2 float amplification.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(3)
     gm = _two_mode_mixture()
-    n_lams, n_ts, n_xs = 10, 10, n // 100  # 10 x 10 x 10 (x, t, lambda) triples
+    n_lams, n_ts, n_xs = 10, 10, 10  # 1000 (x, t, lambda) triples
     worst = 0.0
 
     vp = NoiseSchedule.vp()
@@ -178,7 +179,7 @@ def check_parameterization_equivalence(seed: int = 3, n: int = 1000) -> CheckRes
                        "score vs noise form (vp) and score vs velocity form (otfm)")
 
 
-def check_sde_ode_marginals(seed: int = 13, n: int = 10_000) -> CheckResult:
+def check_sde_ode_marginals() -> CheckResult:
     """Exact-correction reverse SDE and deterministic flow share their marginals.
 
     Both ensembles start from the conditional law at the start time, under
@@ -186,6 +187,7 @@ def check_sde_ode_marginals(seed: int = 13, n: int = 10_000) -> CheckResult:
     per-coordinate means and variances are then compared at three interior
     times.  The grid (start 1.0, end 0.25, 750 steps) hits those times exactly.
     """
+    seed, n = 13, 10_000
     schedule = NoiseSchedule.vp()
     gm = _two_mode_mixture()
     model = mixture_score_model(gm, schedule)
@@ -223,12 +225,12 @@ def check_sde_ode_marginals(seed: int = 13, n: int = 10_000) -> CheckResult:
                        "; ".join(details))
 
 
-def check_euler_convergence(seed: int = 17) -> CheckResult:
+def check_euler_convergence() -> CheckResult:
     """Endpoint error against a 20000-step reference halves with the step size."""
     schedule = NoiseSchedule.vp()
     gm = _two_mode_mixture()
     model = mixture_score_model(gm, schedule)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(17)
     target = oracle.gm_sample(gm, 1, rng)[0]
     start = rng.standard_normal(2)
 
@@ -238,8 +240,7 @@ def check_euler_convergence(seed: int = 17) -> CheckResult:
     drift = h_guided_drift(model, h_fn, schedule)
 
     def endpoint(steps):
-        cfg = SamplerConfig(steps=steps, start=schedule.t_max, end=schedule.t_min,
-                            seed=seed)
+        cfg = SamplerConfig(steps=steps, start=schedule.t_max, end=schedule.t_min)
         return sample_ode(drift, cfg, x_start=start).endpoint
 
     reference = endpoint(20_000)
@@ -251,19 +252,20 @@ def check_euler_convergence(seed: int = 17) -> CheckResult:
                        f"ratios {ratios[0]:.3f}, {ratios[1]:.3f} must lie in [1.7, 2.3]")
 
 
-def _blur_field_config(trials: int = 200, seed: int = 0) -> ExperimentConfig:
+def _blur_field_config() -> ExperimentConfig:
     # noise_std is deliberately heavy: with a clean reference, maximal adherence
     # plus the smooth prior acts as near-optimal denoising and the small-exponent
     # arm never rises, so no interior minimum can appear
     return ExperimentConfig.from_dict({
-        "experiment": {"kind": "ablate_exponent", "trials": trials, "seed": seed},
+        "experiment": {"kind": "ablate_exponent", "trials": 200, "seed": 19,
+                       "exponents": [1.0, 3.0, 5.0, 7.0, 9.0]},
         "density": {"kind": "gaussian_field", "cells": 16, "length_scale": 3.0},
         "operator": {"kind": "blur", "kernel_std": 2.0, "noise_std": 1.75},
         "sampler": {"steps": 1000},
     })
 
 
-def check_exponent_tradeoff(seed: int = 19, trials: int = 200) -> CheckResult:
+def check_exponent_tradeoff() -> CheckResult:
     """The exponent sweep shows the guidance/quality tradeoff.
 
     mse_to_coarse must not decrease with the exponent (one inversion inside a
@@ -271,8 +273,7 @@ def check_exponent_tradeoff(seed: int = 19, trials: int = 200) -> CheckResult:
     minimum: too much adherence keeps the degradation, too little loses the
     reference entirely.
     """
-    cfg = _blur_field_config(trials=trials, seed=seed)
-    record = run_ablate_exponent(cfg, exponents=[1.0, 3.0, 5.0, 7.0, 9.0])
+    record = run_ablate_exponent(_blur_field_config())
     coarse_means = [row["mse_to_coarse_mean"] for row in record.aggregates]
     coarse_ses = [row["mse_to_coarse_se"] for row in record.aggregates]
     y_means = [row["mse_to_y_mean"] for row in record.aggregates]
@@ -295,8 +296,9 @@ def check_exponent_tradeoff(seed: int = 19, trials: int = 200) -> CheckResult:
                        detail)
 
 
-def check_sdedit_limits(seed: int = 23, trials: int = 500) -> CheckResult:
+def check_sdedit_limits() -> CheckResult:
     """More start noise weakens guidance; at full noise the baseline is unguided."""
+    seed, trials = 23, 500
     schedule = NoiseSchedule.vp()
     gm = _two_mode_mixture()
     op = oracle.shrink(0.5, 2, noise_std=0.1)
@@ -331,7 +333,7 @@ def check_sdedit_limits(seed: int = 23, trials: int = 500) -> CheckResult:
     return CheckResult("sdedit_limits", passed, dev, 3.0, detail)
 
 
-def check_dsm_training(seed: int = 29) -> CheckResult:
+def check_dsm_training() -> CheckResult:
     """The trained net recovers the unit-Gaussian score; gradients are exact.
 
     Training runs the score-residual (sigma-weighted) objective on a schedule
@@ -339,6 +341,7 @@ def check_dsm_training(seed: int = 29) -> CheckResult:
     1e-3 the 1/sigma^2 weighting spans four orders of magnitude and the
     moderate-noise region the evaluation probes never trains to tolerance.
     """
+    seed = 29
     schedule = NoiseSchedule.vp()
     rng = np.random.default_rng(seed)
 
@@ -386,7 +389,7 @@ def _grad_rel_error(net, layer, flat_idx, x0, ts, eps, schedule, grads) -> float
     return abs(fd - an) / max(abs(fd), abs(an), 1e-6)
 
 
-def check_restoration_beats_ignorance(seed: int = 31, trials: int = 200) -> CheckResult:
+def check_restoration_beats_ignorance() -> CheckResult:
     """Guided restoration beats unguided sampling and respects the MMSE floor."""
     toys = {
         "shrink": ({"kind": "mixture"}, {"kind": "shrink", "factor": 0.5, "noise_std": 0.1}),
@@ -397,7 +400,7 @@ def check_restoration_beats_ignorance(seed: int = 31, trials: int = 200) -> Chec
     details = []
     passed = True
     for name, (density, operator) in toys.items():
-        cfg = ExperimentConfig.from_dict({"experiment": {"trials": trials, "seed": seed},
+        cfg = ExperimentConfig.from_dict({"experiment": {"trials": 200, "seed": 31},
                                           "density": density, "operator": operator})
         guided, unguided = run_restore(cfg).aggregates
         g_mean, u_mean = guided["mse_to_y_mean"], unguided["mse_to_y_mean"]
@@ -426,15 +429,14 @@ ALL_CHECKS = (
 )
 
 
-def run_verify(checks=None, quiet: bool = False) -> RunRecord:
-    """Run the verification battery (every check unless `checks` is given)."""
+def run_verify() -> RunRecord:
+    """Run every check in ALL_CHECKS, printing one line per check."""
     results = []
-    for fn in (checks or ALL_CHECKS):
+    for fn in ALL_CHECKS:
         started = time.perf_counter()
         result = fn()
         results.append(result)
-        if not quiet:
-            print(f"{result.line()} ({time.perf_counter() - started:.2f} s)")
+        print(f"{result.line()} ({time.perf_counter() - started:.2f} s)")
     cfg = ExperimentConfig.from_dict({"experiment": {"kind": "verify"}})
     record = RunRecord(kind="verify", digest=cfg.digest(), config=cfg.to_dict(),
                        seed=0, per_trial={}, aggregates=[],

@@ -11,8 +11,8 @@ import pytest
 from htx import verify
 
 
-def _run(check_fn, **kwargs):
-    result = check_fn(**kwargs)
+def _run(check_fn):
+    result = check_fn()
     print(result.line())
     return result
 

@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -16,11 +17,12 @@ from htx.config import (ExperimentConfig, build_density, build_operator,
                         build_sampler, build_schedule, build_weights,
                         rbf_field_prior)
 from htx.errors import ConfigError
-from htx.experiments import (RunRecord, emit_report, run_ablate_exponent,
-                             run_ablate_weight_family, run_baseline_sdedit,
-                             run_restore)
+from htx import experiments, verify
+from htx.experiments import (RunRecord, draw_trials, emit_report, restore_trials,
+                             run_ablate_exponent, run_ablate_weight_family,
+                             run_baseline_sdedit, run_restore)
 from htx.report import read_csv, svg_line_chart, write_csv
-from htx.schedules import CONSTANT
+from htx.schedules import CONSTANT, WeightSchedule
 from htx.verify import check_identity_gap, run_verify
 
 
@@ -141,10 +143,9 @@ class TestRestoreRecord:
 
 class TestAblations:
     def test_one_row_per_exponent(self):
-        cfg = small_restore_config(trials=4)
-        record = run_ablate_exponent(cfg, exponents=[5.0])
+        record = run_ablate_exponent(small_restore_config(trials=4, exponents=[5.0]))
         assert len(record.aggregates) == 1
-        record = run_ablate_exponent(cfg, exponents=[1.0, 5.0, 9.0])
+        record = run_ablate_exponent(small_restore_config(trials=4, exponents=[1.0, 5.0, 9.0]))
         assert [row["x"] for row in record.aggregates] == [1.0, 5.0, 9.0]
 
     def test_weight_family_grid(self):
@@ -157,28 +158,28 @@ class TestAblations:
 
     def test_constant_zero_family_matches_unguided(self):
         cfg = small_restore_config(trials=64)
-        doc = cfg.to_dict()
-        doc["guidance"]["constant"] = 0.0
-        cfg0 = ExperimentConfig.from_dict(doc)
-        record = run_ablate_weight_family(cfg0, families=[CONSTANT], exponents=[0.0])
-        restore = run_restore(cfg0)
-        un = [r["mse_to_y"] for r in restore.per_trial["unguided"]]
-        const0 = [r["mse_to_y"] for r in record.per_trial["constant:c=0"]]
+        gm, schedule = build_density(cfg), build_schedule(cfg)
+        scfg = build_sampler(cfg, schedule)
+        trials = draw_trials(gm, build_operator(cfg, gm.dim), cfg.experiment["trials"],
+                             cfg.experiment["seed"])
+        un = [m.mse_to_y for m in restore_trials(gm, schedule, scfg, trials, None)]
+        const0 = [m.mse_to_y for m in restore_trials(
+            gm, schedule, scfg, trials, WeightSchedule(CONSTANT, constant=0.0))]
         np.testing.assert_allclose(np.mean(const0), np.mean(un), atol=1e-12)
 
     def test_arms_share_drawn_trials(self):
         # common random numbers: an arm's rows do not depend on the driver that
         # runs it, and the posterior reference is the same for every arm
-        cfg = small_restore_config()
+        cfg = small_restore_config(exponents=[5.0])
         restore = run_restore(cfg)
-        ablate = run_ablate_exponent(cfg, exponents=[cfg.guidance["exponent"]])
+        ablate = run_ablate_exponent(cfg)
         assert ablate.per_trial["a=5"] == restore.per_trial["guided"]
         assert ([r["posterior_mse"] for r in restore.per_trial["guided"]]
                 == [r["posterior_mse"] for r in restore.per_trial["unguided"]])
 
     def test_sdedit_rows(self):
-        cfg = small_restore_config(trials=8)
-        record = run_baseline_sdedit(cfg, t0_list=[0.3, 0.6])
+        cfg = small_restore_config(trials=8, t0_fractions=[0.3, 0.6])
+        record = run_baseline_sdedit(cfg)
         assert [row["x"] for row in record.aggregates] == [0.3, 0.6]
 
 
@@ -207,8 +208,7 @@ class TestReports:
         assert "exponent" in text
 
     def test_emit_report_csv_matches_aggregates(self, tmp_path):
-        record = run_ablate_exponent(small_restore_config(trials=4),
-                                     exponents=[1.0, 5.0])
+        record = run_ablate_exponent(small_restore_config(trials=4, exponents=[1.0, 5.0]))
         path = emit_report(record, "csv", tmp_path)
         header, rows = read_csv(path)
         x_col = header.index("x")
@@ -218,20 +218,25 @@ class TestReports:
             assert float(row[mean_col]) == agg["mse_to_y_mean"]
 
     def test_emit_report_svg(self, tmp_path):
-        record = run_ablate_exponent(small_restore_config(trials=4),
-                                     exponents=[1.0, 5.0, 9.0])
+        record = run_ablate_exponent(small_restore_config(trials=4,
+                                                          exponents=[1.0, 5.0, 9.0]))
         paths = emit_report(record, "svg", tmp_path)
         assert any(p.endswith("mse_to_y.svg") for p in paths)
 
 
 class TestVerifyPlumbing:
-    def test_subset_run_and_record(self):
-        record = run_verify(checks=[check_identity_gap], quiet=True)
+    @pytest.fixture(autouse=True)
+    def identity_gap_only(self, monkeypatch):
+        monkeypatch.setattr(verify, "ALL_CHECKS", (check_identity_gap,))
+
+    def test_subset_run_and_record(self, capsys):
+        record = run_verify()
         assert record.extras["all_passed"]
         assert record.checks[0]["name"] == "identity_gap"
+        assert capsys.readouterr().out.startswith("PASS identity_gap: ")
 
     def test_verify_record_saves_checks_csv(self, tmp_path):
-        record = run_verify(checks=[check_identity_gap], quiet=True)
+        record = run_verify()
         out = record.save(tmp_path)
         assert (out / "record.json").exists()
         header, rows = read_csv(out / "metrics.csv")
@@ -245,8 +250,25 @@ class TestVerifyPlumbing:
 
         exact_h = oracle.exact_h
         monkeypatch.setattr(oracle, "exact_h", lambda *args: -exact_h(*args))
-        result = check_endpoint_guarantee(n=4, steps=300)
+        result = check_endpoint_guarantee()
         assert not result.passed
+
+
+class TestFixedRuns:
+    """A run is chosen by its config and a check by its own body."""
+
+    def test_drivers_take_only_the_config(self):
+        drivers = [fn for name, fn in vars(experiments).items()
+                   if name.startswith("run_") and inspect.isfunction(fn)]
+        assert len(drivers) == 5
+        for fn in drivers:
+            assert list(inspect.signature(fn).parameters) == ["cfg"], fn.__name__
+
+    def test_verify_and_checks_take_no_parameters(self):
+        checks = {fn for name, fn in vars(verify).items() if name.startswith("check_")}
+        assert set(verify.ALL_CHECKS) == checks and len(checks) == 10
+        for fn in (run_verify, *verify.ALL_CHECKS):
+            assert not inspect.signature(fn).parameters, fn.__name__
 
 
 class TestCli:
@@ -309,6 +331,7 @@ class TestCli:
         {"guidance": {"parameterization": "score"}},
         {"sampler": {"solver": "euler_maruyama"}},
         {"experiment": {"out": 5}},
+        {"schedule": {"t_min": 1e-16}},
         ({}, ["--seed", "-1"]),  # (config, extra command-line flags)
     ])
     def test_bad_section_or_field_exit_two(self, tmp_path, doc, monkeypatch):
@@ -318,6 +341,37 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
         assert main(["restore", "--config", str(cfg_path), *flags]) == 2
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command", ["restore", "ablate-exponent", "ablate-weightfn",
+                                         "baseline-sdedit", "sample", "train"])
+    @pytest.mark.parametrize("field", ["density.kind", "operator.kind", "schedule.kind",
+                                       "guidance.family"])
+    def test_bogus_choice_exit_two_names_the_field(self, tmp_path, monkeypatch, capsys,
+                                                   command, field):
+        # every command rejects the value, not only the drivers that build its section
+        monkeypatch.chdir(tmp_path)
+        section, key = field.split(".")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({section: {key: "bogus"}, "sampler": {"steps": 2}}))
+        flags = ["--steps", "1"] if command == "train" else []
+        assert main([command, "--config", str(cfg_path), "--trials", "2", *flags]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and field in err[0]
+        assert not (tmp_path / "runs").exists() and not (tmp_path / "scorenet.htx").exists()
+
+    def test_vanishing_sigma_at_t_min_prints_one_line(self, tmp_path):
+        # at t_min = 1e-16 the vp alpha rounds to 1, so sigma(t_min) is exactly 0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"schedule": {"t_min": 1e-16}}))
+        root = Path(__file__).resolve().parents[1]
+        paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        proc = subprocess.run([sys.executable, "-m", "htx", "restore", "--config",
+                               str(cfg_path), "--trials", "2"], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1 and "t_min" in proc.stderr
         assert not (tmp_path / "runs").exists()
 
     def test_diverged_run_exit_two_names_the_step(self, tmp_path, capsys):
@@ -376,7 +430,11 @@ class TestCli:
                           ({"experiment": {"exponents": []}}, "experiment.exponents"),
                           ({"experiment": {"exponents": ["a"]}}, "experiment.exponents"),
                           ({"experiment": {"t0_fractions": "x"}}, "experiment.t0_fractions"),
-                          (json.loads('{"density": {"variance": 1e400}}'), "density.variance")):
+                          (json.loads('{"density": {"variance": 1e400}}'), "density.variance"),
+                          ({"density": {"kind": "bogus"}}, "density.kind"),
+                          ({"operator": {"kind": "bogus"}}, "operator.kind"),
+                          ({"schedule": {"kind": "bogus"}}, "schedule.kind"),
+                          ({"guidance": {"family": "bogus"}}, "guidance.family")):
             with pytest.raises(ConfigError, match=name):
                 ExperimentConfig.from_dict(doc)
         cfg = ExperimentConfig.from_dict({"density": {"weights": [0.5, 0.6]}})
@@ -385,6 +443,12 @@ class TestCli:
         cfg = ExperimentConfig.from_dict({"density": {"kind": "gaussian_field", "jitter": -1.0}})
         with pytest.raises(ConfigError, match="density.jitter"):
             build_density(cfg)
+        for density, name in (({"weights": [float("nan"), 0.5]}, "density.weights"),
+                              ({"means": [[]], "weights": [1.0]}, "density.means"),
+                              ({"kind": "gaussian_field", "jitter": 0.0, "length_scale": 100.0},
+                               "density.variance, length_scale and jitter")):
+            with pytest.raises(ConfigError, match=name):
+                build_density(ExperimentConfig.from_dict({"density": density}))
         for indices in ([20], 5, [-1], [0.5]):
             cfg = ExperimentConfig.from_dict({"operator": {"kind": "mask", "indices": indices}})
             with pytest.raises(ConfigError, match="operator.indices"):
@@ -453,7 +517,7 @@ class TestCli:
 
     def test_report_svg_prints_one_line_per_chart(self, tmp_path, capsys):
         # a restore record has one point per series, too few for a chart
-        cases = [(run_ablate_exponent(small_restore_config(trials=3), exponents=[1.0, 5.0]),
+        cases = [(run_ablate_exponent(small_restore_config(trials=3, exponents=[1.0, 5.0])),
                   ["mse_to_y", "mse_to_coarse", "loglik_p0"]),
                  (run_restore(small_restore_config(trials=3)), [])]
         for i, (record, charts) in enumerate(cases):

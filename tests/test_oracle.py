@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from htx import solvers
 from htx.config import (ExperimentConfig, build_density, build_operator, build_sampler,
                         build_schedule, build_weights, rbf_field_prior)
 from htx.errors import ConfigError, DegeneratePosteriorError
@@ -231,8 +232,10 @@ def _exact_h_runs(gm, sch):
         return exact_h(x, y, gm, sch, t)
     ode = sample_ode(h_guided_drift(model, h, sch), SamplerConfig(steps=120),
                      x_start=np.array([0.3, -1.2]))
-    paths = sde_ensemble(model, h, sch, SamplerConfig(steps=120, solver=EULER_MARUYAMA,
-                                                      seed=4, record_every=40), 6, chunk=4)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "SDE_CHUNK", 4)
+        paths = sde_ensemble(model, h, sch, SamplerConfig(steps=120, solver=EULER_MARUYAMA,
+                                                          seed=4, record_every=40), 6)
     return [ode.endpoint, *(p.states for p in paths)]
 
 

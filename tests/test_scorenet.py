@@ -108,7 +108,7 @@ class TestLossAndGradients:
     def test_zero_predictor_expected_loss(self):
         # a zero net predicts no noise, so the loss is the mean of ||eps||^2 / sigma^2
         rng = np.random.default_rng(7)
-        net = MlpNet(tuple(np.zeros_like(p) for p in MlpNet.init(2).params), dim=2)
+        net = MlpNet(tuple(np.zeros_like(p) for p in MlpNet.init(2, rng=np.random.default_rng(0)).params), dim=2)
         x0 = rng.standard_normal((20_000, 2))
         t = rng.uniform(SCHEDULE.t_min, SCHEDULE.t_max, size=20_000)
         eps = rng.standard_normal((20_000, 2))

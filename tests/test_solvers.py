@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from htx import oracle
+from htx import oracle, solvers
 from htx.errors import ConfigError, DivergenceError
 from htx.guidance import (GuidanceSpec, GuidedDrift, guided_score_drift, h_guided_drift,
                           unguided_drift)
@@ -73,13 +73,14 @@ class TestOde:
         assert (exc.step, exc.t, exc.trajectory) == (err.value.step, grid[exc.step], 2)
         assert str(exc) == f"non-finite state at step {exc.step} (t={exc.t:g}, trajectory 2)"
 
-    def test_ensemble_divergence_names_the_trajectory(self):
+    def test_ensemble_divergence_names_the_trajectory(self, monkeypatch):
         # trajectory 3 starts out of range; with chunk=2 it is row 1 of the second chunk
+        monkeypatch.setattr(solvers, "SDE_CHUNK", 2)
         model = mixture_score_model(two_mode(), VP)
         starts = iter([[0.1, 0.2], [0.3, -0.4], [0.5, 0.6], [1e200, 0.0], [0.7, 0.8]])
         cfg = SamplerConfig(steps=20, solver=EULER_MARUYAMA)
         with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
-            sde_ensemble(model, None, VP, cfg, 5, start_fn=lambda rng: next(starts), chunk=2)
+            sde_ensemble(model, None, VP, cfg, 5, start_fn=lambda rng: next(starts))
         assert (err.value.step, err.value.t, err.value.trajectory) == (0, cfg.start, 3)
 
     def test_batched_start(self):
@@ -185,20 +186,24 @@ class TestEnsembles:
             np.testing.assert_allclose(paths[i].endpoint, solo.endpoint,
                                        rtol=0, atol=1e-12)
 
-    def test_sde_ensemble_matches_single_runs(self):
+    def test_sde_ensemble_matches_single_runs(self, monkeypatch):
         model = mixture_score_model(two_mode(), VP)
         cfg = SamplerConfig(steps=60, solver=EULER_MARUYAMA, seed=11, record_every=20)
-        paths = sde_ensemble(model, None, VP, cfg, 5, chunk=2)
-        solos = sde_ensemble(model, None, VP, cfg, 5, chunk=1)  # each integrated alone
+        monkeypatch.setattr(solvers, "SDE_CHUNK", 2)
+        paths = sde_ensemble(model, None, VP, cfg, 5)
+        monkeypatch.setattr(solvers, "SDE_CHUNK", 1)
+        solos = sde_ensemble(model, None, VP, cfg, 5)  # each integrated alone
         for path, solo in zip(paths, solos):
             # batched score arithmetic may differ from a lone run in the last bit
             np.testing.assert_allclose(path.states, solo.states, rtol=0, atol=1e-12)
 
-    def test_sde_ensemble_chunking_invariant(self):
+    def test_sde_ensemble_chunking_invariant(self, monkeypatch):
         model = mixture_score_model(two_mode(), VP)
         cfg = SamplerConfig(steps=50, solver=EULER_MARUYAMA, seed=13)
-        big = sde_ensemble(model, None, VP, cfg, 7, chunk=100)
-        small = sde_ensemble(model, None, VP, cfg, 7, chunk=3)
+        monkeypatch.setattr(solvers, "SDE_CHUNK", 100)
+        big = sde_ensemble(model, None, VP, cfg, 7)
+        monkeypatch.setattr(solvers, "SDE_CHUNK", 3)
+        small = sde_ensemble(model, None, VP, cfg, 7)
         for a, b in zip(big, small):
             np.testing.assert_allclose(a.endpoint, b.endpoint, rtol=0, atol=1e-12)
 
