@@ -80,6 +80,17 @@ OPTIONAL_NUMBER_FIELDS = (("schedule", "t_max"), ("guidance", "valid_exponent"),
                           ("guidance", "invalid_exponent"), ("sampler", "start"),
                           ("sampler", "end"))
 NUMBER_LIST_FIELDS = (("experiment", "exponents"), ("experiment", "t0_fractions"))
+# largest gaussian_field grid: its prior allocates cells^2 covariance entries and
+# takes about 0.5 s to build at this size
+MAX_CELLS = 1024
+_INF = float("inf")
+# closed [low, high] ranges, checked for every command, not only by the
+# drivers that build the field's section
+RANGED_FIELDS = {("experiment", "trials"): (1, _INF), ("experiment", "seed"): (0, _INF),
+                 ("density", "cells"): (1, MAX_CELLS), ("guidance", "exponent"): (0.0, _INF),
+                 ("guidance", "constant"): (0.0, 1.0),
+                 ("guidance", "valid_exponent"): (0.0, _INF),
+                 ("guidance", "invalid_exponent"): (0.0, _INF)}
 # fields that select a variant, with the values each may take
 CHOICE_FIELDS = {
     ("experiment", "kind"): ("restore", "ablate_exponent", "ablate_weight_family",
@@ -152,10 +163,10 @@ class ExperimentConfig:
             if not (isinstance(value, list) and value and all(map(_is_number, value))):
                 raise ConfigError(f"{section}.{key} must be a non-empty list of numbers, "
                                   f"got {value!r}")
-        if cfg.experiment["trials"] < 1:
-            raise ConfigError("trial count must be >= 1")
-        if cfg.experiment["seed"] < 0:
-            raise ConfigError(f"experiment.seed must be >= 0, got {cfg.experiment['seed']}")
+        for (section, key), (low, high) in RANGED_FIELDS.items():
+            value = getattr(cfg, section)[key]
+            if value is not None and not low <= value <= high:
+                raise ConfigError(f"{section}.{key} must lie in [{low}, {high}], got {value!r}")
         out = cfg.experiment["out"]
         if not (isinstance(out, str) and out):
             raise ConfigError(f"experiment.out must be a non-empty path string, got {out!r}")
@@ -217,12 +228,21 @@ def rbf_field_prior(cells: int, length_scale: float, variance: float = 1.0,
                           f"field covariance: {exc}") from exc
 
 
+def _leaves(value) -> list:
+    """The non-list items of a nested list, or [value] if it is not a list."""
+    if not isinstance(value, list):
+        return [value]
+    return [leaf for item in value for leaf in _leaves(item)]
+
+
 def _float_array(sec: dict, key: str, ndim: int) -> np.ndarray:
+    if not all(map(_is_number, _leaves(sec[key]))):
+        raise ConfigError(f"density.{key} must hold finite numbers only, got {sec[key]!r}")
     try:
         arr = np.asarray(sec[key], dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except ValueError as exc:  # a ragged nesting
         raise ConfigError(f"density.{key} must be numeric: {exc}") from exc
-    if arr.ndim != ndim or arr.size == 0 or not np.isfinite(arr).all():
+    if arr.ndim != ndim or arr.size == 0:
         raise ConfigError(f"density.{key} must be a non-empty {ndim}-d array of finite "
                           f"numbers, got {sec[key]!r}")
     return arr

@@ -10,13 +10,17 @@ is diagonal in the same basis, with eigenvalues alpha^2 Lambda_k + sigma^2, so
 `gm_pushforward` only rescales and the score and log density of any diffused
 mixture need no factorization: one matmul projects x onto every V_k at once,
 one more maps the responsibility-weighted result back, and the rest is
-elementwise.  The Cholesky factor serves as the SPD check and for sampling, so
-draws do not depend on the basis.
+elementwise.  A one-component mixture (the Gaussian field prior) has every
+responsibility equal to 1, so its score skips them: u = Lambda^-1 V^T (mu - x),
+then V u, bitwise what the weighted path gives wherever that is finite.  The
+Cholesky factor serves as the SPD check and for sampling, so draws do not
+depend on the basis.
 
 All mixture evaluations run in log space (max-shifted log-sum-exp) so
-responsibilities never underflow for finite inputs.  A point so far out that
-its squared Mahalanobis distance overflows (|x| beyond about 1e150) evaluates
-to nan.
+responsibilities never underflow for finite inputs.  At a point so far out that
+its squared Mahalanobis distance overflows (|x| beyond about 1e150) the log
+density, and for K >= 2 components the score, evaluate to nan; a one-component
+score is linear in x and stays finite.
 
 `gm_score` keeps its last result in a one-entry slot, so a drift that scores
 the same state twice in one evaluation (the model score s, then the exact
@@ -231,7 +235,9 @@ def gm_logpdf(gm: GaussianMixture, x):
 def gm_score(gm: GaussianMixture, x):
     """Gradient of gm_logpdf: sum_k r_k(x) Sigma_k^{-1} (mu_k - x) = sum_k r_k V_k u_k.
 
-    An ndarray x goes through the mixture's score slot (module docstring).
+    With one component r_1 = 1, so the score is V_1 u_1 and no responsibility
+    is formed (module docstring).  An ndarray x goes through the mixture's
+    score slot.
     """
     slot = gm._score_slot
     last = slot[0]
@@ -239,10 +245,13 @@ def gm_score(gm: GaussianMixture, x):
             and x.dtype == last[3] and x.tobytes() == last[4]):
         return last[5].copy()
     xs, single = _as_batch(x, gm.dim)
-    logs, u = _log_terms(gm, xs)
-    resp = np.exp(logs - logs.max(axis=0))
-    resp /= resp.sum(axis=0)
-    score = (resp.T @ gm._blocks * u) @ gm._basis.T
+    if gm.n_components == 1:
+        score = ((gm._basis_means - xs @ gm._basis) / gm._evals) @ gm._basis.T
+    else:
+        logs, u = _log_terms(gm, xs)
+        resp = np.exp(logs - logs.max(axis=0))
+        resp /= resp.sum(axis=0)
+        score = (resp.T @ gm._blocks * u) @ gm._basis.T
     score = score[0] if single else score
     if isinstance(x, np.ndarray):
         slot[0] = (weakref.ref(gm), x, x.shape, x.dtype, x.tobytes(), score.copy())

@@ -33,7 +33,9 @@ POWER_OF_TIME = "power_of_time"
 CONSTANT = "constant"
 
 _RANGE_SLACK = 1e-12  # absorbs float drift on time grids
-# entries per time-keyed memo, above the largest grid the package runs (2,000 steps)
+# entries per time-keyed memo: above the default and the verify grids (at most 2,000
+# steps) but not check_euler_convergence's 20,000-step reference, nor a config's
+# larger sampler.steps; such a run clears each memo every 4,096 steps
 MEMO_CAP = 4096
 
 

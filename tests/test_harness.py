@@ -116,6 +116,19 @@ class TestRestoreRecord:
         by_series = {row["series"]: row for row in record.aggregates}
         assert by_series["guided"]["mse_to_y_mean"] < by_series["unguided"]["mse_to_y_mean"]
 
+    def test_field_restore_frozen_values(self):
+        # the 16-cell blurred field runs the one-component score path; these
+        # means come from the responsibility-weighted path, so any bit the
+        # one-component path moves shows here
+        record = run_restore(ExperimentConfig.from_dict({
+            "experiment": {"kind": "restore", "trials": 8},
+            "density": {"kind": "gaussian_field", "cells": 16, "length_scale": 3.0},
+            "operator": {"kind": "blur", "kernel_std": 2.0, "noise_std": 0.25},
+            "sampler": {"steps": 200},
+        }))
+        by_series = {row["series"]: row["mse_to_y_mean"] for row in record.aggregates}
+        assert by_series == {"guided": 0.693038045913835, "unguided": 2.443409963126386}
+
     def test_posterior_reference_column_present(self):
         record = run_restore(small_restore_config())
         assert all("posterior_mse" in row for row in record.per_trial["guided"])
@@ -332,6 +345,12 @@ class TestCli:
         {"sampler": {"solver": "euler_maruyama"}},
         {"experiment": {"out": 5}},
         {"schedule": {"t_min": 1e-16}},
+        {"guidance": {"constant": 2.0}},
+        {"guidance": {"exponent": -1.0}},
+        {"density": {"weights": ["0.5", "0.5"]}},
+        {"density": {"means": [["-3", 0.0], [3.0, 0.0]]}},
+        {"density": {"kind": "gaussian_field", "cells": 10**12}},
+        {"density": {"kind": "gaussian_field", "cells": 1025}},
         ({}, ["--seed", "-1"]),  # (config, extra command-line flags)
     ])
     def test_bad_section_or_field_exit_two(self, tmp_path, doc, monkeypatch):
@@ -359,6 +378,30 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and field in err[0]
         assert not (tmp_path / "runs").exists() and not (tmp_path / "scorenet.htx").exists()
+
+    @pytest.mark.parametrize("command", ["restore", "sample"])
+    @pytest.mark.parametrize("doc, field", [
+        ({"guidance": {"constant": 2.0}}, "guidance.constant"),
+        ({"guidance": {"constant": -0.5}}, "guidance.constant"),
+        ({"guidance": {"exponent": -1.0}}, "guidance.exponent"),
+        ({"guidance": {"valid_exponent": -1.0}}, "guidance.valid_exponent"),
+        ({"guidance": {"invalid_exponent": -1.0}}, "guidance.invalid_exponent"),
+        ({"density": {"weights": ["0.5", "0.5"]}}, "density.weights"),
+        ({"density": {"means": [[True, 0.0], [3.0, 0.0]]}}, "density.means"),
+        ({"density": {"kind": "gaussian_field", "cells": 10**12}}, "density.cells"),
+        ({"density": {"kind": "gaussian_field", "cells": 1025}}, "density.cells"),
+        ({"density": {"cells": 0}}, "density.cells"),
+    ])
+    def test_out_of_range_value_exit_two_names_the_field(self, tmp_path, monkeypatch, capsys,
+                                                         command, doc, field):
+        # unguided sampling rejects a guidance value too, not only the guided drivers
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**doc, "sampler": {"steps": 2}}))
+        assert main([command, "--config", str(cfg_path), "--trials", "2"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and field in err[0]
+        assert not (tmp_path / "runs").exists()
 
     def test_vanishing_sigma_at_t_min_prints_one_line(self, tmp_path):
         # at t_min = 1e-16 the vp alpha rounds to 1, so sigma(t_min) is exactly 0
@@ -434,7 +477,11 @@ class TestCli:
                           ({"density": {"kind": "bogus"}}, "density.kind"),
                           ({"operator": {"kind": "bogus"}}, "operator.kind"),
                           ({"schedule": {"kind": "bogus"}}, "schedule.kind"),
-                          ({"guidance": {"family": "bogus"}}, "guidance.family")):
+                          ({"guidance": {"family": "bogus"}}, "guidance.family"),
+                          ({"guidance": {"constant": 2.0}}, "guidance.constant"),
+                          ({"guidance": {"exponent": -1.0}}, "guidance.exponent"),
+                          ({"density": {"cells": 10**12}}, "density.cells"),
+                          ({"density": {"cells": 1025}}, "density.cells")):
             with pytest.raises(ConfigError, match=name):
                 ExperimentConfig.from_dict(doc)
         cfg = ExperimentConfig.from_dict({"density": {"weights": [0.5, 0.6]}})
@@ -445,6 +492,8 @@ class TestCli:
             build_density(cfg)
         for density, name in (({"weights": [float("nan"), 0.5]}, "density.weights"),
                               ({"means": [[]], "weights": [1.0]}, "density.means"),
+                              ({"weights": ["0.5", "0.5"]}, "density.weights"),
+                              ({"means": [["-3", 0.0], [3.0, 0.0]]}, "density.means"),
                               ({"kind": "gaussian_field", "jitter": 0.0, "length_scale": 100.0},
                                "density.variance, length_scale and jitter")):
             with pytest.raises(ConfigError, match=name):

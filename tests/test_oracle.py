@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from htx import solvers
+from htx import oracle, solvers
 from htx.config import (ExperimentConfig, build_density, build_operator, build_sampler,
                         build_schedule, build_weights, rbf_field_prior)
 from htx.errors import ConfigError, DegeneratePosteriorError
@@ -177,6 +177,41 @@ def freshly_diffused(gm, sch, t):
     """The diffused mixture built and validated from its closed form."""
     a, s = sch.alpha_sigma(t)
     return GaussianMixture(gm.weights, a * gm.means, a * a * gm.covs + s * s * np.eye(gm.dim))
+
+
+def one_component_2d():
+    return GaussianMixture(np.array([1.0]), np.array([[1.5, -0.5]]),
+                           np.array([[[2.0, 0.6], [0.6, 0.5]]]))
+
+
+class TestSingleComponentScore:
+    """A one-component score skips the responsibilities, which are all exactly 1."""
+
+    @pytest.mark.parametrize("prior", [field_prior, one_component_2d])
+    @pytest.mark.parametrize("kind, t", [("vp", 1.0), ("vp", 0.3), ("vp", 1e-3),
+                                         ("otfm", 0.9), ("otfm", 0.3), ("otfm", 1e-3)])
+    @pytest.mark.parametrize("n", [None, 7])
+    def test_equals_responsibility_weighted_formula(self, prior, kind, t, n):
+        gm = prior()
+        pushed = gm_pushforward(gm, getattr(NoiseSchedule, kind)(), t)
+        rng = np.random.default_rng(5)
+        x = 2.0 * rng.standard_normal(gm.dim if n is None else (n, gm.dim))
+        logs, u = oracle._log_terms(pushed, np.atleast_2d(x))
+        resp = np.exp(logs - logs.max(axis=0))
+        resp /= resp.sum(axis=0)
+        expected = (resp.T @ pushed._blocks * u) @ pushed._basis.T
+        np.testing.assert_array_equal(gm_score(pushed, x), expected[0] if n is None else expected)
+
+    def test_far_out_point_scores_finite(self):
+        # the squared Mahalanobis distance overflows here; the linear score does not
+        gm, sch, t = one_component_2d(), NoiseSchedule.vp(), 0.3
+        a, s = sch.alpha_sigma(t)
+        x = 1e200 * np.array([0.6, -0.8])
+        cov_t = a * a * gm.covs[0] + s * s * np.eye(2)
+        score = gm_score(gm_pushforward(gm, sch, t), x)
+        assert np.all(np.isfinite(score))
+        np.testing.assert_allclose(score, -np.linalg.solve(cov_t, x - a * gm.means[0]),
+                                   rtol=1e-12)
 
 
 class TestEigenbasisOracle:

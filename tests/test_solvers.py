@@ -121,6 +121,14 @@ class TestScoreCount:
             sample_ode(drift, SamplerConfig(steps=self.STEPS), x_start=starts)
             assert calls[0] == self.STEPS
 
+    def test_single_component_forms_no_responsibilities(self, calls):
+        # the log terms serve only the responsibilities, which one component skips
+        gm = GaussianMixture(np.array([1.0]), np.array([[1.5, -0.5]]), (0.7 * np.eye(2))[None])
+        spec = GuidanceSpec(np.array([2.5, -0.5]), WeightSchedule(POWER_OF_SIGMA))
+        drift = guided_score_drift(mixture_score_model(gm, VP), spec, VP)
+        sample_ode(drift, SamplerConfig(steps=self.STEPS), x_start=np.array([[0.3, -1.2]]))
+        assert calls[0] == 0
+
     def test_sde_ensemble_with_h(self, calls):
         model, h = self._setup()
         cfg = SamplerConfig(steps=self.STEPS, solver=EULER_MARUYAMA, seed=3)
