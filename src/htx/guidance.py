@@ -10,6 +10,11 @@ the surrogate is nearly exact so lambda ~ 1; as sigma shrinks the surrogate
 error grows like alpha / sigma^2 and lambda decays toward 0.  lambda may be a
 per-coordinate vector so observed and filled-in regions can use different
 exponents.
+
+A solver walks a drift over the rows of a `TimePlan` (`GuidedDrift.stepper`).
+Only the source of the score s differs between drifts: a score-form drift
+reads it from the model's plan rows, the drift on a correction closure h(x, t)
+from model.score(x, t), so that an exact h can reuse it.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, SingularityError
 from .oracle import conditional_score
-from .schedules import CONSTANT, OTFM, VP, NoiseSchedule, WeightSchedule
+from .schedules import CONSTANT, OTFM, VP, NoiseSchedule, TimePlan, WeightSchedule
 from .scorenet import ScoreModel
 
 
@@ -61,13 +66,40 @@ class GuidanceSpec:
 
 @dataclass(frozen=True)
 class GuidedDrift:
-    """Deterministic drift closure; evaluates on (d,) or (n, d) states."""
+    """Deterministic drift closure; evaluates on (d,) or (n, d) states.
+
+    stepper(start, end, steps) gives a solver its grid and step(x, k), the
+    drift at the grid's k-th time; a drift built by hand steps as fn(x, t_k).
+    """
 
     fn: Callable[[np.ndarray, float], np.ndarray]
     dim: int
 
     def __call__(self, x, t):
         return self.fn(x, t)
+
+    def stepper(self, start: float, end: float, steps: int):
+        times = np.linspace(start, end, steps + 1)
+        grid = times.tolist()
+        return times, lambda x, k: self.fn(x, grid[k])
+
+
+@dataclass(frozen=True)
+class _PlannedDrift(GuidedDrift):
+    """A score-form drift: planned(plan) is its step(x, k) over the plan's rows."""
+
+    schedule: NoiseSchedule
+    planned: Callable[[TimePlan], Callable]
+
+    def stepper(self, start: float, end: float, steps: int):
+        plan = self.schedule.plan(start, end, steps)
+        return plan.times, self.planned(plan)
+
+
+def _planned_drift(planned, schedule: NoiseSchedule, dim: int) -> GuidedDrift:
+    """At one time t the drift steps the one-time plan of t."""
+    return _PlannedDrift(lambda x, t: planned(schedule.plan(t, t, 1))(
+        np.asarray(x, dtype=float), 0), dim, schedule, planned)
 
 
 def lambda_weights(spec: GuidanceSpec, schedule: NoiseSchedule, t):
@@ -89,42 +121,57 @@ def approx_h(x, t, coarse, score_at_x, schedule: NoiseSchedule):
     return conditional_score(x, coarse, schedule, t) - np.asarray(score_at_x, dtype=float)
 
 
-def score_drift(model: ScoreModel, schedule: NoiseSchedule, c: float,
+def score_drift(plan: TimePlan, c: float, score: Callable,
                 correction: Callable | None = None):
-    """The one score-form drift law f - c g^2 (s + correction(x, t, s)).
+    """The one score-form drift law f - c g^2 (s + correction), step(x, k) over plan rows.
 
-    c = 1/2 gives the deterministic flow, c = 1 the reverse SDE; correction,
-    when given, sees the model score s already evaluated at (x, t).
+    c = 1/2 gives the deterministic flow, c = 1 the reverse SDE.  score(x, k)
+    gives s at plan.times[k]; correction(x, k, s), when given, sees that s.
     """
+    lad, g2 = plan.lad.tolist(), plan.g2.tolist()
 
-    def fn(x, t):
-        s = model.score(x, t)
+    def step(x, k):
+        s = score(x, k)
         if correction is not None:
-            s = s + correction(x, t, s)
-        return schedule.drift_f(x, t) - c * schedule.diffusion_g2(t) * s
+            s = s + correction(x, k, s)
+        return lad[k] * x - c * g2[k] * s
 
-    return fn
+    return step
 
 
 def unguided_drift(model: ScoreModel, schedule: NoiseSchedule) -> GuidedDrift:
     """Plain deterministic sampling drift f - g^2 s / 2."""
-    return GuidedDrift(score_drift(model, schedule, 0.5), model.dim)
+    return _planned_drift(lambda plan: score_drift(plan, 0.5, model.planned_score(plan)),
+                          schedule, model.dim)
 
 
 def h_guided_drift(model: ScoreModel, h_fn: Callable, schedule: NoiseSchedule) -> GuidedDrift:
     """Drift f - g^2 (s + h) / 2 for an arbitrary correction closure h(x, t)."""
-    return GuidedDrift(score_drift(model, schedule, 0.5, lambda x, t, s: h_fn(x, t)),
-                       model.dim)
+    return _planned_drift(lambda plan: score_drift(
+        plan, 0.5, plan.per_time(model.score), plan.per_time(lambda x, t, s: h_fn(x, t))),
+        schedule, model.dim)
+
+
+def _surrogate_correction(spec: GuidanceSpec, plan: TimePlan):
+    """correction(x, k, s) = lambda (kernel score - s) at plan.times[k].
+
+    lambda is the weight of each step's scalar sigma, as lambda_weights gives
+    it: an array power can round differently from the scalar one.
+    """
+    if np.any(plan.sigma == 0.0):
+        raise SingularityError("conditional score undefined at sigma = 0")
+    lam = [spec.weights.weight(s, t, spec.exponent_map)
+           for s, t in zip(plan.sigma.tolist(), plan.times.tolist())]
+    alpha, sigma2 = plan.alpha.tolist(), (plan.sigma * plan.sigma).tolist()
+    return lambda x, k, s: lam[k] * ((alpha[k] * spec.coarse - x) / sigma2[k] - s)
 
 
 def guided_score_drift(model: ScoreModel, spec: GuidanceSpec,
                        schedule: NoiseSchedule) -> GuidedDrift:
     """Score-form guided drift; the weight interpolates toward the kernel score."""
-
-    def correction(x, t, s):
-        return lambda_weights(spec, schedule, t) * approx_h(x, t, spec.coarse, s, schedule)
-
-    return GuidedDrift(score_drift(model, schedule, 0.5, correction), spec.dim)
+    return _planned_drift(lambda plan: score_drift(
+        plan, 0.5, model.planned_score(plan), _surrogate_correction(spec, plan)),
+        schedule, spec.dim)
 
 
 def guided_velocity_drift(model: ScoreModel, spec: GuidanceSpec,

@@ -22,6 +22,12 @@ its squared Mahalanobis distance overflows (|x| beyond about 1e150) the log
 density, and for K >= 2 components the score, evaluate to nan; a one-component
 score is linear in x and stays finite.
 
+The score has one kernel, `_score`, over a diffused mixture's eigen-rows
+(alpha V^T mu, alpha^2 Lambda + sigma^2, log-normalisers): `gm_score` passes a
+mixture's own, `planned_score` those of each step of a `TimePlan`, formed before
+the first step.  `gm_pushforward`'s memo and the score slot thus serve only
+float-time callers: `exact_h` and the drifts built on it.
+
 `gm_score` keeps its last result in a one-entry slot, so a drift that scores
 the same state twice in one evaluation (the model score s, then the exact
 correction h = kernel score - s) computes it once.  A mixture and every
@@ -43,7 +49,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import ConfigError, DegeneratePosteriorError, SingularityError
-from .schedules import MEMO_CAP, NoiseSchedule
+from .schedules import MEMO_CAP, NoiseSchedule, TimePlan
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -137,8 +143,12 @@ def _check_covariances(covs: np.ndarray) -> np.ndarray:
 def _set_eigenvalues(gm: GaussianMixture, evals, basis_means) -> None:
     object.__setattr__(gm, "_evals", evals)
     object.__setattr__(gm, "_basis_means", basis_means)
-    object.__setattr__(gm, "_log_norms", gm._log_weights
-                       - 0.5 * (gm.dim * _LOG_2PI + gm._blocks @ np.log(evals)))
+    object.__setattr__(gm, "_log_norms", _log_norms(gm, evals))
+
+
+def _log_norms(gm: GaussianMixture, evals) -> np.ndarray:
+    """log w_k - (d log 2 pi + log det) / 2 for one row of eigenvalues (K d,)."""
+    return gm._log_weights - 0.5 * (gm.dim * _LOG_2PI + gm._blocks @ np.log(evals))
 
 
 def _as_batch(x, dim):
@@ -150,12 +160,24 @@ def _as_batch(x, dim):
     return x, False
 
 
-def _log_terms(gm: GaussianMixture, xs: np.ndarray):
+def _log_terms(gm: GaussianMixture, xs: np.ndarray, basis_means, evals, log_norms):
     """log w_k N(x; mu_k, Sigma_k) for xs (n, d) as (K, n), and u = [u_1 ... u_K]
-    as (n, K d) with u_k = Lambda_k^-1 V_k^T (mu_k - x)."""
-    z = gm._basis_means - xs @ gm._basis
-    u = z / gm._evals
-    return gm._log_norms[:, None] - 0.5 * (gm._blocks @ (z * u).T), u
+    as (n, K d) with u_k = Lambda_k^-1 V_k^T (mu_k - x), in gm's eigenbasis with
+    the eigen-rows of gm or of a mixture diffused from it."""
+    z = basis_means - xs @ gm._basis
+    u = z / evals
+    return log_norms[:, None] - 0.5 * (gm._blocks @ (z * u).T), u
+
+
+def _score(gm: GaussianMixture, xs: np.ndarray, basis_means, evals, log_norms):
+    """The mixture score sum_k r_k V_k u_k at xs (n, d); one component forms no
+    responsibility (module docstring) and reads no log_norms."""
+    if gm.n_components == 1:
+        return ((basis_means - xs @ gm._basis) / evals) @ gm._basis.T
+    logs, u = _log_terms(gm, xs, basis_means, evals, log_norms)
+    resp = np.exp(logs - logs.max(axis=0))
+    resp /= resp.sum(axis=0)
+    return (resp.T @ gm._blocks * u) @ gm._basis.T
 
 
 def gm_sample(gm: GaussianMixture, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -226,7 +248,7 @@ class _DiffusedMixture(GaussianMixture):
 def gm_logpdf(gm: GaussianMixture, x):
     """Exact mixture log density at x; x may be (d,) or (n, d)."""
     xs, single = _as_batch(x, gm.dim)
-    logs, _ = _log_terms(gm, xs)
+    logs, _ = _log_terms(gm, xs, gm._basis_means, gm._evals, gm._log_norms)
     top = logs.max(axis=0)
     lp = top + np.log(np.exp(logs - top).sum(axis=0))
     return float(lp[0]) if single else lp
@@ -235,9 +257,7 @@ def gm_logpdf(gm: GaussianMixture, x):
 def gm_score(gm: GaussianMixture, x):
     """Gradient of gm_logpdf: sum_k r_k(x) Sigma_k^{-1} (mu_k - x) = sum_k r_k V_k u_k.
 
-    With one component r_1 = 1, so the score is V_1 u_1 and no responsibility
-    is formed (module docstring).  An ndarray x goes through the mixture's
-    score slot.
+    An ndarray x goes through the mixture's score slot.
     """
     slot = gm._score_slot
     last = slot[0]
@@ -245,16 +265,37 @@ def gm_score(gm: GaussianMixture, x):
             and x.dtype == last[3] and x.tobytes() == last[4]):
         return last[5].copy()
     xs, single = _as_batch(x, gm.dim)
-    if gm.n_components == 1:
-        score = ((gm._basis_means - xs @ gm._basis) / gm._evals) @ gm._basis.T
-    else:
-        logs, u = _log_terms(gm, xs)
-        resp = np.exp(logs - logs.max(axis=0))
-        resp /= resp.sum(axis=0)
-        score = (resp.T @ gm._blocks * u) @ gm._basis.T
+    score = _score(gm, xs, gm._basis_means, gm._evals, gm._log_norms)
     score = score[0] if single else score
     if isinstance(x, np.ndarray):
         slot[0] = (weakref.ref(gm), x, x.shape, x.dtype, x.tobytes(), score.copy())
+    return score
+
+
+def plan_rows(gm: GaussianMixture, plan: TimePlan):
+    """(basis_means, evals, log_norms) of gm pushed to each step, as gm_pushforward
+    forms them: (steps, K d), (steps, K d), and (steps, K) or None for K = 1.
+
+    The log-normalisers are taken row by row: a batched matmul sums in another order.
+    """
+    a, s = plan.alpha[:, None], plan.sigma[:, None]
+    evals = (a * a) * gm._evals + s * s
+    log_norms = (None if gm.n_components == 1
+                 else np.stack([_log_norms(gm, row) for row in evals]))
+    return a * gm._basis_means, evals, log_norms
+
+
+def planned_score(gm: GaussianMixture, plan: TimePlan):
+    """score(x, k): the score of gm diffused to plan.times[k], read from plan_rows."""
+    basis_means, evals, log_norms = plan_rows(gm, plan)
+    basis_means, evals = list(basis_means), list(evals)
+    log_norms = [None] * len(evals) if log_norms is None else list(log_norms)
+
+    def score(x, k):
+        xs, single = _as_batch(x, gm.dim)
+        out = _score(gm, xs, basis_means[k], evals[k], log_norms[k])
+        return out[0] if single else out
+
     return score
 
 

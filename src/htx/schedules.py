@@ -15,6 +15,11 @@ sigma -> 0 as t -> 0.  The SDE coefficients follow from the pair:
   g^2(t)  = 2 sigma_t sigma'_t - 2 (alpha'_t / alpha_t) sigma_t^2
 
 which reduces to g^2 = beta(t) for vp and g^2 = 2t / (1 - t) for otfm.
+
+A sampler walks a `TimePlan` (`NoiseSchedule.plan`): every step's
+coefficients, from one range check and one array evaluation of the grid,
+bitwise equal to the float path.  The per-time memo serves only float-time
+callers: `oracle.exact_h` and the drifts built on it.
 """
 
 from __future__ import annotations
@@ -33,10 +38,32 @@ POWER_OF_TIME = "power_of_time"
 CONSTANT = "constant"
 
 _RANGE_SLACK = 1e-12  # absorbs float drift on time grids
-# entries per time-keyed memo: above the default and the verify grids (at most 2,000
-# steps) but not check_euler_convergence's 20,000-step reference, nor a config's
-# larger sampler.steps; such a run clears each memo every 4,096 steps
+# entries per time-keyed memo (float-time callers only): above the verify grids (at
+# most 2,000 steps) but not check_euler_convergence's 20,000-step reference, which
+# clears each memo every 4,096 steps
 MEMO_CAP = 4096
+
+
+@dataclass(frozen=True)
+class TimePlan:
+    """Coefficients of every step of a uniform Euler grid (`NoiseSchedule.plan`).
+
+    Step k runs from times[k] to times[k + 1], dt[k] = times[k] - times[k + 1];
+    the rows alpha, sigma, lad (alpha'/alpha) and g2 hold the schedule at times[k].
+    """
+
+    schedule: NoiseSchedule
+    times: np.ndarray  # (steps + 1,), start to end
+    dt: np.ndarray     # (steps,)
+    alpha: np.ndarray
+    sigma: np.ndarray
+    lad: np.ndarray
+    g2: np.ndarray
+
+    def per_time(self, fn):
+        """fn(x, t, *rest) as a function of (x, k, *rest) with t = times[k]."""
+        times = self.times.tolist()
+        return lambda x, k, *rest: fn(x, times[k], *rest)
 
 
 @dataclass(frozen=True)
@@ -99,6 +126,13 @@ class NoiseSchedule:
             )
         return t if isinstance(t, np.ndarray) and t.ndim else float(t)
 
+    def plan(self, start: float, end: float, steps: int) -> TimePlan:
+        """The TimePlan of linspace(start, end, steps + 1), the whole grid range-checked."""
+        times = np.linspace(start, end, steps + 1)
+        self._check_t(times)
+        a, s, lad, _, g2 = self._evaluate(times[:-1])
+        return TimePlan(self, times, times[:-1] - times[1:], a, s, lad, g2)
+
     def beta(self, t):
         """Instantaneous vp rate beta(t); linear in t."""
         if self.kind != VP:
@@ -108,12 +142,12 @@ class NoiseSchedule:
     def _coefficients(self, t) -> tuple:
         """(alpha, sigma, alpha'/alpha, sigma', g^2) at t; a float t is computed once.
 
-        Every trajectory and arm of a run walks the same grid, so each float
-        grid time is checked and computed on its first visit only; any other
-        t is checked and computed afresh.  A memo entry is what the fresh
-        computation returns, so a hit is bitwise equal to it.  The memo
-        belongs to this instance and is cleared when it reaches MEMO_CAP
-        entries.
+        A float-time caller (exact_h and the drifts on it) revisits the grid
+        times of a run, so each float t is checked and computed on its first
+        visit only; any other t is checked and computed afresh.  A memo entry
+        is what the fresh computation returns, so a hit is bitwise equal to
+        it.  The memo belongs to this instance and is cleared when it reaches
+        MEMO_CAP entries.
         """
         if not isinstance(t, float):
             return self._evaluate(self._check_t(t))

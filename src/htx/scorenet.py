@@ -30,7 +30,7 @@ import numpy as np
 
 from . import oracle
 from .errors import ConfigError, SingularityError, TrainingError
-from .schedules import NoiseSchedule
+from .schedules import NoiseSchedule, TimePlan
 
 _MAGIC = b"HTXNET1"
 # Adam: step size, moment decay rates, denominator floor
@@ -255,6 +255,10 @@ class ScoreModel:
     def score(self, x, t):
         return self._score_fn(x, t)
 
+    def planned_score(self, plan: TimePlan):
+        """score(x, k), the score at plan.times[k]."""
+        return plan.per_time(self.score)
+
     def epsilon(self, x, t):
         _, s = self.schedule.alpha_sigma(t)
         return score_to_eps(self.score(x, t), s)
@@ -263,13 +267,25 @@ class ScoreModel:
         return score_to_velocity(self.score(x, t), x, t, self.schedule)
 
 
+class _MixtureScoreModel(ScoreModel):
+    """On a plan of its own schedule, the score reads the mixture's plan rows."""
+
+    def __init__(self, gm: oracle.GaussianMixture, schedule: NoiseSchedule):
+        def score_fn(x, t):
+            return oracle.gm_score(oracle.gm_pushforward(gm, schedule, t), x)
+
+        super().__init__(score_fn, schedule, gm.dim)
+        self._gm = gm
+
+    def planned_score(self, plan: TimePlan):
+        if plan.schedule != self.schedule:
+            return super().planned_score(plan)
+        return oracle.planned_score(self._gm, plan)
+
+
 def mixture_score_model(gm: oracle.GaussianMixture, schedule: NoiseSchedule) -> ScoreModel:
     """Exact score of the diffused mixture, as a drop-in model."""
-
-    def score_fn(x, t):
-        return oracle.gm_score(oracle.gm_pushforward(gm, schedule, t), x)
-
-    return ScoreModel(score_fn, schedule, gm.dim)
+    return _MixtureScoreModel(gm, schedule)
 
 
 def net_score_model(net: MlpNet, schedule: NoiseSchedule) -> ScoreModel:

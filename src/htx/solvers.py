@@ -5,7 +5,10 @@ uniform grid.  The deterministic update is
 
   x_{t - dt} = x_t - drift(x_t, t) dt,
 
-and the stochastic one adds g(t) sqrt(dt) z with z standard normal.
+and the stochastic one adds g(t) sqrt(dt) z with z standard normal.  The loop
+walks the grid by step index: a score-form drift reads every per-time factor
+from the rows of the schedule's `TimePlan`, computed once before the first
+step, and the reverse SDE takes its noise scales from the same plan.
 `sample_ode` runs from a start the caller gives.  The ensembles integrate
 many trajectories as one batched state and draw trajectory i's start and,
 for the SDE, its noise block from its private stream trial_rng(seed, i), so
@@ -73,14 +76,15 @@ def _record_indices(cfg: SamplerConfig) -> np.ndarray:
     return np.asarray(idx)
 
 
-def _integrate(drift_fn, cfg: SamplerConfig, x0: np.ndarray,
-               noise_scale_fn=None, noise_block: np.ndarray | None = None):
-    """Shared Euler loop; x0 is (d,) or (n, d), noise_block is (steps, *x0.shape).
+def _integrate(step, times: np.ndarray, cfg: SamplerConfig, x0: np.ndarray,
+               noise_scale=None, noise_block: np.ndarray | None = None):
+    """Shared Euler loop over `times`: x <- x - step(x, k) dt_k, plus
+    noise_scale[k] noise_block[k] for the SDE; x0 is (d,) or (n, d), noise_block
+    is (steps, *x0.shape).
 
     A non-finite state raises DivergenceError naming the step, its grid time
     and the first row of x that is not finite.
     """
-    times = np.linspace(cfg.start, cfg.end, cfg.steps + 1)
     rec_idx = _record_indices(cfg)
     rec_states = np.empty((len(rec_idx),) + x0.shape)
     rec_pos = {int(k): i for i, k in enumerate(rec_idx)}
@@ -88,16 +92,14 @@ def _integrate(drift_fn, cfg: SamplerConfig, x0: np.ndarray,
     x = np.array(x0, dtype=float)
     if 0 in rec_pos:
         rec_states[rec_pos[0]] = x
-    grid = times.tolist()  # float times hit the schedule and mixture memos
+    grid, dts = times.tolist(), (times[:-1] - times[1:]).tolist()
     for k in range(cfg.steps):
-        t = grid[k]
-        dt = t - grid[k + 1]
-        x = x - drift_fn(x, t) * dt
+        x = x - step(x, k) * dts[k]
         if noise_block is not None:
-            x = x + noise_scale_fn(t) * np.sqrt(dt) * noise_block[k]
+            x = x + noise_scale[k] * noise_block[k]
         if not np.isfinite(x).all():
             bad = np.flatnonzero(~np.isfinite(np.atleast_2d(x)).all(axis=1))
-            raise DivergenceError(k, t=t, trajectory=int(bad[0]))
+            raise DivergenceError(k, t=grid[k], trajectory=int(bad[0]))
         if (k + 1) in rec_pos:
             rec_states[rec_pos[k + 1]] = x
     return times[rec_idx], rec_states, x
@@ -107,12 +109,14 @@ def sample_ode(drift: GuidedDrift, cfg: SamplerConfig, x_start) -> Trajectory:
     """Deterministic reverse-time Euler run from x_start, (d,) or (n, d)."""
     if cfg.solver != EULER_ODE:
         raise ConfigError("sample_ode requires the euler_ode solver")
-    times, states, endpoint = _integrate(drift, cfg, np.asarray(x_start, dtype=float))
+    times, step = drift.stepper(cfg.start, cfg.end, cfg.steps)
+    times, states, endpoint = _integrate(step, times, cfg,
+                                         np.asarray(x_start, dtype=float))
     return Trajectory(times=times, states=states, endpoint=endpoint)
 
 
-def _ensemble(drift_fn, cfg: SamplerConfig, n: int, dim: int, start_fn, chunk: int,
-              noise_scale_fn=None) -> list[Trajectory]:
+def _ensemble(step, times: np.ndarray, cfg: SamplerConfig, n: int, dim: int, start_fn,
+              chunk: int, noise_scale=None) -> list[Trajectory]:
     """n trajectories in batches of `chunk`; trajectory i draws from trial_rng(seed, i).
 
     Its stream gives the start (start_fn(rng), else standard normal) and then,
@@ -122,18 +126,18 @@ def _ensemble(drift_fn, cfg: SamplerConfig, n: int, dim: int, start_fn, chunk: i
     for lo in range(0, n, chunk):
         m = min(lo + chunk, n) - lo
         starts = np.empty((m, dim))
-        noise = None if noise_scale_fn is None else np.empty((cfg.steps, m, dim))
+        noise = None if noise_scale is None else np.empty((cfg.steps, m, dim))
         for i in range(m):
             rng = trial_rng(cfg.seed, lo + i)
             starts[i] = rng.standard_normal(dim) if start_fn is None else start_fn(rng)
             if noise is not None:
                 noise[:, i, :] = rng.standard_normal((cfg.steps, dim))
         try:
-            times, states, _ = _integrate(drift_fn, cfg, starts,
-                                          noise_scale_fn=noise_scale_fn, noise_block=noise)
+            rec_times, states, _ = _integrate(step, times, cfg, starts,
+                                              noise_scale=noise_scale, noise_block=noise)
         except DivergenceError as exc:
             raise DivergenceError(exc.step, t=exc.t, trajectory=lo + exc.trajectory) from None
-        out.extend(Trajectory(times=times, states=states[:, i, :],
+        out.extend(Trajectory(times=rec_times, states=states[:, i, :],
                               endpoint=states[-1, i, :]) for i in range(m))
     return out
 
@@ -145,7 +149,8 @@ def ode_ensemble(drift: GuidedDrift, cfg: SamplerConfig, n: int,
     Starts come from per-trajectory streams: start_fn(rng) when given, else
     standard normal draws.
     """
-    return _ensemble(drift, cfg, n, drift.dim, start_fn, chunk=max(n, 1))
+    times, step = drift.stepper(cfg.start, cfg.end, cfg.steps)
+    return _ensemble(step, times, cfg, n, drift.dim, start_fn, chunk=max(n, 1))
 
 
 def sde_ensemble(model: ScoreModel, h_term, schedule: NoiseSchedule,
@@ -153,15 +158,18 @@ def sde_ensemble(model: ScoreModel, h_term, schedule: NoiseSchedule,
     """n Euler-Maruyama runs of the reverse SDE, optionally with a correction h.
 
     Update: x_{t-dt} = x_t - [f - g^2 (s + h)] dt + g sqrt(dt) z; h_term may be
-    None.  Trajectories run in batches of SDE_CHUNK to bound the pre-drawn noise.
+    None.  Without h the score reads the plan's rows; with h it comes from
+    model.score(x, t), which the exact h rescores.  Trajectories run in
+    batches of SDE_CHUNK to bound the pre-drawn noise.
     """
-    correction = None if h_term is None else (lambda x, t, s: h_term(x, t))
-
-    def noise_scale(t):
-        return np.sqrt(schedule.diffusion_g2(t))
-
-    return _ensemble(score_drift(model, schedule, 1.0, correction), cfg, n, model.dim,
-                     start_fn, SDE_CHUNK, noise_scale)
+    plan = schedule.plan(cfg.start, cfg.end, cfg.steps)
+    if h_term is None:
+        step = score_drift(plan, 1.0, model.planned_score(plan))
+    else:
+        step = score_drift(plan, 1.0, plan.per_time(model.score),
+                           plan.per_time(lambda x, t, s: h_term(x, t)))
+    noise_scale = (np.sqrt(plan.g2) * np.sqrt(plan.dt)).tolist()
+    return _ensemble(step, plan.times, cfg, n, model.dim, start_fn, SDE_CHUNK, noise_scale)
 
 
 def marginal_stats(trajectories: list[Trajectory], t: float):

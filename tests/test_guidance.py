@@ -12,7 +12,7 @@ from htx.guidance import (GuidanceSpec, approx_h, approximation_error, guided_ep
 from htx.oracle import (GaussianMixture, conditional_score, exact_h, gm_pushforward,
                         gm_sample, gm_score)
 from htx.schedules import (CONSTANT, POWER_OF_SIGMA, POWER_OF_TIME, NoiseSchedule,
-                           WeightSchedule)
+                           TimePlan, WeightSchedule)
 from htx.scorenet import ScoreModel, mixture_score_model
 from htx.solvers import EULER_MARUYAMA, SamplerConfig, sde_ensemble, trial_rng
 
@@ -124,6 +124,9 @@ class TestGuidedScoreDrift:
             def score(self, x, t):
                 return np.array([1.0, 0.0])
 
+            def planned_score(self, plan):
+                return plan.per_time(self.score)
+
         class StubSchedule:
             def alpha_sigma(self, t):
                 return 0.6, 0.8
@@ -133,6 +136,12 @@ class TestGuidedScoreDrift:
 
             def diffusion_g2(self, t):
                 return 1.0
+
+            def plan(self, start, end, steps):
+                times = np.linspace(start, end, steps + 1)
+                # alpha = 0.6, sigma = 0.8, alpha'/alpha = 0 (f = 0), g2 = 1
+                rows = [np.full(steps, v) for v in (0.6, 0.8, 0.0, 1.0)]
+                return TimePlan(self, times, times[:-1] - times[1:], *rows)
 
         spec = GuidanceSpec(np.array([1.0, 0.0]), WeightSchedule(CONSTANT, constant=0.5))
         drift = guided_score_drift(Stub(), spec, StubSchedule())

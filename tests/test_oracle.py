@@ -196,7 +196,8 @@ class TestSingleComponentScore:
         pushed = gm_pushforward(gm, getattr(NoiseSchedule, kind)(), t)
         rng = np.random.default_rng(5)
         x = 2.0 * rng.standard_normal(gm.dim if n is None else (n, gm.dim))
-        logs, u = oracle._log_terms(pushed, np.atleast_2d(x))
+        logs, u = oracle._log_terms(pushed, np.atleast_2d(x), pushed._basis_means,
+                                    pushed._evals, pushed._log_norms)
         resp = np.exp(logs - logs.max(axis=0))
         resp /= resp.sum(axis=0)
         expected = (resp.T @ pushed._blocks * u) @ pushed._basis.T
@@ -312,11 +313,12 @@ class TestPushforwardMemo:
             trials = draw_trials(gm, op, 6, 2)
             return [m.as_row() for m in restore_trials(gm, sch, build_sampler(cfg, sch),
                                                         trials, weights)]
-        # run_restore runs its unguided arm on the memos its guided arm filled
+        # run_restore runs both arms on one mixture and schedule; a planned arm
+        # reads the plan's rows and leaves no memo behind for the next arm
         record = run_restore(cfg)
         gm, sch = build_density(cfg), build_schedule(cfg)
         warm_guided = arm(gm, sch, build_weights(cfg))
-        assert gm._pushforwards
+        assert not gm._pushforwards and not sch._memo
         warm_unguided = arm(gm, sch, None)
         fresh_guided = arm(build_density(cfg), build_schedule(cfg), build_weights(cfg))
         fresh_unguided = arm(build_density(cfg), build_schedule(cfg), None)

@@ -1,5 +1,7 @@
 """Euler integrators: determinism, recording, divergence, ensembles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -100,9 +102,9 @@ class TestScoreCount:
         count = [0]
         log_terms = oracle._log_terms
 
-        def counted(gm, xs):
+        def counted(*args):
             count[0] += 1
-            return log_terms(gm, xs)
+            return log_terms(*args)
         monkeypatch.setattr(oracle, "_log_terms", counted)
         return count
 
@@ -158,6 +160,9 @@ class TestSde:
 
             def diffusion_g2(self, t):
                 return 0.0
+
+            def plan(self, start, end, steps):
+                return dataclasses.replace(VP.plan(start, end, steps), g2=np.zeros(steps))
 
         sch = ZeroNoise()
         model = mixture_score_model(two_mode(), VP)
