@@ -68,8 +68,9 @@ class GuidanceSpec:
 class GuidedDrift:
     """Deterministic drift closure; evaluates on (d,) or (n, d) states.
 
-    stepper(start, end, steps) gives a solver its grid and step(x, k), the
-    drift at the grid's k-th time; a drift built by hand steps as fn(x, t_k).
+    stepper(start, end, steps) gives a solver its `TimePlan` and step(x, k),
+    the drift at the plan's k-th time; a drift built by hand steps as fn(x, t_k)
+    over a plan of the grid alone.
     """
 
     fn: Callable[[np.ndarray, float], np.ndarray]
@@ -80,8 +81,8 @@ class GuidedDrift:
 
     def stepper(self, start: float, end: float, steps: int):
         times = np.linspace(start, end, steps + 1)
-        grid = times.tolist()
-        return times, lambda x, k: self.fn(x, grid[k])
+        plan = TimePlan(None, times, times[:-1] - times[1:])
+        return plan, plan.per_time(self.fn)
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ class _PlannedDrift(GuidedDrift):
 
     def stepper(self, start: float, end: float, steps: int):
         plan = self.schedule.plan(start, end, steps)
-        return plan.times, self.planned(plan)
+        return plan, self.planned(plan)
 
 
 def _planned_drift(planned, schedule: NoiseSchedule, dim: int) -> GuidedDrift:
@@ -128,7 +129,7 @@ def score_drift(plan: TimePlan, c: float, score: Callable,
     c = 1/2 gives the deterministic flow, c = 1 the reverse SDE.  score(x, k)
     gives s at plan.times[k]; correction(x, k, s), when given, sees that s.
     """
-    lad, g2 = plan.lad.tolist(), plan.g2.tolist()
+    lad, g2 = plan.row("lad"), plan.row("g2")
 
     def step(x, k):
         s = score(x, k)
@@ -161,8 +162,8 @@ def _surrogate_correction(spec: GuidanceSpec, plan: TimePlan):
     if np.any(plan.sigma == 0.0):
         raise SingularityError("conditional score undefined at sigma = 0")
     lam = [spec.weights.weight(s, t, spec.exponent_map)
-           for s, t in zip(plan.sigma.tolist(), plan.times.tolist())]
-    alpha, sigma2 = plan.alpha.tolist(), (plan.sigma * plan.sigma).tolist()
+           for s, t in zip(plan.row("sigma"), plan.row("times"))]
+    alpha, sigma2 = plan.row("alpha"), (plan.sigma * plan.sigma).tolist()
     return lambda x, k, s: lam[k] * ((alpha[k] * spec.coarse - x) / sigma2[k] - s)
 
 

@@ -24,7 +24,7 @@ callers: `oracle.exact_h` and the drifts built on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,19 +50,27 @@ class TimePlan:
 
     Step k runs from times[k] to times[k + 1], dt[k] = times[k] - times[k + 1];
     the rows alpha, sigma, lad (alpha'/alpha) and g2 hold the schedule at times[k].
+    The plan of a drift built by hand has no schedule and only the grid rows.
     """
 
-    schedule: NoiseSchedule
+    schedule: NoiseSchedule | None
     times: np.ndarray  # (steps + 1,), start to end
     dt: np.ndarray     # (steps,)
-    alpha: np.ndarray
-    sigma: np.ndarray
-    lad: np.ndarray
-    g2: np.ndarray
+    alpha: np.ndarray | None = None
+    sigma: np.ndarray | None = None
+    lad: np.ndarray | None = None
+    g2: np.ndarray | None = None
+    _lists: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def row(self, name: str) -> list:
+        """Row `name` as a list of floats, made on first use: steppers index it per step."""
+        if name not in self._lists:
+            self._lists[name] = getattr(self, name).tolist()
+        return self._lists[name]
 
     def per_time(self, fn):
         """fn(x, t, *rest) as a function of (x, k, *rest) with t = times[k]."""
-        times = self.times.tolist()
+        times = self.row("times")
         return lambda x, k, *rest: fn(x, times[k], *rest)
 
 
@@ -162,12 +170,15 @@ class NoiseSchedule:
     def _evaluate(self, t) -> tuple:
         a, s = self._alpha_sigma(t)
         lad = self._log_alpha_dot(t)
-        if self.kind == VP:
-            # sigma^2 = 1 - alpha^2  =>  sigma' = -alpha alpha' / sigma
-            sd = -a * (a * lad) / s
-        else:
-            sd = np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
-        return a, s, lad, sd, 2.0 * s * sd - 2.0 * lad * s * s
+        # at sigma = 0 the rows keep their inf and nan quietly: the guided drift
+        # raises SingularityError there
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if self.kind == VP:
+                # sigma^2 = 1 - alpha^2  =>  sigma' = -alpha alpha' / sigma
+                sd = -a * (a * lad) / s
+            else:
+                sd = np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
+            return a, s, lad, sd, 2.0 * s * sd - 2.0 * lad * s * s
 
     def _alpha_sigma(self, t):
         if self.kind == VP:

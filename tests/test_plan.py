@@ -164,20 +164,20 @@ class TestPlannedErrors:
                                x_start=np.zeros(2))
         assert calls == []
 
+    @pytest.mark.filterwarnings("error")
     def test_zero_sigma_is_singular(self):
         # with t_min = 1e-12 the range check admits t = 1e-16, where alpha
-        # rounds to 1 and sigma to 0
+        # rounds to 1 and sigma to 0; no numpy warning comes before the error
         sch = NoiseSchedule.vp(t_min=1e-12)
         model = mixture_score_model(tilted_two_mode(), sch)
         drift = guided_score_drift(model, GuidanceSpec(np.ones(2),
                                                        WeightSchedule(POWER_OF_SIGMA)), sch)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            assert sch.alpha_sigma(np.array([1e-16]))[1][0] == 0.0
-            with pytest.raises(SingularityError):
-                sample_ode(drift, SamplerConfig(steps=1, start=1e-16, end=0.0),
-                           x_start=np.zeros(2))
-            with pytest.raises(SingularityError):
-                drift(np.zeros(2), 1e-16)
+        assert sch.alpha_sigma(np.array([1e-16]))[1][0] == 0.0
+        with pytest.raises(SingularityError):
+            sample_ode(drift, SamplerConfig(steps=1, start=1e-16, end=0.0),
+                       x_start=np.zeros(2))
+        with pytest.raises(SingularityError):
+            drift(np.zeros(2), 1e-16)
 
     def test_divergence_names_the_per_time_step(self):
         gm = tilted_two_mode()

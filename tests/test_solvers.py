@@ -1,6 +1,7 @@
 """Euler integrators: determinism, recording, divergence, ensembles."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from htx import oracle, solvers
 from htx.errors import ConfigError, DivergenceError
 from htx.guidance import (GuidanceSpec, GuidedDrift, guided_score_drift, h_guided_drift,
-                          unguided_drift)
+                          score_drift, unguided_drift)
 from htx.oracle import GaussianMixture, exact_h, gm_sample
 from htx.schedules import POWER_OF_SIGMA, NoiseSchedule, WeightSchedule
 from htx.scorenet import mixture_score_model
@@ -219,6 +220,86 @@ class TestEnsembles:
         small = sde_ensemble(model, None, VP, cfg, 7)
         for a, b in zip(big, small):
             np.testing.assert_allclose(a.endpoint, b.endpoint, rtol=0, atol=1e-12)
+
+
+def predrawn_sde(model, h, schedule, cfg, n):
+    """The whole-path reference: every batch of SDE_CHUNK trajectories draws each
+    one's (steps, d) noise before step 0, then runs the Euler-Maruyama loop.
+
+    Returns the recorded times and, per trajectory, (recorded states, endpoint).
+    """
+    plan = schedule.plan(cfg.start, cfg.end, cfg.steps)
+    if h is None:
+        step = score_drift(plan, 1.0, model.planned_score(plan))
+    else:
+        step = score_drift(plan, 1.0, plan.per_time(model.score),
+                           plan.per_time(lambda x, t, s: h(x, t)))
+    scale = (np.sqrt(plan.g2) * np.sqrt(plan.dt)).tolist()
+    dts = (plan.times[:-1] - plan.times[1:]).tolist()
+    rec = solvers._record_indices(cfg)
+    paths = []
+    for lo in range(0, n, solvers.SDE_CHUNK):
+        m = min(lo + solvers.SDE_CHUNK, n) - lo
+        x, noise = np.empty((m, model.dim)), np.empty((cfg.steps, m, model.dim))
+        for i in range(m):
+            rng = trial_rng(cfg.seed, lo + i)
+            x[i] = rng.standard_normal(model.dim)
+            noise[:, i, :] = rng.standard_normal((cfg.steps, model.dim))
+        states = [x]
+        for k in range(cfg.steps):
+            x = x - step(x, k) * dts[k]
+            x = x + scale[k] * noise[k]
+            states.append(x)
+        recorded = np.stack(states)[rec]
+        paths.extend((recorded[:, i], x[i]) for i in range(m))
+    return plan.times[rec], paths
+
+
+class TestStreamedNoise:
+    """Noise drawn NOISE_STEPS steps at a time is bitwise the whole-path draw."""
+
+    @pytest.mark.parametrize("block, steps", [(8, 5), (8, 8), (8, 19),
+                                              (None, solvers.NOISE_STEPS + 10)])
+    @pytest.mark.parametrize("with_h", [False, True])
+    @pytest.mark.parametrize("record_every", [0, 3])
+    def test_equals_predrawn(self, monkeypatch, block, steps, with_h, record_every):
+        if block is not None:
+            monkeypatch.setattr(solvers, "NOISE_STEPS", block)
+        monkeypatch.setattr(solvers, "SDE_CHUNK", 3)  # 7 trajectories in three chunks
+        gm = two_mode()
+        model = mixture_score_model(gm, VP)
+        target = np.array([2.5, -0.5])
+        h = (lambda x, t: exact_h(x, target, gm, VP, t)) if with_h else None
+        cfg = SamplerConfig(steps=steps, solver=EULER_MARUYAMA, seed=5,
+                            record_every=record_every)
+        times, want = predrawn_sde(model, h, VP, cfg, 7)
+        got = sde_ensemble(model, h, VP, cfg, 7)
+        assert len(got) == len(want)
+        for path, (states, endpoint) in zip(got, want):
+            np.testing.assert_array_equal(path.times, times)
+            np.testing.assert_array_equal(path.states, states)
+            np.testing.assert_array_equal(path.endpoint, endpoint)
+
+    def test_traced_peak_does_not_grow_with_steps(self):
+        # from NOISE_STEPS steps to four times as many, a whole-path draw grows
+        # the peak by three whole buffers; streamed, the buffer stays one block
+        model = mixture_score_model(
+            GaussianMixture(np.array([1.0]), np.zeros((1, 2)), np.eye(2)[None]), VP)
+        n, d = 2000, 2
+
+        def traced_peak(steps):
+            cfg = SamplerConfig(steps=steps, solver=EULER_MARUYAMA, seed=1)
+            tracemalloc.start()
+            try:
+                sde_ensemble(model, None, VP, cfg, n)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(4)  # warm-up: one-time allocations stay out of the comparison
+        block = solvers.NOISE_STEPS
+        slack = 512 * 1024  # plan rows, their lists and the score rows grow with steps
+        assert traced_peak(4 * block) - traced_peak(block) < block * n * d * 8 + slack
 
 
 class TestMarginalStats:
