@@ -8,6 +8,7 @@ state (a diverged sampler, a non-finite training loss, a singular step).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -18,6 +19,17 @@ from .config import ExperimentConfig, build_density, build_schedule
 from .errors import ConfigError, DivergenceError, SingularityError, TrainingError
 from .scorenet import MlpNet, TrainConfig, save_weights, train
 from .oracle import gm_sample
+
+
+def _check_out(out, name: str) -> None:
+    """Raise ConfigError naming `name` unless `out` is, or can be made, a writable
+    directory; checked before a run, so that a bad path does not end it afterwards."""
+    existing = os.path.abspath(out)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not (os.path.isdir(existing) and os.access(existing, os.W_OK | os.X_OK)):
+        raise ConfigError(f"{name} must be a writable directory, got {str(out)!r} "
+                          f"({existing} is not a writable directory)")
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -32,7 +44,9 @@ def _load_config(args) -> ExperimentConfig:
         doc["experiment"]["trials"] = args.trials
     if args.out is not None:
         doc["experiment"]["out"] = args.out
-    return ExperimentConfig.from_dict(doc)
+    cfg = ExperimentConfig.from_dict(doc)
+    _check_out(cfg.experiment["out"], "experiment.out" if args.out is None else "--out")
+    return cfg
 
 
 def _save(record: experiments.RunRecord, cfg: ExperimentConfig) -> int:
@@ -44,9 +58,10 @@ def _save(record: experiments.RunRecord, cfg: ExperimentConfig) -> int:
 
 
 def cmd_verify(args) -> int:
-    record = verify.run_verify()
     cfg = ExperimentConfig.from_dict({"experiment": {"kind": "verify",
                                                      "out": args.out or "runs"}})
+    _check_out(cfg.experiment["out"], "--out")
+    record = verify.run_verify()
     record.save(cfg.experiment["out"])
     return 0 if record.extras["all_passed"] else 1
 
@@ -97,8 +112,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_report(args) -> int:
-    record = experiments.RunRecord.from_json(args.record)
     out = Path(args.out or Path(args.record).parent)
+    _check_out(out, "--out" if args.out else "--out (by default the record's directory)")
+    record = experiments.RunRecord.from_json(args.record)
     written = experiments.emit_report(record, args.format, out)
     for path in [written] if args.format == "csv" else written:
         print(f"wrote {path}")

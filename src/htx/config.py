@@ -83,10 +83,13 @@ NUMBER_LIST_FIELDS = (("experiment", "exponents"), ("experiment", "t0_fractions"
 # largest gaussian_field grid: its prior allocates cells^2 covariance entries and
 # takes about 0.5 s to build at this size
 MAX_CELLS = 1024
+# most trials per run: a run holds several (trials, d) float arrays, each 82 MB at
+# this bound and MAX_CELLS; the largest shipped check draws 500
+MAX_TRIALS = 10_000
 _INF = float("inf")
 # closed [low, high] ranges, checked for every command, not only by the
 # drivers that build the field's section
-RANGED_FIELDS = {("experiment", "trials"): (1, _INF), ("experiment", "seed"): (0, _INF),
+RANGED_FIELDS = {("experiment", "trials"): (1, MAX_TRIALS), ("experiment", "seed"): (0, _INF),
                  ("density", "cells"): (1, MAX_CELLS), ("guidance", "exponent"): (0.0, _INF),
                  ("guidance", "constant"): (0.0, 1.0),
                  ("guidance", "valid_exponent"): (0.0, _INF),

@@ -11,10 +11,22 @@ error grows like alpha / sigma^2 and lambda decays toward 0.  lambda may be a
 per-coordinate vector so observed and filled-in regions can use different
 exponents.
 
-A solver walks a drift over the rows of a `TimePlan` (`GuidedDrift.stepper`).
+The drift is linear in x, in s and in y~, with coefficients that depend on t
+alone.  Written as drift = p x - q s - r y~ (`drift_rows`),
+
+  p = f-rate + c g^2 lambda / sigma^2,  q = c g^2 (1 - lambda),  r = c g^2 lambda alpha / sigma^2,
+
+with c = 1/2 for the flow and c = 1 for the reverse SDE, and lambda = 0 (no
+r) unguided.  A solver walks a drift over the rows of a `TimePlan`
+(`GuidedDrift.stepper`): every step's rows a = 1 - dt p, b = dt q and
+c_y = dt r are formed once per plan, in array passes, and the Euler step is
+the three-term update x <- a x + b s + c_y y~ (`score_drift`).  The update
+allocates its result and its one temporary, and writes into nothing else:
+not the state it was given, the score, the reference or a closure's return.
 Only the source of the score s differs between drifts: a score-form drift
-reads it from the model's plan rows, the drift on a correction closure h(x, t)
-from model.score(x, t), so that an exact h can reuse it.
+reads it from the model's plan rows, the drift on a correction closure
+h(x, t) from model.score(x, t) (so that an exact h can reuse it), with
+s <- s + h and lambda = 0.
 """
 
 from __future__ import annotations
@@ -68,9 +80,9 @@ class GuidanceSpec:
 class GuidedDrift:
     """Deterministic drift closure; evaluates on (d,) or (n, d) states.
 
-    stepper(start, end, steps) gives a solver its `TimePlan` and step(x, k),
-    the drift at the plan's k-th time; a drift built by hand steps as fn(x, t_k)
-    over a plan of the grid alone.
+    stepper(start, end, steps) gives a solver its `TimePlan` and advance(x, k),
+    the Euler step from the plan's k-th time; a drift built by hand advances as
+    x - fn(x, t_k) dt_k over a plan of the grid alone.
     """
 
     fn: Callable[[np.ndarray, float], np.ndarray]
@@ -82,25 +94,35 @@ class GuidedDrift:
     def stepper(self, start: float, end: float, steps: int):
         times = np.linspace(start, end, steps + 1)
         plan = TimePlan(None, times, times[:-1] - times[1:])
-        return plan, plan.per_time(self.fn)
+        grid, dts, fn = plan.row("times"), plan.row("dt"), self.fn
+        return plan, lambda x, k: x - fn(x, grid[k]) * dts[k]
 
 
 @dataclass(frozen=True)
 class _PlannedDrift(GuidedDrift):
-    """A score-form drift: planned(plan) is its step(x, k) over the plan's rows."""
+    """A score-form drift: law(plan) gives the (score, h, spec) that `score_drift` takes."""
 
     schedule: NoiseSchedule
-    planned: Callable[[TimePlan], Callable]
+    law: Callable[[TimePlan], tuple]
 
     def stepper(self, start: float, end: float, steps: int):
         plan = self.schedule.plan(start, end, steps)
-        return plan, self.planned(plan)
+        return plan, score_drift(plan, 0.5, *self.law(plan))
 
 
-def _planned_drift(planned, schedule: NoiseSchedule, dim: int) -> GuidedDrift:
-    """At one time t the drift steps the one-time plan of t."""
-    return _PlannedDrift(lambda x, t: planned(schedule.plan(t, t, 1))(
-        np.asarray(x, dtype=float), 0), dim, schedule, planned)
+def _planned_drift(law, schedule: NoiseSchedule, dim: int) -> GuidedDrift:
+    """At one time t the drift p x - q s - r y~ from the rows of the one-time plan of t."""
+
+    def fn(x, t):
+        plan = schedule.plan(t, t, 1)
+        score, h, spec = law(plan)
+        p, q, r = drift_rows(plan, 0.5, spec)
+        x = np.asarray(x, dtype=float)
+        s = score(x, 0) if h is None else score(x, 0) + h(x, 0)
+        drift = p[0] * x - q[0] * s
+        return drift if r is None else drift - r[0] * spec.coarse
+
+    return _PlannedDrift(fn, dim, schedule, law)
 
 
 def lambda_weights(spec: GuidanceSpec, schedule: NoiseSchedule, t):
@@ -122,57 +144,82 @@ def approx_h(x, t, coarse, score_at_x, schedule: NoiseSchedule):
     return conditional_score(x, coarse, schedule, t) - np.asarray(score_at_x, dtype=float)
 
 
-def score_drift(plan: TimePlan, c: float, score: Callable,
-                correction: Callable | None = None):
-    """The one score-form drift law f - c g^2 (s + correction), step(x, k) over plan rows.
+def drift_rows(plan: TimePlan, c: float, spec: GuidanceSpec | None = None):
+    """Rows (p, q, r) of drift = p x - q s - r y~ at each step's time (module docstring).
 
-    c = 1/2 gives the deterministic flow, c = 1 the reverse SDE.  score(x, k)
-    gives s at plan.times[k]; correction(x, k, s), when given, sees that s.
+    Each is (steps,), or (steps, d) under an exponent map; without a spec, lambda
+    is 0 and r is None.  lambda is the weight of each step's scalar sigma and
+    time, as lambda_weights gives it: an array power can round differently from
+    the scalar one.
     """
-    lad, g2 = plan.row("lad"), plan.row("g2")
+    if spec is None:
+        return plan.lad, c * plan.g2, None
+    if np.any(plan.sigma == 0.0):
+        raise SingularityError("conditional score undefined at sigma = 0")
+    lam = np.array([spec.weights.weight(s, t, spec.exponent_map)
+                    for s, t in zip(plan.row("sigma"), plan.row("times"))])
+    col = (slice(None),) + (None,) * (lam.ndim - 1)
+    lad, alpha, sigma = plan.lad[col], plan.alpha[col], plan.sigma[col]
+    cg2 = c * plan.g2[col]
+    w = cg2 * lam / (sigma * sigma)
+    return lad + w, cg2 * (1.0 - lam), w * alpha
 
-    def step(x, k):
+
+def _per_step(row: np.ndarray) -> list:
+    """A row as one entry per step: a float, or a (d,) array under an exponent map."""
+    return row.tolist() if row.ndim == 1 else list(row)
+
+
+def score_drift(plan: TimePlan, c: float, score: Callable, h: Callable | None = None,
+                spec: GuidanceSpec | None = None):
+    """advance(x, k): the Euler step x - drift dt_k of the one score-form drift law.
+
+    With a = 1 - dt p, b = dt q and c_y = dt r from `drift_rows`, the step is
+    x <- a x + b (s + h) + c_y y~.  c = 1/2 gives the deterministic flow, c = 1
+    the reverse SDE.  score(x, k) gives s at plan.times[k], and h(x, k), when
+    given, the correction that is added to it (lambda = 0); spec, when given,
+    the guidance toward spec.coarse.  The step returns a new array and writes
+    only into arrays it allocated.
+    """
+    p, q, r = drift_rows(plan, c, spec)
+    dt = plan.dt[(slice(None),) + (None,) * (p.ndim - 1)]
+    a, b = _per_step(1.0 - dt * p), _per_step(dt * q)
+    coarse, cy = (None, None) if r is None else (spec.coarse, _per_step(dt * r))
+
+    def advance(x, k):
         s = score(x, k)
-        if correction is not None:
-            s = s + correction(x, k, s)
-        return lad[k] * x - c * g2[k] * s
+        if h is None:
+            out = s * b[k]
+        else:
+            out = s + h(x, k)
+            out *= b[k]
+        term = x * a[k]
+        out += term
+        if coarse is not None:
+            out += np.multiply(coarse, cy[k], out=term)
+        return out
 
-    return step
+    return advance
 
 
 def unguided_drift(model: ScoreModel, schedule: NoiseSchedule) -> GuidedDrift:
     """Plain deterministic sampling drift f - g^2 s / 2."""
-    return _planned_drift(lambda plan: score_drift(plan, 0.5, model.planned_score(plan)),
+    return _planned_drift(lambda plan: (model.planned_score(plan), None, None),
                           schedule, model.dim)
 
 
 def h_guided_drift(model: ScoreModel, h_fn: Callable, schedule: NoiseSchedule) -> GuidedDrift:
     """Drift f - g^2 (s + h) / 2 for an arbitrary correction closure h(x, t)."""
-    return _planned_drift(lambda plan: score_drift(
-        plan, 0.5, plan.per_time(model.score), plan.per_time(lambda x, t, s: h_fn(x, t))),
+    return _planned_drift(
+        lambda plan: (plan.per_time(model.score), plan.per_time(h_fn), None),
         schedule, model.dim)
-
-
-def _surrogate_correction(spec: GuidanceSpec, plan: TimePlan):
-    """correction(x, k, s) = lambda (kernel score - s) at plan.times[k].
-
-    lambda is the weight of each step's scalar sigma, as lambda_weights gives
-    it: an array power can round differently from the scalar one.
-    """
-    if np.any(plan.sigma == 0.0):
-        raise SingularityError("conditional score undefined at sigma = 0")
-    lam = [spec.weights.weight(s, t, spec.exponent_map)
-           for s, t in zip(plan.row("sigma"), plan.row("times"))]
-    alpha, sigma2 = plan.row("alpha"), (plan.sigma * plan.sigma).tolist()
-    return lambda x, k, s: lam[k] * ((alpha[k] * spec.coarse - x) / sigma2[k] - s)
 
 
 def guided_score_drift(model: ScoreModel, spec: GuidanceSpec,
                        schedule: NoiseSchedule) -> GuidedDrift:
     """Score-form guided drift; the weight interpolates toward the kernel score."""
-    return _planned_drift(lambda plan: score_drift(
-        plan, 0.5, model.planned_score(plan), _surrogate_correction(spec, plan)),
-        schedule, spec.dim)
+    return _planned_drift(lambda plan: (model.planned_score(plan), None, spec),
+                          schedule, spec.dim)
 
 
 def guided_velocity_drift(model: ScoreModel, spec: GuidanceSpec,

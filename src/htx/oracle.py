@@ -164,20 +164,27 @@ def _log_terms(gm: GaussianMixture, xs: np.ndarray, basis_means, evals, log_norm
     """log w_k N(x; mu_k, Sigma_k) for xs (n, d) as (K, n), and u = [u_1 ... u_K]
     as (n, K d) with u_k = Lambda_k^-1 V_k^T (mu_k - x), in gm's eigenbasis with
     the eigen-rows of gm or of a mixture diffused from it."""
-    z = basis_means - xs @ gm._basis
+    z = xs @ gm._basis
+    np.subtract(basis_means, z, out=z)
     u = z / evals
-    return log_norms[:, None] - 0.5 * (gm._blocks @ (z * u).T), u
+    z *= u
+    return log_norms[:, None] - 0.5 * (gm._blocks @ z.T), u
 
 
 def _score(gm: GaussianMixture, xs: np.ndarray, basis_means, evals, log_norms):
     """The mixture score sum_k r_k V_k u_k at xs (n, d); one component forms no
     responsibility (module docstring) and reads no log_norms."""
     if gm.n_components == 1:
-        return ((basis_means - xs @ gm._basis) / evals) @ gm._basis.T
-    logs, u = _log_terms(gm, xs, basis_means, evals, log_norms)
-    resp = np.exp(logs - logs.max(axis=0))
+        u = xs @ gm._basis
+        np.subtract(basis_means, u, out=u)
+        u /= evals
+        return u @ gm._basis.T
+    resp, u = _log_terms(gm, xs, basis_means, evals, log_norms)
+    resp -= resp.max(axis=0)
+    np.exp(resp, out=resp)
     resp /= resp.sum(axis=0)
-    return (resp.T @ gm._blocks * u) @ gm._basis.T
+    u *= resp.T @ gm._blocks
+    return u @ gm._basis.T
 
 
 def gm_sample(gm: GaussianMixture, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -69,9 +69,9 @@ class TimePlan:
         return self._lists[name]
 
     def per_time(self, fn):
-        """fn(x, t, *rest) as a function of (x, k, *rest) with t = times[k]."""
+        """fn(x, t) as a function of (x, k) with t = times[k]."""
         times = self.row("times")
-        return lambda x, k, *rest: fn(x, times[k], *rest)
+        return lambda x, k: fn(x, times[k])
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,12 @@ uniform grid.  The deterministic update is
   x_{t - dt} = x_t - drift(x_t, t) dt,
 
 and the stochastic one adds g(t) sqrt(dt) z with z standard normal.  The loop
-walks the grid by step index: a score-form drift reads every per-time factor
-from the rows of the schedule's `TimePlan`, computed once before the first
-step, and the reverse SDE takes its noise scales from the same plan.
+walks the grid by step index and asks the drift's advance(x, k) for each new
+state: a score-form drift runs it as the three-term update
+x <- a x + b s + c_y y~, whose coefficient rows it formed from the schedule's
+`TimePlan` before the first step (`guidance.score_drift`), and the reverse SDE
+takes its noise scales from the same plan and adds each step's noise in place
+to the new state.  No step writes into the start it was given.
 `sample_ode` runs from a start the caller gives.  The ensembles integrate
 many trajectories as one batched state and draw trajectory i's start and,
 for the SDE, its noise from its private stream trial_rng(seed, i), so their
@@ -40,6 +43,9 @@ SDE_CHUNK = 2000
 # whole-path draw at 250 steps, 8% at 125 and 12% at 64 (2-vCPU machine), while
 # its process peaked at 72, 68 and 66 MB against 86
 NOISE_STEPS = 250
+# the largest Euler grid a sampler takes: a plan keeps a few float rows per step,
+# and check_euler_convergence's reference, the longest grid in the package, has 20,000
+MAX_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -52,8 +58,8 @@ class SamplerConfig:
     record_every: int = 0  # 0 records endpoints only
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ConfigError("steps must be >= 1")
+        if not 1 <= self.steps <= MAX_STEPS:
+            raise ConfigError(f"sampler.steps must lie in [1, {MAX_STEPS}], got {self.steps!r}")
         if not self.start > self.end:
             raise ConfigError("start time must exceed end time")
         if self.solver not in (EULER_ODE, EULER_MARUYAMA):
@@ -85,9 +91,9 @@ def _record_indices(cfg: SamplerConfig) -> np.ndarray:
     return np.asarray(idx)
 
 
-def _integrate(step, plan: TimePlan, cfg: SamplerConfig, x0: np.ndarray, noise=None):
-    """Shared Euler loop over the plan's grid: x <- x - step(x, k) dt_k, plus, for
-    the SDE, next(noise), step k's increment shaped like x0, (d,) or (n, d).
+def _integrate(advance, plan: TimePlan, cfg: SamplerConfig, x0: np.ndarray, noise=None):
+    """Shared Euler loop over the plan's grid: x <- advance(x, k), a new array, plus,
+    for the SDE, next(noise), step k's increment shaped like x0, (d,) or (n, d).
 
     A non-finite state raises DivergenceError naming the step, its grid time
     and the first row of x that is not finite.
@@ -96,14 +102,14 @@ def _integrate(step, plan: TimePlan, cfg: SamplerConfig, x0: np.ndarray, noise=N
     rec_states = np.empty((len(rec_idx),) + x0.shape)
     rec_pos = {int(k): i for i, k in enumerate(rec_idx)}
 
-    x = np.array(x0, dtype=float)
+    x = np.asarray(x0, dtype=float)
     if 0 in rec_pos:
         rec_states[rec_pos[0]] = x
-    grid, dts = plan.row("times"), plan.row("dt")
+    grid = plan.row("times")
     for k in range(cfg.steps):
-        x = x - step(x, k) * dts[k]
+        x = advance(x, k)
         if noise is not None:
-            x = x + next(noise)
+            x += next(noise)
         if not np.isfinite(x).all():
             bad = np.flatnonzero(~np.isfinite(np.atleast_2d(x)).all(axis=1))
             raise DivergenceError(k, t=grid[k], trajectory=int(bad[0]))
@@ -116,8 +122,8 @@ def sample_ode(drift: GuidedDrift, cfg: SamplerConfig, x_start) -> Trajectory:
     """Deterministic reverse-time Euler run from x_start, (d,) or (n, d)."""
     if cfg.solver != EULER_ODE:
         raise ConfigError("sample_ode requires the euler_ode solver")
-    plan, step = drift.stepper(cfg.start, cfg.end, cfg.steps)
-    times, states, endpoint = _integrate(step, plan, cfg, np.asarray(x_start, dtype=float))
+    plan, advance = drift.stepper(cfg.start, cfg.end, cfg.steps)
+    times, states, endpoint = _integrate(advance, plan, cfg, np.asarray(x_start, dtype=float))
     return Trajectory(times=times, states=states, endpoint=endpoint)
 
 
@@ -125,7 +131,7 @@ def _noise(streams: list, scale: list, dim: int):
     """Each step's increment scale[k] z_k, (len(streams), dim), in step order.
 
     Row i of z is drawn from streams[i], NOISE_STEPS steps at a time, into one
-    reused buffer.
+    reused buffer; step k's increment is scaled in place there.
     """
     steps = len(scale)
     block = np.empty((min(NOISE_STEPS, steps), len(streams), dim))
@@ -134,10 +140,12 @@ def _noise(streams: list, scale: list, dim: int):
         for i, rng in enumerate(streams):
             block[:b, i] = rng.standard_normal((b, dim))
         for j in range(b):
-            yield scale[lo + j] * block[j]
+            row = block[j]
+            row *= scale[lo + j]
+            yield row
 
 
-def _ensemble(step, plan: TimePlan, cfg: SamplerConfig, n: int, dim: int, start_fn,
+def _ensemble(advance, plan: TimePlan, cfg: SamplerConfig, n: int, dim: int, start_fn,
               chunk: int, noise_scale=None) -> list[Trajectory]:
     """n trajectories in batches of `chunk`; trajectory i draws from trial_rng(seed, i).
 
@@ -156,7 +164,7 @@ def _ensemble(step, plan: TimePlan, cfg: SamplerConfig, n: int, dim: int, start_
                 streams.append(rng)
         noise = None if noise_scale is None else _noise(streams, noise_scale, dim)
         try:
-            rec_times, states, _ = _integrate(step, plan, cfg, starts, noise)
+            rec_times, states, _ = _integrate(advance, plan, cfg, starts, noise)
         except DivergenceError as exc:
             raise DivergenceError(exc.step, t=exc.t, trajectory=lo + exc.trajectory) from None
         out.extend(Trajectory(times=rec_times, states=states[:, i, :],
@@ -171,8 +179,8 @@ def ode_ensemble(drift: GuidedDrift, cfg: SamplerConfig, n: int,
     Starts come from per-trajectory streams: start_fn(rng) when given, else
     standard normal draws.
     """
-    plan, step = drift.stepper(cfg.start, cfg.end, cfg.steps)
-    return _ensemble(step, plan, cfg, n, drift.dim, start_fn, chunk=max(n, 1))
+    plan, advance = drift.stepper(cfg.start, cfg.end, cfg.steps)
+    return _ensemble(advance, plan, cfg, n, drift.dim, start_fn, chunk=max(n, 1))
 
 
 def sde_ensemble(model: ScoreModel, h_term, schedule: NoiseSchedule,
@@ -180,20 +188,22 @@ def sde_ensemble(model: ScoreModel, h_term, schedule: NoiseSchedule,
     """n Euler-Maruyama runs of the reverse SDE, optionally with a correction h.
 
     Update: x_{t-dt} = x_t - [f - g^2 (s + h)] dt + g sqrt(dt) z; h_term may be
-    None.  Without h the score reads the plan's rows; with h it comes from
-    model.score(x, t), which the exact h rescores.  Trajectories run in
+    None.  The drift part runs as guidance.score_drift's update
+    x <- a x + b (s + h) with c = 1 and a new array each step, to which the
+    step's noise is added in place.  Without h the score reads the plan's
+    rows; with h it comes from model.score(x, t), which the exact h rescores.
+    Trajectories run in
     batches of SDE_CHUNK.  Each draws its noise from its own stream
     NOISE_STEPS steps at a time, bitwise equal to one whole-path draw, so no
     batch holds more than NOISE_STEPS steps of noise.
     """
     plan = schedule.plan(cfg.start, cfg.end, cfg.steps)
     if h_term is None:
-        step = score_drift(plan, 1.0, model.planned_score(plan))
+        advance = score_drift(plan, 1.0, model.planned_score(plan))
     else:
-        step = score_drift(plan, 1.0, plan.per_time(model.score),
-                           plan.per_time(lambda x, t, s: h_term(x, t)))
+        advance = score_drift(plan, 1.0, plan.per_time(model.score), plan.per_time(h_term))
     noise_scale = (np.sqrt(plan.g2) * np.sqrt(plan.dt)).tolist()
-    return _ensemble(step, plan, cfg, n, model.dim, start_fn, SDE_CHUNK, noise_scale)
+    return _ensemble(advance, plan, cfg, n, model.dim, start_fn, SDE_CHUNK, noise_scale)
 
 
 def marginal_stats(trajectories: list[Trajectory], t: float):

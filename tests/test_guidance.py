@@ -149,10 +149,11 @@ class TestGuidedScoreDrift:
 
 
 class TestDriftLaw:
-    """Every score-form drift is f - c g^2 (s + correction), bit for bit.
+    """Every score-form drift is p x - q s - r y~ and steps as x <- a x + b s + c_y y~.
 
-    The formulas are written out here in the order of operations the sampler
-    uses, so any rewrite of the drift assembly must keep every last bit.
+    The formulas are written out here from the float-time coefficients, in
+    the order of operations the sampler uses, so any rewrite of the drift
+    assembly must keep every last bit.
     """
 
     @staticmethod
@@ -189,14 +190,18 @@ class TestDriftLaw:
             g2 = schedule.diffusion_g2(t)
             s = model.score(x, t)
             a, sig = schedule.alpha_sigma(t)
-            surrogate = (a * coarse - x) / (sig * sig) - s
-            lam_scalar = np.clip(sig ** 4.0, 0.0, 1.0)
-            lam_map = np.clip(t ** emap, 0.0, 1.0)
+
+            def guided(lam):
+                # p = f-rate + w, q = c g2 (1 - lam), r = w alpha, w = c g2 lam / sigma^2
+                w = 0.5 * g2 * lam / (sig * sig)
+                p, q, r = schedule.log_alpha_dot(t) + w, 0.5 * g2 * (1.0 - lam), w * a
+                return p * x - q * s - r * coarse
+
             expected = {
                 "unguided": f - 0.5 * g2 * s,
                 "h": f - 0.5 * g2 * (s + h_fn(x, t)),
-                "scalar": f - 0.5 * g2 * (s + lam_scalar * surrogate),
-                "map": f - 0.5 * g2 * (s + lam_map * surrogate),
+                "scalar": guided(np.clip(sig ** 4.0, 0.0, 1.0)),
+                "map": guided(np.clip(t ** emap, 0.0, 1.0)),
             }
             for name, drift in drifts.items():
                 np.testing.assert_array_equal(drift(x, t), expected[name], err_msg=name)
@@ -221,12 +226,13 @@ class TestDriftLaw:
         z = np.stack([trial_rng(cfg.seed, i).standard_normal((1, 2))[0]
                       for i in range(len(starts))]).reshape(x.shape)
         dt = t - end
-        f = schedule.drift_f(x, t)
         g2 = schedule.diffusion_g2(t)
         s = model.score(x, t)
         if with_h:
             s = s + h_fn(x, t)
-        expected = x - (f - g2 * s) * dt + np.sqrt(g2) * np.sqrt(dt) * z
+        # c = 1, lambda = 0: a = 1 - dt f-rate, b = dt g2
+        a, b = 1.0 - dt * schedule.log_alpha_dot(t), dt * g2
+        expected = a * x + b * s + np.sqrt(g2) * np.sqrt(dt) * z
         np.testing.assert_array_equal(got, expected)
 
 

@@ -117,9 +117,10 @@ class TestRestoreRecord:
         assert by_series["guided"]["mse_to_y_mean"] < by_series["unguided"]["mse_to_y_mean"]
 
     def test_field_restore_frozen_values(self):
-        # the 16-cell blurred field runs the one-component score path; these
-        # means come from the responsibility-weighted path, so any bit the
-        # one-component path moves shows here
+        # the 16-cell blurred field runs the one-component score path and the
+        # fused guided step; these means were frozen from that step, and the
+        # one-component path gives the responsibility-weighted path's bits, so
+        # any bit either moves shows here
         record = run_restore(ExperimentConfig.from_dict({
             "experiment": {"kind": "restore", "trials": 8},
             "density": {"kind": "gaussian_field", "cells": 16, "length_scale": 3.0},
@@ -127,7 +128,7 @@ class TestRestoreRecord:
             "sampler": {"steps": 200},
         }))
         by_series = {row["series"]: row["mse_to_y_mean"] for row in record.aggregates}
-        assert by_series == {"guided": 0.693038045913835, "unguided": 2.443409963126386}
+        assert by_series == {"guided": 0.6930380459138339, "unguided": 2.4434099631263875}
 
     def test_posterior_reference_column_present(self):
         record = run_restore(small_restore_config())
@@ -444,6 +445,52 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stderr == ("run failed: DivergenceError: non-finite state at step 0 "
                                "(t=1, trajectory 0)\n")
+
+    @pytest.mark.parametrize("command", ["restore", "train", "report", "verify"])
+    def test_unwritable_out_exit_two_before_the_run(self, tmp_path, monkeypatch, capsys,
+                                                    command):
+        # below a regular file no directory can be made; the run never starts
+        record_path = run_restore(small_restore_config(trials=2)).save(tmp_path) / "record.json"
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        ran = []
+        monkeypatch.setattr(experiments, "run_restore", lambda cfg: ran.append(cfg))
+        monkeypatch.setattr(experiments, "emit_report", lambda *a: ran.append(a))
+        monkeypatch.setattr("htx.cli.train", lambda *a: ran.append(a))
+        monkeypatch.setattr(verify, "run_verify", lambda: ran.append("verify"))
+        flags = {"restore": ["--trials", "2"], "train": ["--steps", "1"],
+                 "report": ["--record", str(record_path)], "verify": []}[command]
+        assert main([command, *flags, "--out", str(blocker / "sub")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "--out" in err[0]
+        assert ran == []
+
+    def test_unwritable_experiment_out_names_the_field(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": {"out": str(blocker / "sub")}}))
+        assert main(["sample", "--config", str(cfg_path), "--trials", "2"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "experiment.out" in err[0]
+
+    @pytest.mark.parametrize("command", ["restore", "sample"])
+    @pytest.mark.parametrize("doc, field", [
+        ({"sampler": {"steps": 10**12}}, "sampler.steps"),
+        ({"sampler": {"steps": 100_001}}, "sampler.steps"),
+        ({"sampler": {"steps": 0}}, "sampler.steps"),
+        ({"experiment": {"trials": 10**12}}, "experiment.trials"),
+        ({"experiment": {"trials": 10_001}}, "experiment.trials"),
+    ])
+    def test_unbounded_size_exit_two_names_the_field(self, tmp_path, monkeypatch, capsys,
+                                                     command, doc, field):
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main([command, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and field in err[0]
+        assert not (tmp_path / "runs").exists()
 
     def test_train_zero_steps_exit_two(self, tmp_path, capsys):
         assert main(["train", "--steps", "0", "--out", str(tmp_path / "w")]) == 2

@@ -1,12 +1,15 @@
 """The time plan: a planned Euler run is bitwise the run that evaluates each time.
 
-The reference below is the per-time drift law written out in the order of
-operations the sampler has always used: the model score through
-`gm_pushforward` and `gm_score`, and the schedule's coefficients and the
-weight asked for one float time at a time.
+The reference below is the fused drift law p x - q s - r y~ and its Euler step
+x <- a x + b s + c_y y~ written out in the sampler's order of operations, from
+the coefficients asked of one float time at a time: the model score through
+`gm_pushforward` and `gm_score`, the schedule's coefficients and the weight.
+A second reference, the law in the order f - c g^2 (s + correction) that the
+sampler used before the step was fused, must agree to 1e-12.
 """
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -17,13 +20,13 @@ from htx.config import ExperimentConfig, build_density, build_schedule, rbf_fiel
 from htx.errors import DivergenceError, SingularityError, TimeRangeError
 from htx import experiments
 from htx.experiments import draw_trials, restore_trials, run_restore
-from htx.guidance import (GuidanceSpec, GuidedDrift, _surrogate_correction,
-                          guided_score_drift, sdedit_start, unguided_drift)
-from htx.oracle import GaussianMixture, identity_operator
+from htx.guidance import (GuidanceSpec, GuidedDrift, drift_rows, guided_score_drift,
+                          h_guided_drift, sdedit_start, unguided_drift)
+from htx.oracle import GaussianMixture, exact_h, identity_operator
 from htx.schedules import (CONSTANT, POWER_OF_SIGMA, POWER_OF_TIME, NoiseSchedule,
-                           WeightSchedule)
-from htx.scorenet import mixture_score_model
-from htx.solvers import SamplerConfig, sample_ode
+                           TimePlan, WeightSchedule)
+from htx.scorenet import ScoreModel, mixture_score_model
+from htx.solvers import SamplerConfig, sample_ode, sde_ensemble, trial_rng
 
 VP = NoiseSchedule.vp()
 OTFM = NoiseSchedule.otfm()
@@ -39,18 +42,60 @@ def small_field():
     return rbf_field_prior(6, 2.0, jitter=1e-6)
 
 
+def law_at(schedule, t, c, spec=None):
+    """(p, q, r) of drift = p x - q s - r y~ at float time t; r is None unguided."""
+    lad, cg2 = schedule.log_alpha_dot(t), c * schedule.diffusion_g2(t)
+    if spec is None:
+        return lad, cg2, None
+    a, sig = schedule.alpha_sigma(t)
+    lam = spec.weights.weight(sig, t, spec.exponent_map)
+    w = cg2 * lam / (sig * sig)
+    return lad + w, cg2 * (1.0 - lam), w * a
+
+
+@dataclass(frozen=True)
+class PerTimeDrift(GuidedDrift):
+    """The fused law asked of each float time; it steps as x <- a x + b s + c_y y~."""
+
+    model: ScoreModel
+    schedule: NoiseSchedule
+    spec: GuidanceSpec | None
+
+    def stepper(self, start, end, steps):
+        times = np.linspace(start, end, steps + 1)
+
+        def advance(x, k):
+            t, dt = float(times[k]), float(times[k] - times[k + 1])
+            p, q, r = law_at(self.schedule, t, 0.5, self.spec)
+            out = (1.0 - dt * p) * x + (dt * q) * self.model.score(x, t)
+            return out if r is None else out + (dt * r) * self.spec.coarse
+
+        return TimePlan(None, times, times[:-1] - times[1:]), advance
+
+
 def per_time_drift(model, schedule, spec=None) -> GuidedDrift:
-    """f - g^2 (s + lambda (kernel score - s)) / 2, asked of each float time."""
+    def fn(x, t):
+        p, q, r = law_at(schedule, t, 0.5, spec)
+        drift = p * x - q * model.score(x, t)
+        return drift if r is None else drift - r * spec.coarse
+
+    return PerTimeDrift(fn, model.dim, model, schedule, spec)
+
+
+def old_order_law(model, schedule, c, spec=None, h=None):
+    """f - c g^2 (s + correction) at float time t, in the order of the unfused step."""
 
     def fn(x, t):
         s = model.score(x, t)
+        if h is not None:
+            s = s + h(x, t)
         if spec is not None:
             a, sig = schedule.alpha_sigma(t)
             lam = spec.weights.weight(sig, t, spec.exponent_map)
             s = s + lam * ((a * spec.coarse - x) / (sig * sig) - s)
-        return schedule.drift_f(x, t) - 0.5 * schedule.diffusion_g2(t) * s
+        return schedule.drift_f(x, t) - c * schedule.diffusion_g2(t) * s
 
-    return GuidedDrift(fn, model.dim)
+    return fn
 
 
 WEIGHTS = {
@@ -101,13 +146,20 @@ class TestPlannedRunsEqualPerTimeRuns:
         # these sigmas, so lambda must come from WeightSchedule.weight per step
         weights = WeightSchedule(POWER_OF_SIGMA, exponent=5.0)
         plan = VP.plan(VP.t_max, VP.t_min, 20000)
-        correction = _surrogate_correction(GuidanceSpec(np.zeros(1), weights), plan)
-        # kernel score 0 and s = -1 leave lambda * (0 - (-1)) = lambda exactly
-        lam = np.array([correction(np.zeros(1), k, -np.ones(1))[0] for k in range(20000)])
+        p, q, r = drift_rows(plan, 0.5, GuidanceSpec(np.zeros(1), weights))
+        cg2, sigma2 = 0.5 * plan.g2, plan.sigma * plan.sigma
+
+        def rows(lam):
+            w = cg2 * lam / sigma2
+            return plan.lad + w, cg2 * (1.0 - lam), w * plan.alpha
+
         scalar = np.array([weights.weight(s, t) for s, t in
                            zip(VP.alpha_sigma(plan.times[:-1])[1].tolist(),
                                plan.times[:-1].tolist())])
-        np.testing.assert_array_equal(lam, scalar)
+        for got, want in zip((p, q, r), rows(scalar)):
+            np.testing.assert_array_equal(got, want)
+        # the array power would move r: the check can tell the two apart
+        assert not np.array_equal(r, rows(np.clip(plan.sigma ** 5.0, 0.0, 1.0))[2])
 
     def test_log_normalisers_are_taken_row_by_row(self):
         # at K = 2, d = 16 the batched log(E) @ blocks.T sums in another order
@@ -218,3 +270,96 @@ class TestPlannedErrors:
                             lambda model, spec, sch: per_time_drift(model, sch, spec))
         reference = run_restore(ExperimentConfig.from_dict(doc))
         assert planned["per_trial"] == reference.per_trial
+
+
+def old_order_sde(model, h, schedule, cfg, n):
+    """Endpoints of sde_ensemble's trajectories stepped in the unfused order,
+    x - (f - g^2 (s + h)) dt + g sqrt(dt) z, with the same starts and noise."""
+    fn = old_order_law(model, schedule, 1.0, h=h)
+    times = np.linspace(cfg.start, cfg.end, cfg.steps + 1).tolist()
+    x, z = np.empty((n, model.dim)), np.empty((cfg.steps, n, model.dim))
+    for i in range(n):
+        rng = trial_rng(cfg.seed, i)
+        x[i] = rng.standard_normal(model.dim)
+        z[:, i] = rng.standard_normal((cfg.steps, model.dim))
+    for k in range(cfg.steps):
+        dt = times[k] - times[k + 1]
+        x = x - fn(x, times[k]) * dt
+        x = x + np.sqrt(schedule.diffusion_g2(times[k])) * np.sqrt(dt) * z[k]
+    return x
+
+
+class TestFusedStepFollowsTheLaw:
+    """A 1,000-step fused run matches the unfused law f - c g^2 (s + correction)."""
+
+    @pytest.mark.parametrize("prior", [small_field, tilted_two_mode], ids=["K=1", "K=2"])
+    @pytest.mark.parametrize("arm", [*WEIGHTS, "exact_h"])
+    def test_ode_arms(self, prior, arm):
+        gm = prior()
+        model = mixture_score_model(gm, VP)
+        rng = np.random.default_rng(17)
+        coarse, z = rng.normal(scale=1.5, size=(2, 5, gm.dim))
+        spec = h = None
+        if arm == "exact_h":
+            target = coarse[0]
+            h = lambda x, t: exact_h(x, target, gm, VP, t)
+            fused = h_guided_drift(model, h, VP)
+        elif WEIGHTS[arm] is None:
+            fused = unguided_drift(model, VP)
+        else:
+            weights, with_map = WEIGHTS[arm]
+            emap = np.linspace(1.0, 7.0, gm.dim) if with_map else None
+            spec = GuidanceSpec(coarse, weights, exponent_map=emap)
+            fused = guided_score_drift(model, spec, VP)
+        cfg = SamplerConfig(steps=1000)
+        got = sample_ode(fused, cfg, x_start=z).endpoint
+        want = sample_ode(GuidedDrift(old_order_law(model, VP, 0.5, spec, h), gm.dim), cfg,
+                          x_start=z).endpoint
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("with_h", [False, True], ids=["plain", "h"])
+    def test_sde_arms(self, with_h):
+        gm = tilted_two_mode()
+        model = mixture_score_model(gm, VP)
+        target = np.array([1.0, -0.5])
+        h = (lambda x, t: exact_h(x, target, gm, VP, t)) if with_h else None
+        cfg = SamplerConfig(steps=1000, start=1.0, end=0.25, seed=4)
+        got = np.stack([p.endpoint for p in sde_ensemble(model, h, VP, cfg, 6)])
+        np.testing.assert_allclose(got, old_order_sde(model, h, VP, cfg, 6),
+                                   rtol=1e-12, atol=0)
+
+
+class TestStepsWriteOnlyTheirOwnArrays:
+    """No step writes into the start, the reference, a score or a closure's return."""
+
+    @staticmethod
+    def frozen(arr):
+        arr = np.array(arr, dtype=float)
+        arr.flags.writeable = False  # a write into it raises
+        return arr
+
+    def test_score_model_with_one_cached_array(self):
+        cached = self.frozen([[0.3, -0.2]] * 4)
+        model = ScoreModel(lambda x, t: cached, VP, 2)
+        x_start, coarse = self.frozen(np.ones((4, 2))), self.frozen(np.full((4, 2), 2.0))
+        spec = GuidanceSpec(coarse, WeightSchedule(POWER_OF_SIGMA))
+        h = lambda x, t: cached
+        cfg = SamplerConfig(steps=25)
+        for drift in (unguided_drift(model, VP), guided_score_drift(model, spec, VP),
+                      h_guided_drift(model, h, VP)):
+            sample_ode(drift, cfg, x_start=x_start)
+        assert spec.coarse is coarse
+        sde_ensemble(model, h, VP, cfg, 4)
+        np.testing.assert_array_equal(cached, [[0.3, -0.2]] * 4)
+        np.testing.assert_array_equal(x_start, np.ones((4, 2)))
+        np.testing.assert_array_equal(coarse, np.full((4, 2), 2.0))
+
+    def test_hand_built_drift_returning_its_input(self):
+        x_start = self.frozen([1.0, -2.0])
+        got = sample_ode(GuidedDrift(lambda x, t: x, 2), SamplerConfig(steps=3, end=0.4),
+                         x_start=x_start)
+        np.testing.assert_array_equal(x_start, [1.0, -2.0])
+        want = x_start
+        for dt in (0.2, 0.2, 0.2):
+            want = want - want * dt
+        np.testing.assert_allclose(got.endpoint, want, rtol=1e-15)

@@ -230,12 +230,10 @@ def predrawn_sde(model, h, schedule, cfg, n):
     """
     plan = schedule.plan(cfg.start, cfg.end, cfg.steps)
     if h is None:
-        step = score_drift(plan, 1.0, model.planned_score(plan))
+        advance = score_drift(plan, 1.0, model.planned_score(plan))
     else:
-        step = score_drift(plan, 1.0, plan.per_time(model.score),
-                           plan.per_time(lambda x, t, s: h(x, t)))
+        advance = score_drift(plan, 1.0, plan.per_time(model.score), plan.per_time(h))
     scale = (np.sqrt(plan.g2) * np.sqrt(plan.dt)).tolist()
-    dts = (plan.times[:-1] - plan.times[1:]).tolist()
     rec = solvers._record_indices(cfg)
     paths = []
     for lo in range(0, n, solvers.SDE_CHUNK):
@@ -247,7 +245,7 @@ def predrawn_sde(model, h, schedule, cfg, n):
             noise[:, i, :] = rng.standard_normal((cfg.steps, model.dim))
         states = [x]
         for k in range(cfg.steps):
-            x = x - step(x, k) * dts[k]
+            x = advance(x, k)
             x = x + scale[k] * noise[k]
             states.append(x)
         recorded = np.stack(states)[rec]
