@@ -15,10 +15,15 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments, verify
-from .config import ExperimentConfig, build_density, build_schedule
+from .config import ExperimentConfig, build_density, build_sampler, build_schedule
 from .errors import ConfigError, DivergenceError, SingularityError, TrainingError
 from .scorenet import MlpNet, TrainConfig, save_weights, train
 from .oracle import gm_sample
+
+# the most Adam steps `htx train --steps` takes: at about 1.3 ms a step on the 2-d
+# toy that is some 20 minutes; the longest training in the package, the DSM check
+# of `htx verify`, takes 15,000
+MAX_TRAIN_STEPS = 1_000_000
 
 
 def _check_out(out, name: str) -> None:
@@ -92,10 +97,11 @@ def cmd_sample(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.steps < 1:
-        raise ConfigError(f"train --steps must be >= 1, got {args.steps}")
+    if not 1 <= args.steps <= MAX_TRAIN_STEPS:
+        raise ConfigError(f"train --steps must lie in [1, {MAX_TRAIN_STEPS}], got {args.steps}")
     cfg = _load_config(args)
     schedule = build_schedule(cfg)
+    build_sampler(cfg, schedule)  # train runs no sampler, but rejects what the others reject
     gm = build_density(cfg)
     seed = cfg.experiment["seed"]
     rng = np.random.default_rng(seed)

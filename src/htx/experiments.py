@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -43,7 +43,8 @@ class MetricSet:
     loglik_p0: float
 
     def as_row(self) -> dict:
-        return asdict(self)
+        return {"mse_to_y": self.mse_to_y, "mse_to_coarse": self.mse_to_coarse,
+                "loglik_p0": self.loglik_p0}
 
 
 class Trials(NamedTuple):
@@ -195,12 +196,10 @@ def posterior_mse(gm: oracle.GaussianMixture, op: oracle.DegradationOperator,
 
 def _metrics(gm: oracle.GaussianMixture, trials: Trials,
              endpoints: np.ndarray) -> list[MetricSet]:
-    loglik = oracle.gm_logpdf(gm, endpoints)
-    return [MetricSet(
-        mse_to_y=float(np.mean((x - y) ** 2)),
-        mse_to_coarse=float(np.mean((x - coarse) ** 2)),
-        loglik_p0=float(ll),
-    ) for x, y, coarse, ll in zip(endpoints, trials.fine, trials.coarse, loglik)]
+    """Each trial's metrics; a mean over axis 1 sums each row as np.mean of the row does."""
+    rows = (np.mean((endpoints - trials.fine) ** 2, axis=1),
+            np.mean((endpoints - trials.coarse) ** 2, axis=1), oracle.gm_logpdf(gm, endpoints))
+    return [MetricSet(*row) for row in zip(*(r.tolist() for r in rows))]
 
 
 def restore_trials(gm: oracle.GaussianMixture, schedule: NoiseSchedule,

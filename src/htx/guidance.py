@@ -27,6 +27,12 @@ Only the source of the score s differs between drifts: a score-form drift
 reads it from the model's plan rows, the drift on a correction closure
 h(x, t) from model.score(x, t) (so that an exact h can reuse it), with
 s <- s + h and lambda = 0.
+
+The exact score of a one-component prior is affine and diagonal in the
+prior's eigenbasis, so with scalar lambda and no h any run of steps composes
+in closed form there (`_eigen_jump`), to rounding, not bit for bit.  A jump
+declines, and the solver walks, wherever a bound from the rows cannot rule
+out that the walk overflows, so a divergence is still named at its step.
 """
 
 from __future__ import annotations
@@ -179,12 +185,15 @@ def score_drift(plan: TimePlan, c: float, score: Callable, h: Callable | None = 
     the reverse SDE.  score(x, k) gives s at plan.times[k], and h(x, k), when
     given, the correction that is added to it (lambda = 0); spec, when given,
     the guidance toward spec.coarse.  The step returns a new array and writes
-    only into arrays it allocated.
+    only into arrays it allocated.  When the score is affine with eigen-rows
+    (`oracle.planned_score`), there is no h and lambda is scalar,
+    advance.jump(x, k0, k1) offers steps k0 to k1 in one pass (`_eigen_jump`).
     """
     p, q, r = drift_rows(plan, c, spec)
     dt = plan.dt[(slice(None),) + (None,) * (p.ndim - 1)]
-    a, b = _per_step(1.0 - dt * p), _per_step(dt * q)
-    coarse, cy = (None, None) if r is None else (spec.coarse, _per_step(dt * r))
+    rows = (1.0 - dt * p, dt * q, None if r is None else dt * r)
+    a, b, cy = (None if row is None else _per_step(row) for row in rows)
+    coarse = None if r is None else spec.coarse
 
     def advance(x, k):
         s = score(x, k)
@@ -199,7 +208,70 @@ def score_drift(plan: TimePlan, c: float, score: Callable, h: Callable | None = 
             out += np.multiply(coarse, cy[k], out=term)
         return out
 
+    eigen_rows = getattr(score, "eigen_rows", None)
+    if eigen_rows is not None and h is None and p.ndim == 1:
+        advance.jump = _eigen_jump(*eigen_rows, *rows, coarse)
     return advance
+
+
+# a jump's bound keeps every state and score the walk would form this far below the
+# float maximum (about 1.8e308), so no jump skips a step where the walk would raise
+# DivergenceError
+_JUMP_LIMIT = 1e300
+
+
+def _eigen_jump(basis, basis_means, evals, a, b, cy, coarse):
+    """jump(x, k0, k1): steps k0 to k1 of x <- a x + b s + c_y y~ in one pass, for a
+    score diagonal in the basis V, s V = (m_k - x V) / e_k; None where it declines.
+
+    In u = x V the step is u <- A_k u + B_k + c_k u~, with A = a - b / e,
+    B = b m / e and u~ = y~ V, so the stretch is u <- P u + H + G u~ with
+    R_k = prod_{i > k} A_i, P = prod A_k, H = sum R_k B_k and G = sum R_k c_k.
+    It is applied as the change x + ((P - 1) u + H + G u~) V^T, so that V's
+    rounding is not compounded from one stretch to the next.  Every |u| the
+    walk forms is at most the largest window product of |A| times
+    (max |u| + sum |B| + sum |c| max |u~|), and its score at most that plus
+    max |m|, over min e; the jump declines unless both stay below _JUMP_LIMIT
+    with room for the walk's d-term sums and coefficients, or if its result is
+    not finite.  It writes into neither x nor y~.
+    """
+    dim = basis.shape[0]
+    with np.errstate(all="ignore"):
+        a, b = a[:, None], b[:, None]
+        step_a, step_b = a - b / evals, b * basis_means / evals
+        log_a = np.log(np.maximum(np.abs(step_a), np.finfo(float).tiny))
+        scale = max(1.0, np.abs(a).max(), np.abs(b).max(), 0.0 if cy is None else np.abs(cy).max())
+    limit = _JUMP_LIMIT / (dim * dim * scale)
+
+    def colmax(v):
+        return np.abs(v).reshape(-1, dim).max(axis=0)
+
+    def jump(x, k0, k1):
+        with np.errstate(all="ignore"):
+            u = x @ basis
+            u_ref = None if coarse is None else coarse @ basis
+            logs = np.zeros((k1 - k0 + 1, dim))
+            np.cumsum(log_a[k0:k1], axis=0, out=logs[1:])
+            growth = np.exp((logs - np.minimum.accumulate(logs, axis=0)).max(axis=0))
+            reach = colmax(u) + np.abs(step_b[k0:k1]).sum(axis=0)
+            if coarse is not None:
+                reach += np.abs(cy[k0:k1]).sum() * colmax(u_ref)
+            bound = growth * reach
+            s_bound = (bound + np.abs(basis_means[k0:k1]).max(axis=0)) / evals[k0:k1].min(axis=0)
+            if not (np.all(bound < limit) and np.all(s_bound < limit)):
+                return None
+            suffix = np.cumprod(step_a[k0:k1][::-1], axis=0)[::-1]
+            after = np.ones_like(suffix)
+            after[:-1] = suffix[1:]
+            u *= suffix[0] - 1.0
+            u += np.einsum("kd,kd->d", after, step_b[k0:k1])
+            if coarse is not None:
+                u += (cy[k0:k1] @ after) * u_ref
+            out = u @ basis.T
+            out += x
+        return out if np.isfinite(out).all() else None
+
+    return jump
 
 
 def unguided_drift(model: ScoreModel, schedule: NoiseSchedule) -> GuidedDrift:

@@ -25,8 +25,10 @@ score is linear in x and stays finite.
 The score has one kernel, `_score`, over a diffused mixture's eigen-rows
 (alpha V^T mu, alpha^2 Lambda + sigma^2, log-normalisers): `gm_score` passes a
 mixture's own, `planned_score` those of each step of a `TimePlan`, formed before
-the first step.  `gm_pushforward`'s memo and the score slot thus serve only
-float-time callers: `exact_h` and the drifts built on it.
+the first step; for K = 1, where the score is affine and diagonal in the basis,
+it also hands them to the solver's jump (`guidance.score_drift`).
+`gm_pushforward`'s memo and the score slot thus serve only float-time
+callers: `exact_h` and the drifts built on it.
 
 `gm_score` keeps its last result in a one-entry slot, so a drift that scores
 the same state twice in one evaluation (the model score s, then the exact
@@ -293,16 +295,22 @@ def plan_rows(gm: GaussianMixture, plan: TimePlan):
 
 
 def planned_score(gm: GaussianMixture, plan: TimePlan):
-    """score(x, k): the score of gm diffused to plan.times[k], read from plan_rows."""
+    """score(x, k): the score of gm diffused to plan.times[k], read from plan_rows.
+
+    For K = 1 the score is affine in x and diagonal in the eigenbasis V,
+    s V = (alpha V^T mu - x V) / e_k, and score.eigen_rows holds (V, the
+    (steps, d) rows alpha V^T mu, the (steps, d) rows e_k) for a solver to use.
+    """
     basis_means, evals, log_norms = plan_rows(gm, plan)
-    basis_means, evals = list(basis_means), list(evals)
-    log_norms = [None] * len(evals) if log_norms is None else list(log_norms)
+    rows = list(zip(basis_means, evals, [None] * len(evals) if log_norms is None else log_norms))
 
     def score(x, k):
         xs, single = _as_batch(x, gm.dim)
-        out = _score(gm, xs, basis_means[k], evals[k], log_norms[k])
+        out = _score(gm, xs, *rows[k])
         return out[0] if single else out
 
+    if gm.n_components == 1:
+        score.eigen_rows = (gm._basis, basis_means, evals)
     return score
 
 

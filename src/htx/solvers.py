@@ -11,7 +11,9 @@ state: a score-form drift runs it as the three-term update
 x <- a x + b s + c_y y~, whose coefficient rows it formed from the schedule's
 `TimePlan` before the first step (`guidance.score_drift`), and the reverse SDE
 takes its noise scales from the same plan and adds each step's noise in place
-to the new state.  No step writes into the start it was given.
+to the new state.  No step writes into the start it was given.  A
+deterministic run whose drift offers advance.jump (`guidance.score_drift`)
+crosses the steps between two records in one closed-form jump instead.
 `sample_ode` runs from a start the caller gives.  The ensembles integrate
 many trajectories as one batched state and draw trajectory i's start and,
 for the SDE, its noise from its private stream trial_rng(seed, i), so their
@@ -95,26 +97,30 @@ def _integrate(advance, plan: TimePlan, cfg: SamplerConfig, x0: np.ndarray, nois
     """Shared Euler loop over the plan's grid: x <- advance(x, k), a new array, plus,
     for the SDE, next(noise), step k's increment shaped like x0, (d,) or (n, d).
 
-    A non-finite state raises DivergenceError naming the step, its grid time
-    and the first row of x that is not finite.
+    Without noise, each stretch between two records is one advance.jump(x, k0, k1)
+    where the drift offers it and the jump does not decline (returns None).  A
+    non-finite state raises DivergenceError naming the step, its grid time and
+    the first row of x that is not finite.
     """
     rec_idx = _record_indices(cfg)
     rec_states = np.empty((len(rec_idx),) + x0.shape)
-    rec_pos = {int(k): i for i, k in enumerate(rec_idx)}
-
     x = np.asarray(x0, dtype=float)
-    if 0 in rec_pos:
-        rec_states[rec_pos[0]] = x
+    rec_states[0] = x
+    jump = getattr(advance, "jump", None) if noise is None else None
     grid = plan.row("times")
-    for k in range(cfg.steps):
-        x = advance(x, k)
-        if noise is not None:
-            x += next(noise)
-        if not np.isfinite(x).all():
-            bad = np.flatnonzero(~np.isfinite(np.atleast_2d(x)).all(axis=1))
-            raise DivergenceError(k, t=grid[k], trajectory=int(bad[0]))
-        if (k + 1) in rec_pos:
-            rec_states[rec_pos[k + 1]] = x
+    for i, (k0, k1) in enumerate(zip(rec_idx[:-1].tolist(), rec_idx[1:].tolist()), 1):
+        moved = None if jump is None else jump(x, k0, k1)
+        if moved is not None:
+            x = moved
+        else:
+            for k in range(k0, k1):
+                x = advance(x, k)
+                if noise is not None:
+                    x += next(noise)
+                if not np.isfinite(x).all():
+                    bad = np.flatnonzero(~np.isfinite(np.atleast_2d(x)).all(axis=1))
+                    raise DivergenceError(k, t=grid[k], trajectory=int(bad[0]))
+        rec_states[i] = x
     return plan.times[rec_idx], rec_states, x
 
 

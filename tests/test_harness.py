@@ -17,7 +17,7 @@ from htx.config import (ExperimentConfig, build_density, build_operator,
                         build_sampler, build_schedule, build_weights,
                         rbf_field_prior)
 from htx.errors import ConfigError
-from htx import experiments, verify
+from htx import cli, experiments, verify
 from htx.experiments import (RunRecord, draw_trials, emit_report, restore_trials,
                              run_ablate_exponent, run_ablate_weight_family,
                              run_baseline_sdedit, run_restore)
@@ -117,10 +117,9 @@ class TestRestoreRecord:
         assert by_series["guided"]["mse_to_y_mean"] < by_series["unguided"]["mse_to_y_mean"]
 
     def test_field_restore_frozen_values(self):
-        # the 16-cell blurred field runs the one-component score path and the
-        # fused guided step; these means were frozen from that step, and the
-        # one-component path gives the responsibility-weighted path's bits, so
-        # any bit either moves shows here
+        # the 16-cell blurred field runs both arms as one jump in the prior's
+        # eigenbasis; these means were frozen from that jump, so any bit it
+        # moves shows here
         record = run_restore(ExperimentConfig.from_dict({
             "experiment": {"kind": "restore", "trials": 8},
             "density": {"kind": "gaussian_field", "cells": 16, "length_scale": 3.0},
@@ -128,7 +127,7 @@ class TestRestoreRecord:
             "sampler": {"steps": 200},
         }))
         by_series = {row["series"]: row["mse_to_y_mean"] for row in record.aggregates}
-        assert by_series == {"guided": 0.6930380459138339, "unguided": 2.4434099631263875}
+        assert by_series == {"guided": 0.6930380459138334, "unguided": 2.4434099631263897}
 
     def test_posterior_reference_column_present(self):
         record = run_restore(small_restore_config())
@@ -474,7 +473,7 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "experiment.out" in err[0]
 
-    @pytest.mark.parametrize("command", ["restore", "sample"])
+    @pytest.mark.parametrize("command", ["restore", "sample", "train"])
     @pytest.mark.parametrize("doc, field", [
         ({"sampler": {"steps": 10**12}}, "sampler.steps"),
         ({"sampler": {"steps": 100_001}}, "sampler.steps"),
@@ -495,6 +494,15 @@ class TestCli:
     def test_train_zero_steps_exit_two(self, tmp_path, capsys):
         assert main(["train", "--steps", "0", "--out", str(tmp_path / "w")]) == 2
         assert "--steps" in capsys.readouterr().err
+        assert not (tmp_path / "w").exists()
+
+    def test_train_steps_above_the_bound_exit_two(self, tmp_path, monkeypatch, capsys):
+        # the flag is checked before the config is read or any data is drawn
+        monkeypatch.setattr(cli, "gm_sample", lambda *a: pytest.fail("train drew data"))
+        for value in (str(cli.MAX_TRAIN_STEPS + 1), "100000000000"):
+            assert main(["train", "--steps", value, "--out", str(tmp_path / "w")]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and "--steps" in err[0]
         assert not (tmp_path / "w").exists()
 
     def test_sample_one_trial_writes_strict_json(self, tmp_path):

@@ -4,12 +4,16 @@ The reference below is the fused drift law p x - q s - r y~ and its Euler step
 x <- a x + b s + c_y y~ written out in the sampler's order of operations, from
 the coefficients asked of one float time at a time: the model score through
 `gm_pushforward` and `gm_score`, the schedule's coefficients and the weight.
-A second reference, the law in the order f - c g^2 (s + correction) that the
-sampler used before the step was fused, must agree to 1e-12.
+A run of a one-component prior with scalar lambda jumps from one recorded step
+to the next; its reference takes each step in the order of a one-step jump, in
+the prior's eigenbasis.  A second reference, the law in the order
+f - c g^2 (s + correction) that the sampler used before the step was fused,
+must agree to 1e-12, and a jump must agree with the step-by-step walk to 1e-13
+of the largest entry.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -73,12 +77,43 @@ class PerTimeDrift(GuidedDrift):
         return TimePlan(None, times, times[:-1] - times[1:]), advance
 
 
-def per_time_drift(model, schedule, spec=None) -> GuidedDrift:
+@dataclass(frozen=True)
+class PerTimeJumpDrift(PerTimeDrift):
+    """The law of a one-component prior with scalar lambda, stepped in the order in
+    which sample_ode jumps a one-step stretch: x <- x + ((A - 1) u + B + c_y u~) V^T
+    with u = x V, u~ = y~ V, A = a - b / e, B = b m / e, and (m, e) the eigen-rows
+    of the mixture pushed to t."""
+
+    gm: GaussianMixture
+
+    def stepper(self, start, end, steps):
+        times = np.linspace(start, end, steps + 1)
+        basis = self.gm._basis
+
+        def advance(x, k):
+            t, dt = float(times[k]), float(times[k] - times[k + 1])
+            p, q, r = law_at(self.schedule, t, 0.5, self.spec)
+            a, b = 1.0 - dt * p, dt * q
+            pushed = oracle.gm_pushforward(self.gm, self.schedule, t)
+            evals, means = pushed._evals, pushed._basis_means
+            u = (x @ basis) * ((a - b / evals) - 1.0) + b * means / evals
+            if r is not None:
+                u = u + (dt * r) * (self.spec.coarse @ basis)
+            return u @ basis.T + x
+
+        return TimePlan(None, times, times[:-1] - times[1:]), advance
+
+
+def per_time_drift(model, schedule, spec=None, gm=None) -> GuidedDrift:
+    """The per-time reference; given the one-component prior gm of a scalar-lambda
+    drift, it steps in the order of a jump (PerTimeJumpDrift)."""
     def fn(x, t):
         p, q, r = law_at(schedule, t, 0.5, spec)
         drift = p * x - q * model.score(x, t)
         return drift if r is None else drift - r * spec.coarse
 
+    if gm is not None and gm.n_components == 1 and (spec is None or spec.exponent_map is None):
+        return PerTimeJumpDrift(fn, model.dim, model, schedule, spec, gm)
     return PerTimeDrift(fn, model.dim, model, schedule, spec)
 
 
@@ -107,6 +142,26 @@ WEIGHTS = {
 }
 
 
+def planned_arm(gm, schedule, arm, n, steps, record_every=1):
+    """(model, drift, spec, start, cfg) of one arm over the schedule's whole range:
+    a WEIGHTS entry, or sdedit, which starts unguided from the noised reference at 0.6."""
+    model = mixture_score_model(gm, schedule)
+    rng = np.random.default_rng(3)
+    shape = gm.dim if n is None else (n, gm.dim)
+    coarse, z = rng.normal(scale=1.5, size=shape), rng.standard_normal(shape)
+    cfg = SamplerConfig(steps=steps, start=schedule.t_max, end=schedule.t_min,
+                        record_every=record_every)
+    if arm == "sdedit":
+        start, t0 = sdedit_start(coarse, 0.6, schedule, z)
+        return model, unguided_drift(model, schedule), None, start, replace(cfg, start=t0)
+    if WEIGHTS[arm] is None:
+        return model, unguided_drift(model, schedule), None, z, cfg
+    weights, with_map = WEIGHTS[arm]
+    emap = np.linspace(1.0, 7.0, gm.dim) if with_map else None
+    spec = GuidanceSpec(coarse, weights, exponent_map=emap)
+    return model, guided_score_drift(model, spec, schedule), spec, z, cfg
+
+
 class TestPlannedRunsEqualPerTimeRuns:
     @pytest.mark.parametrize("prior", [small_field, tilted_two_mode], ids=["K=1", "K=2"])
     @pytest.mark.parametrize("schedule", [VP, OTFM], ids=["vp", "otfm"])
@@ -114,25 +169,8 @@ class TestPlannedRunsEqualPerTimeRuns:
     @pytest.mark.parametrize("n", [None, 5], ids=["single", "batch"])
     def test_every_recorded_state(self, prior, schedule, arm, n):
         gm = prior()
-        model = mixture_score_model(gm, schedule)
-        rng = np.random.default_rng(3)
-        shape = gm.dim if n is None else (n, gm.dim)
-        coarse, z = rng.normal(scale=1.5, size=shape), rng.standard_normal(shape)
-        cfg = SamplerConfig(steps=40, start=schedule.t_max, end=schedule.t_min,
-                            record_every=1)
-        spec = None
-        if arm == "sdedit":
-            start, t0 = sdedit_start(coarse, 0.6, schedule, z)
-            cfg = SamplerConfig(steps=40, start=t0, end=schedule.t_min, record_every=1)
-            planned = unguided_drift(model, schedule)
-        elif WEIGHTS[arm] is None:
-            start, planned = z, unguided_drift(model, schedule)
-        else:
-            weights, with_map = WEIGHTS[arm]
-            emap = np.linspace(1.0, 7.0, gm.dim) if with_map else None
-            spec = GuidanceSpec(coarse, weights, exponent_map=emap)
-            start, planned = z, guided_score_drift(model, spec, schedule)
-        reference = per_time_drift(model, schedule, spec)
+        model, planned, spec, start, cfg = planned_arm(gm, schedule, arm, n, 40)
+        reference = per_time_drift(model, schedule, spec, gm)
         got = sample_ode(planned, cfg, x_start=start)
         want = sample_ode(reference, cfg, x_start=start)
         np.testing.assert_array_equal(got.times, want.times)
@@ -272,6 +310,108 @@ class TestPlannedErrors:
         assert planned["per_trial"] == reference.per_trial
 
 
+@dataclass(frozen=True)
+class StepByStep(GuidedDrift):
+    """A planned drift walked one step at a time: its advance without the jump."""
+
+    planned: GuidedDrift
+
+    def stepper(self, start, end, steps):
+        plan, advance = self.planned.stepper(start, end, steps)
+        return plan, lambda x, k: advance(x, k)
+
+
+def walked(drift) -> GuidedDrift:
+    return StepByStep(drift.fn, drift.dim, drift)
+
+
+class TestEigenJump:
+    """A one-component prior with scalar lambda crosses each stretch between records
+    in one jump; K = 2, an exponent map and the SDE walk every step."""
+
+    @pytest.mark.parametrize("schedule", [VP, OTFM], ids=["vp", "otfm"])
+    @pytest.mark.parametrize("arm", ["unguided", "sigma", "time", "constant", "sdedit"])
+    @pytest.mark.parametrize("n", [None, 5], ids=["single", "batch"])
+    @pytest.mark.parametrize("record_every", [0, 7])
+    def test_jump_agrees_with_the_walk(self, schedule, arm, n, record_every):
+        gm = rbf_field_prior(16, 3.0)
+        _, drift, _, start, cfg = planned_arm(gm, schedule, arm, n, 1000, record_every)
+        got = sample_ode(drift, cfg, x_start=start)
+        want = sample_ode(walked(drift), cfg, x_start=start)
+        np.testing.assert_array_equal(got.times, want.times)
+        np.testing.assert_allclose(got.states, want.states, rtol=0,
+                                   atol=1e-13 * np.abs(want.states).max())
+
+    @pytest.mark.parametrize("prior", [small_field, tilted_two_mode], ids=["K=1", "K=2"])
+    @pytest.mark.parametrize("arm", [*WEIGHTS, "sdedit"])
+    def test_score_calls(self, prior, arm, monkeypatch):
+        calls = []
+        score = oracle._score
+        monkeypatch.setattr(oracle, "_score", lambda *a: calls.append(1) or score(*a))
+        gm = prior()
+        _, drift, spec, start, cfg = planned_arm(gm, VP, arm, 5, 50)
+        sample_ode(drift, cfg, x_start=start)
+        jumps = gm.n_components == 1 and (spec is None or spec.exponent_map is None)
+        assert len(calls) == (0 if jumps else cfg.steps)
+
+    def test_sde_walks_every_step(self, monkeypatch):
+        calls = []
+        score = oracle._score
+        monkeypatch.setattr(oracle, "_score", lambda *a: calls.append(1) or score(*a))
+        sde_ensemble(mixture_score_model(small_field(), VP), None, VP, SamplerConfig(steps=50), 5)
+        assert len(calls) == 50
+
+    def test_divergence_is_the_walks(self):
+        # y~ = 1.7e308 on row 2: the bound declines every jump, and the walk
+        # raises where the per-time law does
+        gm = rbf_field_prior(8, 2.0)
+        model = mixture_score_model(gm, VP)
+        coarse = np.zeros((4, 8))
+        coarse[2] = 1.7e308
+        spec = GuidanceSpec(coarse, WeightSchedule(POWER_OF_SIGMA, exponent=5.0))
+        errors = []
+        for drift in (guided_score_drift(model, spec, VP), per_time_drift(model, VP, spec)):
+            with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+                sample_ode(drift, SamplerConfig(steps=20), x_start=np.zeros((4, 8)))
+            errors.append((err.value.step, err.value.t, err.value.trajectory))
+        assert errors[0] == errors[1]
+        assert errors[0] == (13, pytest.approx(0.35065, rel=1e-12), 2)
+
+    def test_overflow_inside_a_stretch_is_the_walks(self):
+        # a rough start of 1e307 overflows the walk at step 969, though the end
+        # of the stretch would be finite: only the bound can decline this jump
+        gm = small_field()
+        model = mixture_score_model(gm, VP)
+        start = np.zeros((3, gm.dim))
+        start[1] = 1e307 * (-1.0) ** np.arange(gm.dim)
+        errors = []
+        for drift in (unguided_drift(model, VP), per_time_drift(model, VP)):
+            with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+                sample_ode(drift, SamplerConfig(steps=1000), x_start=start)
+            errors.append((err.value.step, err.value.t, err.value.trajectory))
+        assert errors[0] == errors[1]
+        assert errors[0][0] == 969 and errors[0][2] == 1
+
+    @pytest.mark.parametrize("guided", [False, True], ids=["unguided", "guided"])
+    def test_declined_jump_walks_bitwise(self, guided):
+        # a start or reference of 1e299 fails the bound, though the walk stays finite
+        gm = small_field()
+        model = mixture_score_model(gm, VP)
+        big = np.array([[1.0], [-1.0], [0.5]]) * np.full((3, gm.dim), 1e299)
+        if guided:
+            spec = GuidanceSpec(big, WeightSchedule(POWER_OF_SIGMA))
+            drift, start = guided_score_drift(model, spec, VP), np.ones((3, gm.dim))
+        else:
+            drift, start = unguided_drift(model, VP), big
+        cfg = SamplerConfig(steps=1000)
+        _, advance = drift.stepper(cfg.start, cfg.end, cfg.steps)
+        assert advance.jump(start, 0, cfg.steps) is None
+        got = sample_ode(drift, cfg, x_start=start)
+        want = sample_ode(walked(drift), cfg, x_start=start)
+        assert np.isfinite(want.states).all()
+        np.testing.assert_array_equal(got.states, want.states)
+
+
 def old_order_sde(model, h, schedule, cfg, n):
     """Endpoints of sde_ensemble's trajectories stepped in the unfused order,
     x - (f - g^2 (s + h)) dt + g sqrt(dt) z, with the same starts and noise."""
@@ -353,6 +493,16 @@ class TestStepsWriteOnlyTheirOwnArrays:
         np.testing.assert_array_equal(cached, [[0.3, -0.2]] * 4)
         np.testing.assert_array_equal(x_start, np.ones((4, 2)))
         np.testing.assert_array_equal(coarse, np.full((4, 2), 2.0))
+
+    def test_jumped_runs(self):
+        model = mixture_score_model(small_field(), VP)
+        x_start, coarse = self.frozen(np.ones((4, 6))), self.frozen(np.full((4, 6), 2.0))
+        spec = GuidanceSpec(coarse, WeightSchedule(POWER_OF_SIGMA))
+        for drift in (unguided_drift(model, VP), guided_score_drift(model, spec, VP)):
+            sample_ode(drift, SamplerConfig(steps=25, record_every=10), x_start=x_start)
+        assert spec.coarse is coarse
+        np.testing.assert_array_equal(x_start, np.ones((4, 6)))
+        np.testing.assert_array_equal(coarse, np.full((4, 6), 2.0))
 
     def test_hand_built_drift_returning_its_input(self):
         x_start = self.frozen([1.0, -2.0])
