@@ -166,19 +166,35 @@ def aggregate_rows(per_trial: list[dict], series: str, x: float) -> dict:
 
 def draw_trials(gm: oracle.GaussianMixture, op: oracle.DegradationOperator,
                 n: int, seed: int) -> Trials:
-    """Trial i draws y, its degradation, then z from its private stream (seed, i)."""
-    d = gm.dim
-    trials = Trials(np.empty((n, d)), np.empty((n, d)),
-                    np.empty((n, op.measurement_dim)), np.empty((n, d)))
+    """Trial i draws y, its degradation, then z from its private stream (seed, i).
+
+    The stream holds, in order: one uniform that picks y's component, d
+    normals for y, m normals for the measurement noise (only when
+    noise_std > 0), then d normals for z.  That is bitwise what
+    `gm_sample(gm, 1, rng)`, `degrade(op, y, rng)` and `rng.standard_normal(d)`
+    draw in turn, so each stream is read in two calls and everything after
+    runs over all trials at once.  The products with the operator's matrix
+    and lift are taken row by row, as `degrade` takes them: one matmul over
+    the batch sums in another order.
+    """
+    d, m = gm.dim, op.measurement_dim
+    uniforms = np.empty(n)
+    normals = np.empty((n, 2 * d + (m if op.noise_std > 0 else 0)))
     for i in range(n):
         rng = trial_rng(seed, i)
-        y = oracle.gm_sample(gm, 1, rng)[0]
-        pair = oracle.degrade(op, y, rng)
-        trials.fine[i] = y
-        trials.coarse[i] = pair.coarse
-        trials.measurement[i] = pair.measurement
-        trials.z[i] = rng.standard_normal(d)
-    return trials
+        uniforms[i] = rng.random()
+        rng.standard_normal(out=normals[i])
+    fine = oracle.gm_place(gm, uniforms, normals[:, :d])
+    measurement = _rowwise(fine, op.matrix)
+    if op.noise_std > 0:
+        measurement += op.noise_std * normals[:, d:d + m]
+    return Trials(fine, _rowwise(measurement, op.lift_matrix), measurement,
+                  np.ascontiguousarray(normals[:, -d:]))
+
+
+def _rowwise(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Each row times matrix.T as its own product, bitwise `row @ matrix.T`."""
+    return np.matmul(rows[:, None, :], matrix.T)[:, 0]
 
 
 def posterior_mse(gm: oracle.GaussianMixture, op: oracle.DegradationOperator,

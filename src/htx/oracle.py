@@ -24,9 +24,11 @@ score is linear in x and stays finite.
 
 The score has one kernel, `_score`, over a diffused mixture's eigen-rows
 (alpha V^T mu, alpha^2 Lambda + sigma^2, log-normalisers): `gm_score` passes a
-mixture's own, `planned_score` those of each step of a `TimePlan`, formed before
-the first step; for K = 1, where the score is affine and diagonal in the basis,
-it also hands them to the solver's jump (`guidance.score_drift`).
+mixture's own, `planned_score` those of each step of a `TimePlan`, formed as
+arrays when the score is built and split into per-step rows on its first call;
+for K = 1, where the score is affine and diagonal in the basis, it also hands
+the arrays to the solver's jump (`guidance.score_drift`), so an arm that jumps
+every step never splits them.
 `gm_pushforward`'s memo and the score slot thus serve only float-time
 callers: `exact_h` and the drifts built on it.
 
@@ -198,6 +200,26 @@ def gm_sample(gm: GaussianMixture, n: int, rng: np.random.Generator) -> np.ndarr
     return gm.means[idx] + np.einsum("nij,nj->ni", gm._chols[idx], z)
 
 
+def gm_place(gm: GaussianMixture, uniforms, normals) -> np.ndarray:
+    """The points mu_k + L_k z that uniforms (n,) and normals z (n, d) pick and place.
+
+    Row i is bitwise what `gm_sample(gm, 1, rng)` draws from a stream whose next
+    values are uniforms[i] and then normals[i]: `Generator.choice(p=w)` draws
+    one `random()` and takes the component `searchsorted(cumsum(w) / sum(w),
+    side="right")`.  Each component's factor is broadcast to its rows, not
+    gathered, so no (n, d, d) array is formed.
+    """
+    cdf = gm.weights.cumsum()
+    cdf /= cdf[-1]
+    idx = cdf.searchsorted(uniforms, side="right")
+    points = np.empty(normals.shape)
+    for k in range(gm.n_components):
+        rows = idx == k
+        chol = np.broadcast_to(gm._chols[k], (np.count_nonzero(rows), gm.dim, gm.dim))
+        points[rows] = gm.means[k] + np.einsum("nij,nj->ni", chol, normals[rows])
+    return points
+
+
 def gm_pushforward(gm: GaussianMixture, schedule: NoiseSchedule, t) -> GaussianMixture:
     """Mixture of x_t = alpha x_0 + sigma eps: means alpha mu_k, covs alpha^2 Sigma_k + sigma^2 I.
 
@@ -300,11 +322,16 @@ def planned_score(gm: GaussianMixture, plan: TimePlan):
     For K = 1 the score is affine in x and diagonal in the eigenbasis V,
     s V = (alpha V^T mu - x V) / e_k, and score.eigen_rows holds (V, the
     (steps, d) rows alpha V^T mu, the (steps, d) rows e_k) for a solver to use.
+    The per-step row tuples are formed on the first call, so a solver that
+    jumps over every step never builds them.
     """
     basis_means, evals, log_norms = plan_rows(gm, plan)
-    rows = list(zip(basis_means, evals, [None] * len(evals) if log_norms is None else log_norms))
+    rows = []
 
     def score(x, k):
+        if not rows:
+            rows.extend(zip(basis_means, evals,
+                            [None] * len(evals) if log_norms is None else log_norms))
         xs, single = _as_batch(x, gm.dim)
         out = _score(gm, xs, *rows[k])
         return out[0] if single else out

@@ -17,12 +17,13 @@ from htx.config import (ExperimentConfig, build_density, build_operator,
                         build_sampler, build_schedule, build_weights,
                         rbf_field_prior)
 from htx.errors import ConfigError
-from htx import cli, experiments, verify
+from htx import cli, experiments, oracle, verify
 from htx.experiments import (RunRecord, draw_trials, emit_report, restore_trials,
                              run_ablate_exponent, run_ablate_weight_family,
                              run_baseline_sdedit, run_restore)
 from htx.report import read_csv, svg_line_chart, write_csv
 from htx.schedules import CONSTANT, WeightSchedule
+from htx.solvers import trial_rng
 from htx.verify import check_identity_gap, run_verify
 
 
@@ -152,6 +153,52 @@ class TestRestoreRecord:
         loaded = RunRecord.from_json(out / "record.json")
         again = run_restore(ExperimentConfig.from_dict(loaded.config))
         assert again.aggregates == record.aggregates
+
+
+FIELD = {"kind": "gaussian_field", "cells": 16, "length_scale": 3.0}
+DRAW_CONFIGS = {
+    "default": {},
+    "field-blur": {"density": FIELD,
+                   "operator": {"kind": "blur", "kernel_std": 2.0, "noise_std": 0.25}},
+    "field-downsample": {"density": FIELD,
+                         "operator": {"kind": "downsample", "factor": 2, "noise_std": 0.25}},
+    "field-mask-noiseless": {"density": FIELD,
+                             "operator": {"kind": "mask", "indices": [0, 5, 6],
+                                          "noise_std": 0.0}},
+    "identity-noiseless": {"operator": {"kind": "identity", "noise_std": 0.0}},
+    "three-components": {"density": {"weights": [0.1, 0.2, 0.7],
+                                     "means": [[-3.0, 0.0], [3.0, 0.0], [0.0, 2.0]]}},
+}
+
+
+class TestDrawTrials:
+    """draw_trials reads each trial's stream in one pass; its draws are pinned to
+    the per-trial calls whose stream layout it reproduces.  The one-pass path
+    relies on `Generator.choice(p=...)` drawing one `random()` per pick and
+    taking the component by `searchsorted(side="right")` on the normalised
+    cumulative weights, as numpy 2.4.6 does."""
+
+    @staticmethod
+    def per_trial_reference(gm, op, n, seed):
+        rows = []
+        for i in range(n):
+            rng = trial_rng(seed, i)
+            y = oracle.gm_sample(gm, 1, rng)[0]
+            pair = oracle.degrade(op, y, rng)
+            rows.append((y, pair.coarse, pair.measurement, rng.standard_normal(gm.dim)))
+        return [np.array(column) for column in zip(*rows)]
+
+    @pytest.mark.parametrize("name", DRAW_CONFIGS)
+    @pytest.mark.parametrize("n, seed", [(200, 0), (37, 7919)])
+    def test_bitwise_equal_to_per_trial_draws(self, name, n, seed):
+        cfg = ExperimentConfig.from_dict(DRAW_CONFIGS[name])
+        gm = build_density(cfg)
+        op = build_operator(cfg, gm.dim)
+        drawn = draw_trials(gm, op, n, seed)
+        for got, want, field in zip(drawn, self.per_trial_reference(gm, op, n, seed),
+                                    drawn._fields):
+            assert got.shape == want.shape, field
+            assert np.array_equal(got, want), field
 
 
 class TestAblations:

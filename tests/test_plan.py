@@ -217,6 +217,25 @@ class TestPlannedRunsEqualPerTimeRuns:
             np.testing.assert_array_equal(log_norms[k], pushed._log_norms)
         assert oracle.plan_rows(small_field(), plan)[2] is None
 
+    @pytest.mark.parametrize("components", [1, 3])
+    def test_rows_formed_on_first_call_at_any_step(self, components):
+        # the per-step rows are split on the first score call; a fresh score
+        # first asked for the last step, then step 0, gives both exactly
+        rng = np.random.default_rng(components)
+        d = 4
+        covs = []
+        for _ in range(components):
+            a = rng.standard_normal((d, d))
+            covs.append(a @ a.T / d + 0.1 * np.eye(d))
+        weights = np.full(components, 1.0 / components)
+        gm = GaussianMixture(weights, rng.standard_normal((components, d)), np.stack(covs))
+        plan = VP.plan(VP.t_max, VP.t_min, 50)
+        x = rng.standard_normal((5, d))
+        score = oracle.planned_score(gm, plan)
+        for k in (len(plan.times) - 2, 0):
+            want = oracle.gm_score(oracle.gm_pushforward(gm, VP, float(plan.times[k])), x)
+            np.testing.assert_array_equal(score(x, k), want)
+
 
 class TestPlannedArmTouchesNoMemo:
     @pytest.mark.parametrize("density", [{"kind": "mixture"},
