@@ -1,12 +1,19 @@
-"""Write tests/fingerprints.json: the SHA-256 of every driver's saved record.
+"""Write tests/fingerprints.json: the bitwise pins of what htx prints and saves.
 
-Each pin is the hash of `record.json` or `metrics.csv` as `htx <command>`
-writes them, for the five run commands on the default config and on the
-16-cell blurred field. Every command runs in process through `cli.main`,
-from a fresh working directory and with the relative `--out runs`: the
-record holds its output path, so an absolute one would change its bytes.
+The file holds three sections of pins:
+
+- `pins`: the SHA-256 of `record.json` and `metrics.csv` as `htx <command>`
+  writes them, for the five run commands on the default config and on the
+  16-cell blurred field. Every command runs in process through `cli.main`,
+  from a fresh working directory and with the relative `--out runs`: the
+  record holds its output path, so an absolute one would change its bytes.
+- `verify`: the `repr` of the value of each of the ten `htx verify` checks.
+- `demos`: the SHA-256 of the standard output of each demo script.
+
 The file also records the Python, numpy and scipy versions it was made with;
-the bitwise promise holds for one such stack.
+the bitwise promise holds for one such stack. `check_pin` is the one rule the
+tests apply: a moved pin fails and names itself, except on another stack,
+where it is skipped with the versions that differ.
 
 Run it from the repository root after a change that moves bits on purpose,
 and list each moved pin:
@@ -22,16 +29,20 @@ import io
 import json
 import os
 import platform
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy
 
-from htx import cli
+from htx import cli, verify
 
 PATH = Path(__file__).with_name("fingerprints.json")
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # None runs with no --config, i.e. on the defaults (the two-component 2-d mixture)
 CONFIGS = {
     "default": None,
@@ -45,6 +56,10 @@ FILES = ("record.json", "metrics.csv")
 def stack() -> dict[str, str]:
     return {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__}
+
+
+def sha256(data: str | bytes) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
 
 
 def fingerprint(config: str, command: str) -> dict[str, str]:
@@ -61,11 +76,43 @@ def fingerprint(config: str, command: str) -> dict[str, str]:
     record = next(line[len("wrote "):] for line in printed.getvalue().splitlines()
                   if line.startswith("wrote ") and line.endswith("record.json"))
     out = Path(record).parent
-    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in FILES}
+    return {name: sha256((out / name).read_bytes()) for name in FILES}
+
+
+def run_demo(demo: Path, cwd) -> subprocess.CompletedProcess:
+    """Run one demo script in cwd, importing htx from this checkout's src/."""
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    return subprocess.run([sys.executable, str(demo)], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=600)
+
+
+def check_pin(section: str, key: str, got) -> None:
+    """Return if `got` equals the pin fingerprints.json[section][key].
+
+    Otherwise fail, naming the pin; on another stack than the pins were made
+    on, skip instead, naming the versions that differ.
+    """
+    pinned = json.loads(PATH.read_text())
+    want = pinned[section][key]
+    if got == want:
+        return
+    if isinstance(want, dict):
+        detail = f"{key}: {', '.join(n for n in want if got[n] != want[n])} moved from its pin"
+    else:
+        detail = f"{section}/{key} moved from its pin {want} (now {got})"
+    differs = {name: (pinned["stack"][name], version) for name, version in stack().items()
+               if pinned["stack"][name] != version}
+    if differs:
+        pytest.skip(f"{detail}; pins were made on another stack: "
+                    + ", ".join(f"{name} {was} (here {now})"
+                                for name, (was, now) in differs.items()))
+    pytest.fail(detail)
 
 
 def main() -> int:
     pins = {}
+    demos = {}
     home = os.getcwd()
     for config in CONFIGS:
         for command in COMMANDS:
@@ -75,7 +122,18 @@ def main() -> int:
                     pins[f"{config}/{command}"] = fingerprint(config, command)
                 finally:
                     os.chdir(home)
-    PATH.write_text(json.dumps({"stack": stack(), "pins": pins}, indent=2) + "\n")
+    values = {}
+    for check in verify.ALL_CHECKS:
+        result = check()
+        values[result.name] = repr(result.value)
+    for demo in DEMOS:
+        with tempfile.TemporaryDirectory() as work:
+            proc = run_demo(demo, work)
+        if proc.returncode != 0:
+            raise RuntimeError(f"{demo.name} exited {proc.returncode}: {proc.stderr}")
+        demos[demo.stem] = sha256(proc.stdout)
+    PATH.write_text(json.dumps({"stack": stack(), "pins": pins, "verify": values,
+                                "demos": demos}, indent=2) + "\n")
     print(f"wrote {PATH}")
     return 0
 

@@ -3,17 +3,22 @@
 Each test runs one named verification check and prints its pass/fail line
 (visible with `pytest -s` or on failure).  The same battery backs the
 `htx verify` command, whose process exit status reflects the outcome.
+Each check's value must also equal, bit for bit, its pin in fingerprints.json.
 """
 
 import numpy as np
 import pytest
 
 from htx import verify
+from make_fingerprints import check_pin
 
 
 def _run(check_fn):
+    """Run one check, assert it passed, then hold its value to its pin."""
     result = check_fn()
     print(result.line())
+    assert result.passed, result.line()
+    check_pin("verify", result.name, repr(result.value))
     return result
 
 

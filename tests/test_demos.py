@@ -1,14 +1,9 @@
-"""Every demo script runs to completion from a temporary working directory."""
-
-import os
-import subprocess
-import sys
-from pathlib import Path
+"""Every demo script runs to completion from a temporary working directory and
+prints, bit for bit, the output pinned in fingerprints.json."""
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+from make_fingerprints import DEMOS, check_pin, run_demo, sha256
 
 
 def test_demos_present():
@@ -17,9 +12,7 @@ def test_demos_present():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo, tmp_path):
-    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=600)
+    proc = run_demo(demo, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    check_pin("demos", demo.stem, sha256(proc.stdout))
