@@ -1,5 +1,10 @@
 """Command-line entry points.
 
+The five run commands share one path, `cmd_run`: load the config, run the
+command's driver from RUN_DRIVERS, save its record. The driver is looked up
+by name on `htx.experiments` when the command runs, so a replaced module
+attribute (a test's stub, a profiler's wrapper) is what runs.
+
 Exit status: 0 on success, 1 if any verification check fails, 2 on a
 configuration error or on a run that the given input drove to a non-finite
 state (a diverged sampler, a non-finite training loss, a singular step).
@@ -24,6 +29,10 @@ from .oracle import gm_sample
 # toy that is some 20 minutes; the longest training in the package, the DSM check
 # of `htx verify`, takes 15,000
 MAX_TRAIN_STEPS = 1_000_000
+# each run command and the name of its driver on htx.experiments
+RUN_DRIVERS = {"restore": "run_restore", "ablate-exponent": "run_ablate_exponent",
+               "ablate-weightfn": "run_ablate_weight_family",
+               "baseline-sdedit": "run_baseline_sdedit", "sample": "run_sample_unguided"}
 
 
 def _check_out(out, name: str) -> None:
@@ -54,14 +63,6 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _save(record: experiments.RunRecord, cfg: ExperimentConfig) -> int:
-    out = record.save(cfg.experiment["out"])
-    print(f"wrote {out}/record.json")
-    for path in record.artifacts:
-        print(f"wrote {path}")
-    return 0
-
-
 def cmd_verify(args) -> int:
     cfg = ExperimentConfig.from_dict({"experiment": {"kind": "verify",
                                                      "out": args.out or "runs"}})
@@ -71,29 +72,14 @@ def cmd_verify(args) -> int:
     return 0 if record.extras["all_passed"] else 1
 
 
-def cmd_restore(args) -> int:
+def cmd_run(args) -> int:
     cfg = _load_config(args)
-    return _save(experiments.run_restore(cfg), cfg)
-
-
-def cmd_ablate_exponent(args) -> int:
-    cfg = _load_config(args)
-    return _save(experiments.run_ablate_exponent(cfg), cfg)
-
-
-def cmd_ablate_weightfn(args) -> int:
-    cfg = _load_config(args)
-    return _save(experiments.run_ablate_weight_family(cfg), cfg)
-
-
-def cmd_baseline_sdedit(args) -> int:
-    cfg = _load_config(args)
-    return _save(experiments.run_baseline_sdedit(cfg), cfg)
-
-
-def cmd_sample(args) -> int:
-    cfg = _load_config(args)
-    return _save(experiments.run_sample_unguided(cfg), cfg)
+    record = getattr(experiments, RUN_DRIVERS[args.command])(cfg)
+    out = record.save(cfg.experiment["out"])
+    print(f"wrote {out}/record.json")
+    for path in record.artifacts:
+        print(f"wrote {path}")
+    return 0
 
 
 def cmd_train(args) -> int:
@@ -142,14 +128,10 @@ def main(argv=None) -> int:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify)
 
-    for name, fn in (("restore", cmd_restore),
-                     ("ablate-exponent", cmd_ablate_exponent),
-                     ("ablate-weightfn", cmd_ablate_weightfn),
-                     ("baseline-sdedit", cmd_baseline_sdedit),
-                     ("sample", cmd_sample)):
+    for name in RUN_DRIVERS:
         p = sub.add_parser(name)
         common(p)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("train", help="train the score net on the configured density")
     common(p)

@@ -187,14 +187,7 @@ class ExperimentConfig:
         return cls.from_dict(doc)
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": copy.deepcopy(self.experiment),
-            "density": copy.deepcopy(self.density),
-            "operator": copy.deepcopy(self.operator),
-            "schedule": copy.deepcopy(self.schedule),
-            "guidance": copy.deepcopy(self.guidance),
-            "sampler": copy.deepcopy(self.sampler),
-        }
+        return {name: copy.deepcopy(getattr(self, name)) for name in DEFAULTS}
 
     def digest(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

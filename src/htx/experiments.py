@@ -22,8 +22,8 @@ from ._version import __version__
 from .config import (ExperimentConfig, build_density, build_operator,
                      build_sampler, build_schedule, build_weights)
 from .errors import ConfigError
-from .guidance import (GuidanceSpec, guided_score_drift, region_exponents,
-                       sdedit_start, unguided_drift)
+from .guidance import (GuidanceSpec, approximation_error, guided_score_drift,
+                       region_exponents, sdedit_start, unguided_drift)
 from .schedules import POWER_OF_SIGMA, POWER_OF_TIME, NoiseSchedule, WeightSchedule
 from .scorenet import mixture_score_model
 from .solvers import SamplerConfig, ode_ensemble, sample_ode, trial_rng
@@ -70,6 +70,14 @@ class RunRecord:
     artifacts: list[str] = field(default_factory=list)
     checks: list[dict] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, cfg: ExperimentConfig, kind: str, per_trial: dict[str, list[dict]],
+           aggregates: list[dict], **fields) -> "RunRecord":
+        """The record of a run of cfg, carrying cfg's digest, config and seed."""
+        return cls(kind=kind, digest=cfg.digest(), config=cfg.to_dict(),
+                   seed=cfg.experiment["seed"], per_trial=per_trial, aggregates=aggregates,
+                   **fields)
 
     def to_dict(self) -> dict:
         return {
@@ -269,27 +277,36 @@ def _exponent_map_from_config(cfg: ExperimentConfig, op: oracle.DegradationOpera
     return region_exponents(op.valid, valid_e, invalid_e)
 
 
-def _sweep(cfg: ExperimentConfig, kind: str, setup, arms) -> RunRecord:
-    """Run restoration arms (name, series, x, weights, exponent_map) on shared trials.
+def _sweep(cfg: ExperimentConfig, kind: str, arms, setup=None, posterior: bool = True,
+           **fields) -> RunRecord:
+    """Run arms (name, series, x, run) on the run's shared trials into one record.
 
-    The posterior-mean reference is a property of the trials, so it is
-    computed once and added to every arm's rows.
+    `run(gm, schedule, scfg, trials)` returns an arm's per-trial metrics.  With
+    `posterior`, every row also carries the trial's posterior-mean error: a
+    property of the trials, so it is computed once for every arm.
     """
-    gm, op, schedule, scfg, trials = setup
-    post = posterior_mse(gm, op, trials)
+    gm, op, schedule, scfg, trials = setup or _setup(cfg)
+    post = posterior_mse(gm, op, trials) if posterior else None
     per_trial = {}
     aggregates = []
-    for name, series, x, weights, exponent_map in arms:
-        rows = [m.as_row() for m in restore_trials(gm, schedule, scfg, trials, weights,
-                                                   exponent_map)]
+    for name, series, x, run in arms:
+        rows = [m.as_row() for m in run(gm, schedule, scfg, trials)]
         if post is not None:
             for row, p in zip(rows, post):
                 row["posterior_mse"] = float(p)
         per_trial[name] = rows
         aggregates.append(aggregate_rows(rows, series, x))
-    return RunRecord(kind=kind, digest=cfg.digest(), config=cfg.to_dict(),
-                     seed=cfg.experiment["seed"], per_trial=per_trial,
-                     aggregates=aggregates)
+    return RunRecord.of(cfg, kind, per_trial, aggregates, **fields)
+
+
+def _restoration(weights: WeightSchedule | None, exponent_map: np.ndarray | None = None):
+    """A restoration arm's run: guided by weights, or unguided when weights is None."""
+    return lambda *setup: restore_trials(*setup, weights, exponent_map)
+
+
+def _start_guided(t0: float):
+    """A start-guided baseline arm's run, noising the coarse reference to t0."""
+    return lambda *setup: sdedit_trials(*setup, t0)[0]
 
 
 def run_restore(cfg: ExperimentConfig) -> RunRecord:
@@ -297,47 +314,37 @@ def run_restore(cfg: ExperimentConfig) -> RunRecord:
     setup = _setup(cfg)
     _, op, schedule, scfg, trials = setup
     x = cfg.guidance["exponent"]
-    record = _sweep(cfg, "restore", setup, [
-        ("guided", "guided", x, build_weights(cfg), _exponent_map_from_config(cfg, op)),
-        ("unguided", "unguided", x, None, None),
-    ])
-    # surrogate-error magnitude (alpha/sigma^2) ||y~ - y|| on a time grid
+    # surrogate-error magnitude (alpha/sigma^2) ||y~ - y|| of every trial on a time grid
     times = np.linspace(scfg.start, scfg.end, ERROR_CURVE_POINTS)
-    a, s = schedule.alpha_sigma(times)
-    gaps = np.linalg.norm(trials.coarse - trials.fine, axis=-1)
-    curves = (a / (s * s))[None, :] * gaps[:, None]
-    record.extras = {"error_curve_times": times.tolist(),
-                     "guided_error_curves_mean": curves.mean(axis=0).tolist()}
-    return record
+    curves = approximation_error(times, trials.fine[:, None], trials.coarse[:, None], schedule)
+    return _sweep(cfg, "restore", [
+        ("guided", "guided", x,
+         _restoration(build_weights(cfg), _exponent_map_from_config(cfg, op))),
+        ("unguided", "unguided", x, _restoration(None)),
+    ], setup, extras={"error_curve_times": times.tolist(),
+                      "guided_error_curves_mean": curves.mean(axis=0).tolist()})
 
 
 def run_ablate_exponent(cfg: ExperimentConfig) -> RunRecord:
     """One guided arm per exponent in experiment.exponents, with common random numbers."""
-    return _sweep(cfg, "ablate_exponent", _setup(cfg), [
-        (f"a={a:g}", cfg.guidance["family"], float(a), build_weights(cfg, exponent=a), None)
+    return _sweep(cfg, "ablate_exponent", [
+        (f"a={a:g}", cfg.guidance["family"], float(a), _restoration(build_weights(cfg, exponent=a)))
         for a in cfg.experiment["exponents"]])
 
 
 def run_ablate_weight_family(cfg: ExperimentConfig) -> RunRecord:
     """One arm per (weight family, exponent): sigma^a and t^a for a in {3, 5, 7}."""
-    return _sweep(cfg, "ablate_weight_family", _setup(cfg), [
+    return _sweep(cfg, "ablate_weight_family", [
         (f"{family}:a={a:g}", family, a,
-         WeightSchedule(family, exponent=a, constant=cfg.guidance["constant"]), None)
+         _restoration(WeightSchedule(family, exponent=a, constant=cfg.guidance["constant"])))
         for family in (POWER_OF_SIGMA, POWER_OF_TIME) for a in (3.0, 5.0, 7.0)])
 
 
 def run_baseline_sdedit(cfg: ExperimentConfig) -> RunRecord:
     """Start-guided baseline swept over the noising times experiment.t0_fractions."""
-    gm, _, schedule, scfg, trials = _setup(cfg)
-    per_trial = {}
-    aggregates = []
-    for t0 in cfg.experiment["t0_fractions"]:
-        rows, _ = sdedit_trials(gm, schedule, scfg, trials, float(t0))
-        arm = f"t0={t0:g}"
-        per_trial[arm] = [m.as_row() for m in rows]
-        aggregates.append(aggregate_rows(per_trial[arm], "sdedit", float(t0)))
-    return RunRecord(kind="baseline_sdedit", digest=cfg.digest(), config=cfg.to_dict(),
-                     seed=cfg.experiment["seed"], per_trial=per_trial, aggregates=aggregates)
+    return _sweep(cfg, "baseline_sdedit", [
+        (f"t0={t0:g}", "sdedit", float(t0), _start_guided(float(t0)))
+        for t0 in cfg.experiment["t0_fractions"]], posterior=False)
 
 
 def run_sample_unguided(cfg: ExperimentConfig) -> RunRecord:
@@ -345,7 +352,6 @@ def run_sample_unguided(cfg: ExperimentConfig) -> RunRecord:
     schedule = build_schedule(cfg)
     gm = build_density(cfg)
     trials = cfg.experiment["trials"]
-    seed = cfg.experiment["seed"]
     drift = unguided_drift(mixture_score_model(gm, schedule), schedule)
     paths = ode_ensemble(drift, build_sampler(cfg, schedule), trials)
     endpoints = np.stack([p.endpoint for p in paths])
@@ -358,11 +364,8 @@ def run_sample_unguided(cfg: ExperimentConfig) -> RunRecord:
         "cov_gap": float(np.linalg.norm(np.cov(endpoints.T) - gm.covariance()))
         if trials > 1 else math.nan,
     }
-    record = RunRecord(kind="sample_unguided", digest=cfg.digest(),
-                       config=cfg.to_dict(), seed=seed,
-                       per_trial={"unguided": rows}, aggregates=[agg])
-    record.extras["endpoints"] = endpoints.tolist()
-    return record
+    return RunRecord.of(cfg, "sample_unguided", {"unguided": rows}, [agg],
+                        extras={"endpoints": endpoints.tolist()})
 
 
 # ---------------------------------------------------------------------------

@@ -336,17 +336,20 @@ def guided_epsilon_drift(model: ScoreModel, spec: GuidanceSpec,
     return GuidedDrift(fn, spec.dim)
 
 
-def approximation_error(t, y, coarse, schedule: NoiseSchedule) -> float:
+def approximation_error(t, y, coarse, schedule: NoiseSchedule):
     """Distance between exact and surrogate corrections: (alpha / sigma^2) ||y~ - y||.
 
     The x dependence cancels exactly, so this is a function of time and the
     degradation gap alone; it decreases in sigma and blows up as sigma -> 0.
+    t, y and coarse broadcast, the norm running over the last axis of y and
+    coarse; a scalar result is returned as a float.
     """
     a, s = schedule.alpha_sigma(t)
     if np.any(s == 0.0):
         raise SingularityError("approximation error undefined at sigma = 0")
     gap = np.asarray(coarse, dtype=float) - np.asarray(y, dtype=float)
-    return float(a / (s * s) * np.linalg.norm(gap))
+    error = a / (s * s) * np.linalg.norm(gap, axis=-1)
+    return float(error) if np.ndim(error) == 0 else error
 
 
 def sdedit_start(coarse, t0: float, schedule: NoiseSchedule, z):

@@ -192,22 +192,20 @@ def _score(gm: GaussianMixture, xs: np.ndarray, basis_means, evals, log_norms):
 
 
 def gm_sample(gm: GaussianMixture, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n i.i.d. points: component by weight, then a Gaussian draw."""
+    """Draw n i.i.d. points: n uniforms pick components by weight, then n rows of
+    normals are placed by `gm_place`."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    idx = rng.choice(gm.n_components, size=n, p=gm.weights)
-    z = rng.standard_normal((n, gm.dim))
-    return gm.means[idx] + np.einsum("nij,nj->ni", gm._chols[idx], z)
+    return gm_place(gm, rng.random(n), rng.standard_normal((n, gm.dim)))
 
 
 def gm_place(gm: GaussianMixture, uniforms, normals) -> np.ndarray:
     """The points mu_k + L_k z that uniforms (n,) and normals z (n, d) pick and place.
 
-    Row i is bitwise what `gm_sample(gm, 1, rng)` draws from a stream whose next
-    values are uniforms[i] and then normals[i]: `Generator.choice(p=w)` draws
-    one `random()` and takes the component `searchsorted(cumsum(w) / sum(w),
-    side="right")`.  Each component's factor is broadcast to its rows, not
-    gathered, so no (n, d, d) array is formed.
+    A uniform picks its component as `Generator.choice(p=w)` picks one from its
+    one `random()`: `searchsorted(cumsum(w) / sum(w), side="right")`.  Each
+    component's factor is broadcast to its rows, not gathered, so no (n, d, d)
+    array is formed.
     """
     cdf = gm.weights.cumsum()
     cdf /= cdf[-1]

@@ -438,8 +438,5 @@ def run_verify() -> RunRecord:
         results.append(result)
         print(f"{result.line()} ({time.perf_counter() - started:.2f} s)")
     cfg = ExperimentConfig.from_dict({"experiment": {"kind": "verify"}})
-    record = RunRecord(kind="verify", digest=cfg.digest(), config=cfg.to_dict(),
-                       seed=0, per_trial={}, aggregates=[],
-                       checks=[vars(r) for r in results])
-    record.extras["all_passed"] = all(r.passed for r in results)
-    return record
+    return RunRecord.of(cfg, "verify", {}, [], checks=[vars(r) for r in results],
+                        extras={"all_passed": all(r.passed for r in results)})

@@ -344,6 +344,29 @@ class TestCli:
         out = capsys.readouterr().out
         assert "record.json" in out
 
+    @pytest.mark.parametrize("command, driver", [
+        ("restore", "run_restore"), ("ablate-exponent", "run_ablate_exponent"),
+        ("ablate-weightfn", "run_ablate_weight_family"),
+        ("baseline-sdedit", "run_baseline_sdedit"), ("sample", "run_sample_unguided")])
+    def test_run_command_looks_its_driver_up_when_it_runs(self, tmp_path, monkeypatch,
+                                                          capsys, command, driver):
+        # a stub put on htx.experiments after import is what the command runs and saves
+        ran = []
+
+        def stub(cfg):
+            ran.append(cfg)
+            rows = [{"mse_to_y": 1.0}, {"mse_to_y": 3.0}]
+            return RunRecord.of(cfg, "stub", {"arm": rows},
+                                [experiments.aggregate_rows(rows, "arm", 0.0)])
+
+        monkeypatch.setattr(experiments, driver, stub)
+        assert main([command, "--seed", "4", "--out", str(tmp_path)]) == 0
+        assert [cfg.experiment["seed"] for cfg in ran] == [4]
+        out = tmp_path / ran[0].digest()
+        record = RunRecord.from_json(out / "record.json")
+        assert (record.kind, record.seed, record.aggregates[0]["mse_to_y_mean"]) == ("stub", 4, 2.0)
+        assert f"wrote {out}/record.json" in capsys.readouterr().out
+
     def test_config_error_exit_two(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"experiment": {"kind": "bogus"}}))

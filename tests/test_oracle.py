@@ -76,6 +76,31 @@ class TestSampling:
         with pytest.raises(ValueError):
             gm_sample(standard_normal_2d(), 0, np.random.default_rng(0))
 
+    @staticmethod
+    def three_in_four():
+        rng = np.random.default_rng(12)
+        roots = rng.standard_normal((3, 4, 4))
+        covs = roots @ roots.transpose(0, 2, 1) + 0.5 * np.eye(4)
+        return GaussianMixture(np.array([0.2, 0.5, 0.3]), 3.0 * rng.standard_normal((3, 4)),
+                               covs)
+
+    @pytest.mark.parametrize("which", ["default", "field", "three_in_four"])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_draws_equal_the_gathered_reference(self, which, seed):
+        # the reference is gm_sample's body before it drew through gm_place:
+        # Generator.choice, then one gathered einsum over every row's factor
+        gm = {"default": lambda: build_density(ExperimentConfig.from_dict({})),
+              "field": lambda: rbf_field_prior(16, 3.0),
+              "three_in_four": self.three_in_four}[which]()
+        for n in (1, 7, 64, 8192, 20000):
+            ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            idx = ref_rng.choice(gm.n_components, size=n, p=gm.weights)
+            z = ref_rng.standard_normal((n, gm.dim))
+            reference = gm.means[idx] + np.einsum("nij,nj->ni", gm._chols[idx], z)
+            np.testing.assert_array_equal(gm_sample(gm, n, rng), reference)
+            # htx train draws its net's initial weights from the same generator next
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
 
 class TestPushforward:
     def test_unit_gaussian_is_vp_fixed_point(self):
