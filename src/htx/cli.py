@@ -3,7 +3,8 @@
 The five run commands share one path, `cmd_run`: load the config, run the
 command's driver from RUN_DRIVERS, save its record. The driver is looked up
 by name on `htx.experiments` when the command runs, so a replaced module
-attribute (a test's stub, a profiler's wrapper) is what runs.
+attribute (a test's stub, a profiler's wrapper) is what runs. The argument
+parser is built once per process, by `_parser`.
 
 Exit status: 0 on success, 1 if any verification check fails, 2 on a
 configuration error or on a run that the given input drove to a non-finite
@@ -13,6 +14,7 @@ state (a diverged sampler, a non-finite training loss, a singular step).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -113,7 +115,9 @@ def cmd_report(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The htx argument parser, built once per process."""
     parser = argparse.ArgumentParser(prog="htx",
                                      description="Guided diffusion sampling toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -143,8 +147,11 @@ def main(argv=None) -> int:
     p.add_argument("--format", choices=("csv", "svg"), default="csv")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_report)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         # a non-finite value ends as one of the errors below or as null in the
         # record; numpy's overflow warnings on the way would only precede it

@@ -26,7 +26,7 @@ from .guidance import (GuidanceSpec, approximation_error, guided_score_drift,
                        region_exponents, sdedit_start, unguided_drift)
 from .schedules import POWER_OF_SIGMA, POWER_OF_TIME, NoiseSchedule, WeightSchedule
 from .scorenet import mixture_score_model
-from .solvers import SamplerConfig, ode_ensemble, sample_ode, trial_rng
+from .solvers import SamplerConfig, ode_ensemble, sample_ode, trial_rngs
 
 ERROR_CURVE_POINTS = 9
 # keys emit_report reads from every row of a record's aggregates and checks
@@ -122,7 +122,9 @@ class RunRecord:
     def save(self, out_root) -> Path:
         """Write record.json, metrics.csv, and SVG charts under <out>/<digest>/.
 
-        record.json is strict JSON: a non-finite value is written as null.
+        record.json is strict JSON: a non-finite value is written as null.  Its
+        text is `json.dumps(_jsonable(record), indent=2, allow_nan=False)` byte
+        for byte, written by `_record_json` with json's C encoder.
         """
         out = Path(out_root) / self.digest
         out.mkdir(parents=True, exist_ok=True)
@@ -131,8 +133,7 @@ class RunRecord:
         if len(self.aggregates) > 1:
             self.artifacts.extend(emit_report(self, "svg", out))
         record_path = out / "record.json"
-        record_path.write_text(json.dumps(_jsonable(self.to_dict()), indent=2,
-                                          allow_nan=False))
+        record_path.write_text(_record_json(self.to_dict()))
         return out
 
 
@@ -148,6 +149,63 @@ def _jsonable(value):
     if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
+
+
+# json's C encoder writes no indentation: _record_json has it separate items by
+# "\x00", which the encoder escapes inside strings, and puts the indentation there
+_SEP = "\x00"
+_encode = json.JSONEncoder(separators=(_SEP, ": "), allow_nan=False).encode
+_CONTAINERS = (dict, list, tuple, np.ndarray)
+
+
+def _compact(value) -> str:
+    """value in compact JSON with _SEP between items, through _jsonable only
+    when it holds what JSON cannot write as it is (numpy values, non-finite floats)."""
+    try:
+        return _encode(value)
+    except (TypeError, ValueError):
+        return _encode(_jsonable(value))
+
+
+def _record_json(value, depth: int = 0) -> str:
+    """`json.dumps(_jsonable(value), indent=2, allow_nan=False)`, byte for byte,
+    for a value nested `depth` containers deep.
+
+    The containers that hold containers are walked here.  A container of
+    scalars, and a list of non-empty flat dicts or of non-empty flat lists
+    (per-trial rows, endpoints), is one C-encoded string whose separators are
+    replaced by the newline and indentation of their depth.
+    """
+    if isinstance(value, np.ndarray):
+        value = _jsonable(value)
+    if not (isinstance(value, _CONTAINERS) and value):
+        return _compact(value)
+    children = list(value.values()) if isinstance(value, dict) else value
+    inner = "\n" + "  " * (depth + 1)
+    outer = inner[:-2]
+    if not any(isinstance(child, _CONTAINERS) for child in children):
+        text = _compact(value)
+        return text[0] + inner + text[1:-1].replace(_SEP, "," + inner) + outer + text[-1]
+    if not isinstance(value, dict):
+        kind = type(children[0])
+        if kind in (dict, list) and all(type(child) is kind and child for child in children):
+            text = _compact(value)
+            # one bracket per row and the list's own: no row nests, no string holds one
+            if text.count("[") + text.count("{") == len(children) + 1:
+                opens, closes = text[1], text[-2]
+                row = inner + "  "
+                text = text[2:-2].replace(closes + _SEP + opens,
+                                          inner + closes + "," + inner + opens + row)
+                return ("[" + inner + opens + row + text.replace(_SEP, "," + row)
+                        + inner + closes + outer + "]")
+    if isinstance(value, dict):
+        # each key as the encoder writes it: '"key": null' less its value
+        keys = _compact(dict.fromkeys(value))[1:-1].split(_SEP)
+        items = [key[:-4] + _record_json(child, depth + 1)
+                 for key, child in zip(keys, children)]
+        return "{" + inner + ("," + inner).join(items) + outer + "}"
+    items = [_record_json(child, depth + 1) for child in children]
+    return "[" + inner + ("," + inner).join(items) + outer + "]"
 
 
 def mean_se(values) -> tuple[float, float]:
@@ -176,9 +234,10 @@ def draw_trials(gm: oracle.GaussianMixture, op: oracle.DegradationOperator,
                 n: int, seed: int) -> Trials:
     """Trial i draws y, its degradation, then z from its private stream (seed, i).
 
-    The stream holds, in order: one uniform that picks y's component, d
-    normals for y, m normals for the measurement noise (only when
-    noise_std > 0), then d normals for z.  That is bitwise what
+    The streams are trial_rng(seed, i), all made by one trial_rngs call.  Each
+    holds, in order: one uniform that picks y's component, d normals for y,
+    m normals for the measurement noise (only when noise_std > 0), then d
+    normals for z.  That is bitwise what
     `gm_sample(gm, 1, rng)`, `degrade(op, y, rng)` and `rng.standard_normal(d)`
     draw in turn, so each stream is read in two calls and everything after
     runs over all trials at once.  The products with the operator's matrix
@@ -188,8 +247,7 @@ def draw_trials(gm: oracle.GaussianMixture, op: oracle.DegradationOperator,
     d, m = gm.dim, op.measurement_dim
     uniforms = np.empty(n)
     normals = np.empty((n, 2 * d + (m if op.noise_std > 0 else 0)))
-    for i in range(n):
-        rng = trial_rng(seed, i)
+    for i, rng in enumerate(trial_rngs(seed, 0, n)):
         uniforms[i] = rng.random()
         rng.standard_normal(out=normals[i])
     fine = oracle.gm_place(gm, uniforms, normals[:, :d])

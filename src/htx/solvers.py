@@ -18,16 +18,20 @@ crosses the steps between two records in one closed-form jump instead.
 many trajectories as one batched state and draw trajectory i's start and,
 for the SDE, its noise from its private stream trial_rng(seed, i), so their
 result does not depend on the batch size, up to rounding in the batched
-arithmetic.  The SDE draws each trajectory's noise NOISE_STEPS steps at a
+arithmetic.  A batch's streams come from one trial_rngs call, which hashes
+the seed sequences of all of them in one numpy pass and gives the states
+trial_rng gives, bit for bit.  The SDE draws each trajectory's noise NOISE_STEPS steps at a
 time as it integrates; standard_normal fills row-major from the stream, so
 the blocks equal one whole-path (steps, d) draw bit for bit.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConfigError, DivergenceError
 from .guidance import GuidedDrift, score_drift
@@ -48,6 +52,12 @@ NOISE_STEPS = 250
 # the largest Euler grid a sampler takes: a plan keeps a few float rows per step,
 # and check_euler_convergence's reference, the longest grid in the package, has 20,000
 MAX_STEPS = 100_000
+# numpy's SeedSequence hash: its constants and its pool of 4 uint32 words
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
 
 
 @dataclass(frozen=True)
@@ -82,6 +92,98 @@ class Trajectory:
 def trial_rng(seed: int, index: int) -> np.random.Generator:
     """Private stream for trajectory/trial `index`, split from the base seed."""
     return np.random.default_rng(np.random.SeedSequence((seed, index)))
+
+
+def trial_rngs(seed: int, lo: int, n: int) -> list[np.random.Generator]:
+    """[trial_rng(seed, i) for i in range(lo, lo + n)], bitwise, hashed in one pass.
+
+    Each SeedSequence((seed, i)) is hashed for all i at once by _pcg_states, and
+    each generator's PCG64 is seeded from its row of that hash.  The states equal
+    trial_rng's, so every draw does too; only `bit_generator.seed_seq` differs:
+    it is a _PcgSeed, which can give that one state and cannot spawn.  A seed or
+    `lo` that SeedSequence rejects raises what it raises; an index must lie
+    below 2**64.
+    """
+    np.random.SeedSequence((seed, lo))  # raises what trial_rng(seed, lo) would
+    if n < 0:
+        raise ValueError(f"trial_rngs needs n >= 0, got {n}")
+    if lo + n > 2**64:
+        raise ValueError(f"trial indices must lie below 2**64, got up to {lo + n - 1}")
+    seed = operator.index(seed)
+    seed_words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    rngs = []
+    # an index below 2**32 is one entropy word, one above it two, low word first
+    for a, b in ((lo, min(lo + n, 2**32)), (max(lo, 2**32), lo + n)):
+        if a >= b:
+            continue
+        index = np.arange(a, b, dtype=np.uint64)
+        words = np.empty((len(seed_words) + (1 if b <= 2**32 else 2), b - a), np.uint32)
+        words[:len(seed_words)] = np.array(seed_words, np.uint32)[:, None]
+        words[len(seed_words)] = index & _MASK32
+        if b > 2**32:
+            words[-1] = index >> 32
+        rngs.extend(np.random.Generator(np.random.PCG64(_PcgSeed(row)))
+                    for row in _pcg_states(words))
+    return rngs
+
+
+class _PcgSeed(ISeedSequence):
+    """The seed sequence of a trial_rngs stream: the PCG64 state it was hashed to."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a trial_rngs stream holds only its PCG64 state, "
+                             "generate_state(4, np.uint64)")
+        return self.state
+
+
+def _pcg_states(words: np.ndarray) -> np.ndarray:
+    """SeedSequence(w).generate_state(4, np.uint64) for each column w of words.
+
+    words is (L, n) uint32, one entropy word per row; the result is (n, 4) uint64
+    and read-only.  This is numpy's SeedSequence hash (its `mix_entropy` into a
+    pool of 4 words, then `generate_state`), with each step taken for all n
+    columns at once: the hash constants advance the same way for every column.
+    """
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value *= np.uint32(const)
+        value ^= value >> 16
+        return value
+
+    def mix(x, y):
+        out = x * np.uint32(_MIX_L)
+        out -= y * np.uint32(_MIX_R)
+        out ^= out >> 16
+        return out
+
+    pool = [hashmix(words[i] if i < len(words) else np.zeros_like(words[0]))
+            for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL, len(words)):
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(words[src]))
+    state = np.empty((words.shape[1], 2 * _POOL), np.uint32)
+    const = _INIT_B
+    for k in range(2 * _POOL):
+        value = pool[k % _POOL] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value *= np.uint32(const)
+        state[:, k] = value ^ (value >> 16)
+    # generate_state reads pairs of words as little-endian uint64
+    state = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    state.flags.writeable = False
+    return state
 
 
 def _record_indices(cfg: SamplerConfig) -> np.ndarray:
@@ -156,19 +258,19 @@ def _ensemble(advance, plan: TimePlan, cfg: SamplerConfig, n: int, dim: int, sta
     """n trajectories in batches of `chunk`; trajectory i draws from trial_rng(seed, i).
 
     Its stream gives the start (start_fn(rng), else standard normal) and then,
-    for the SDE, its noise, step after step.
+    for the SDE, its noise, step after step.  A batch's streams come from one
+    trial_rngs call: their states and draws are trial_rng's, but their
+    `bit_generator.seed_seq` is not a SeedSequence and cannot spawn.
     """
     out: list[Trajectory] = []
     for lo in range(0, n, chunk):
         m = min(lo + chunk, n) - lo
         starts = np.empty((m, dim))
-        streams = []
-        for i in range(m):
-            rng = trial_rng(cfg.seed, lo + i)
+        streams = trial_rngs(cfg.seed, lo, m)
+        for i, rng in enumerate(streams):
             starts[i] = rng.standard_normal(dim) if start_fn is None else start_fn(rng)
-            if noise_scale is not None:
-                streams.append(rng)
         noise = None if noise_scale is None else _noise(streams, noise_scale, dim)
+        del streams  # an ODE batch is done with them; an SDE batch's noise holds them
         try:
             rec_times, states, _ = _integrate(advance, plan, cfg, starts, noise)
         except DivergenceError as exc:
@@ -183,7 +285,8 @@ def ode_ensemble(drift: GuidedDrift, cfg: SamplerConfig, n: int,
     """n deterministic trajectories integrated as one batch.
 
     Starts come from per-trajectory streams: start_fn(rng) when given, else
-    standard normal draws.
+    standard normal draws.  start_fn's rng has trial_rng(seed, i)'s state, but
+    its `bit_generator.seed_seq` is not a SeedSequence (see trial_rngs).
     """
     plan, advance = drift.stepper(cfg.start, cfg.end, cfg.steps)
     return _ensemble(advance, plan, cfg, n, drift.dim, start_fn, chunk=max(n, 1))
@@ -198,6 +301,7 @@ def sde_ensemble(model: ScoreModel, h_term, schedule: NoiseSchedule,
     x <- a x + b (s + h) with c = 1 and a new array each step, to which the
     step's noise is added in place.  Without h the score reads the plan's
     rows; with h it comes from model.score(x, t), which the exact h rescores.
+    start_fn(rng), when given, draws each start, as in ode_ensemble.
     Trajectories run in
     batches of SDE_CHUNK.  Each draws its noise from its own stream
     NOISE_STEPS steps at a time, bitwise equal to one whole-path draw, so no

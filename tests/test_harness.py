@@ -473,6 +473,35 @@ class TestCli:
         assert len(err) == 1 and field in err[0]
         assert not (tmp_path / "runs").exists()
 
+    def test_main_calls_in_one_process_give_what_fresh_processes_give(
+            self, tmp_path, monkeypatch, capsys):
+        # the parser is built once per process: each call, a config error among
+        # them, prints, saves and exits as `python -m htx` does in a new process
+        root = Path(__file__).resolve().parents[1]
+        paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        calls = [["sample", "--trials", "3"], ["restore", "--trials", "0"],
+                 ["baseline-sdedit", "--trials", "2", "--seed", "5"]]
+        fresh, here = tmp_path / "fresh", tmp_path / "here"
+        for cwd in (fresh, here):
+            cwd.mkdir()
+            (cwd / "cfg.json").write_text(json.dumps({"sampler": {"steps": 30}}))
+        monkeypatch.chdir(here)
+        codes = []
+        for argv in calls:
+            argv = [*argv, "--config", "cfg.json", "--out", "runs"]
+            proc = subprocess.run([sys.executable, "-m", "htx", *argv], cwd=fresh, env=env,
+                                  capture_output=True, text=True, timeout=120)
+            codes.append(main(argv))
+            assert (codes[-1], *capsys.readouterr()) == (proc.returncode, proc.stdout,
+                                                         proc.stderr)
+        assert codes == [0, 2, 0]
+
+        def saved(cwd):
+            return {path.relative_to(cwd): path.read_bytes()
+                    for path in sorted((cwd / "runs").rglob("*")) if path.is_file()}
+        assert saved(here) == saved(fresh) and len(saved(here)) >= 4
+
     def test_vanishing_sigma_at_t_min_prints_one_line(self, tmp_path):
         # at t_min = 1e-16 the vp alpha rounds to 1, so sigma(t_min) is exactly 0
         cfg_path = tmp_path / "cfg.json"

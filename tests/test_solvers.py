@@ -14,7 +14,7 @@ from htx.oracle import GaussianMixture, exact_h, gm_sample
 from htx.schedules import POWER_OF_SIGMA, NoiseSchedule, WeightSchedule
 from htx.scorenet import mixture_score_model
 from htx.solvers import (EULER_MARUYAMA, SamplerConfig, Trajectory, marginal_stats,
-                         ode_ensemble, sample_ode, sde_ensemble, trial_rng)
+                         ode_ensemble, sample_ode, sde_ensemble, trial_rng, trial_rngs)
 
 VP = NoiseSchedule.vp()
 
@@ -220,6 +220,70 @@ class TestEnsembles:
         small = sde_ensemble(model, None, VP, cfg, 7)
         for a, b in zip(big, small):
             np.testing.assert_allclose(a.endpoint, b.endpoint, rtol=0, atol=1e-12)
+
+
+class TestTrialRngs:
+    """trial_rngs(seed, lo, n) is [trial_rng(seed, i) for i in range(lo, lo + n)], bitwise."""
+
+    # one to four entropy words in the seed
+    SEEDS = (0, 1, 7919, 2**32 - 1, 2**32, 2**63 + 5, 2**100 + 3)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("lo, n", [(0, 1), (0, 200), (1, 1), (1, 200), (2000, 1),
+                                       (2000, 200), (2**32 - 1, 2)])
+    def test_states_and_draws_equal_trial_rng(self, seed, lo, n):
+        streams = trial_rngs(seed, lo, n)
+        assert len(streams) == n
+        for i, got in enumerate(streams, lo):
+            want = trial_rng(seed, i)
+            assert got.bit_generator.state == want.bit_generator.state
+            np.testing.assert_array_equal(got.random(300), want.random(300))
+            np.testing.assert_array_equal(got.standard_normal(300), want.standard_normal(300))
+            assert got.bit_generator.state == want.bit_generator.state
+
+    def test_empty_and_out_of_range(self):
+        assert trial_rngs(3, 5, 0) == []
+        [last] = trial_rngs(3, 2**64 - 1, 1)
+        assert last.bit_generator.state == trial_rng(3, 2**64 - 1).bit_generator.state
+        with pytest.raises(ValueError):
+            trial_rngs(3, 2**64 - 1, 2)  # index 2**64 would be three entropy words
+        with pytest.raises(ValueError):
+            trial_rngs(3, 0, -1)
+
+    @pytest.mark.parametrize("seed, lo", [(-1, 0), (1.5, 0), (0, -1), (0, 2.0)])
+    def test_bad_seed_or_index_raises_what_trial_rng_raises(self, seed, lo):
+        with pytest.raises((TypeError, ValueError)) as want:
+            trial_rng(seed, lo)
+        with pytest.raises(want.type):
+            trial_rngs(seed, lo, 3)
+
+    def test_seed_sequence_gives_only_its_state(self):
+        [rng] = trial_rngs(7, 4, 1)
+        seed_seq = rng.bit_generator.seed_seq
+        assert not isinstance(seed_seq, np.random.SeedSequence)
+        np.testing.assert_array_equal(
+            seed_seq.generate_state(4, np.uint64),
+            np.random.SeedSequence((7, 4)).generate_state(4, np.uint64))
+        with pytest.raises(ValueError):
+            seed_seq.generate_state(8)
+
+    @pytest.mark.parametrize("kind", ["ode", "sde"])
+    def test_start_fn_sees_the_trial_rng_state(self, kind, monkeypatch):
+        monkeypatch.setattr(solvers, "SDE_CHUNK", 3)  # 7 trajectories in three chunks
+        seen = []
+
+        def start_fn(rng):
+            seen.append(rng.bit_generator.state)
+            return rng.standard_normal(2)
+
+        cfg = SamplerConfig(steps=5, seed=19)
+        model = mixture_score_model(two_mode(), VP)
+        if kind == "ode":
+            ode_ensemble(unguided_drift(model, VP), cfg, 7, start_fn=start_fn)
+        else:
+            sde_ensemble(model, None, VP, dataclasses.replace(cfg, solver=EULER_MARUYAMA), 7,
+                         start_fn=start_fn)
+        assert seen == [trial_rng(cfg.seed, i).bit_generator.state for i in range(7)]
 
 
 def predrawn_sde(model, h, schedule, cfg, n):
