@@ -7,7 +7,6 @@ minimal config is `{"experiment": {"kind": "restore"}}`.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import sys
@@ -115,10 +114,19 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _json_copy(value):
+    """A copy of a JSON tree: each dict and list is new, every leaf is shared."""
+    if isinstance(value, dict):
+        return {key: _json_copy(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_json_copy(item) for item in value]
+    return value
+
+
 def _merge_section(name: str, overrides) -> dict:
     if not isinstance(overrides, dict):
         raise ConfigError(f"section {name!r} must be an object, got {overrides!r}")
-    base = copy.deepcopy(DEFAULTS[name])
+    base = _json_copy(DEFAULTS[name])
     for key, value in overrides.items():
         if key not in base:
             raise ConfigError(f"unknown key {key!r} in section {name!r}")
@@ -187,10 +195,11 @@ class ExperimentConfig:
         return cls.from_dict(doc)
 
     def to_dict(self) -> dict:
-        return {name: copy.deepcopy(getattr(self, name)) for name in DEFAULTS}
+        return {name: _json_copy(getattr(self, name)) for name in DEFAULTS}
 
     def digest(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        sections = {name: getattr(self, name) for name in DEFAULTS}
+        canonical = json.dumps(sections, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 

@@ -162,8 +162,7 @@ def drift_rows(plan: TimePlan, c: float, spec: GuidanceSpec | None = None):
         return plan.lad, c * plan.g2, None
     if np.any(plan.sigma == 0.0):
         raise SingularityError("conditional score undefined at sigma = 0")
-    lam = np.array([spec.weights.weight(s, t, spec.exponent_map)
-                    for s, t in zip(plan.row("sigma"), plan.row("times"))])
+    lam = np.array(spec.weights.weight_row(plan.sigma, plan.times[:-1], spec.exponent_map))
     col = (slice(None),) + (None,) * (lam.ndim - 1)
     lad, alpha, sigma = plan.lad[col], plan.alpha[col], plan.sigma[col]
     cg2 = c * plan.g2[col]

@@ -50,7 +50,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import ConfigError, DegeneratePosteriorError, SingularityError
 from .schedules import MEMO_CAP, NoiseSchedule, TimePlan
@@ -502,6 +501,10 @@ def _kalman(gm: GaussianMixture, op: DegradationOperator, measurements):
     weights (n, K), each row normalised by a max-shifted log-sum-exp, the
     means (n, K, d) and the covariances (K, d, d) that every row shares.
     """
+    # the package's only scipy use: importing it here keeps `import htx`, and the
+    # commands that form no posterior (train, sample, report), free of scipy
+    from scipy.linalg import solve_triangular
+
     if op.noise_std <= 0:
         raise DegeneratePosteriorError("posterior needs noise_std > 0")
     a = op.matrix

@@ -246,26 +246,49 @@ class WeightSchedule:
 
         `exponent` overrides the schedule's own and may be per-coordinate.
         """
-        exponent = self.exponent if exponent is None else exponent
-        if (exponent < 0 if isinstance(exponent, float)
-                else np.any(np.asarray(exponent) < 0)):
-            raise ConfigError("weight exponent must be >= 0")
+        exponent = self._exponent(exponent)
         if self.family == CONSTANT:
             return self.constant
-        if self.family == POWER_OF_SIGMA:
-            if _outside_unit(sigma):
-                raise ValueError("sigma outside [0, 1]")
-            base = sigma
-        else:
-            if _outside_unit(t):
-                raise ValueError("t outside [0, 1]")
-            base = t
-        lam = base ** exponent
+        lam = self._base(sigma, t) ** exponent
         if isinstance(lam, float):
             # np.clip costs more than the rest of the call on a scalar; this
             # clamp gives the same bits, keeping -0.0 and letting nan through
             return 0.0 if lam < 0.0 else 1.0 if lam > 1.0 else lam
         return np.clip(lam, 0.0, 1.0)
+
+    def weight_row(self, sigmas: np.ndarray, times: np.ndarray, exponent=None) -> list:
+        """[weight(s, t, exponent) for each step's s, t], bit for bit, as one pass.
+
+        With a scalar exponent the row is range-checked once and each lambda is
+        one Python-float power under weight's clamp (an array power rounds
+        differently); an exponent map is weighed step by step.
+        """
+        exponent = self._exponent(exponent)
+        if np.ndim(exponent):
+            return [self.weight(s, t, exponent)
+                    for s, t in zip(sigmas.tolist(), times.tolist())]
+        if self.family == CONSTANT:
+            return [self.constant] * len(sigmas)
+        lams = [b ** exponent for b in self._base(sigmas, times).tolist()]
+        return [0.0 if lam < 0.0 else 1.0 if lam > 1.0 else lam for lam in lams]
+
+    def _exponent(self, exponent):
+        """The exponent in force, the schedule's own unless overridden, once it is >= 0."""
+        exponent = self.exponent if exponent is None else exponent
+        if (exponent < 0 if isinstance(exponent, float)
+                else np.any(np.asarray(exponent) < 0)):
+            raise ConfigError("weight exponent must be >= 0")
+        return exponent
+
+    def _base(self, sigma, t):
+        """The power's base, sigma or t by family, once it lies in [0, 1]."""
+        if self.family == POWER_OF_SIGMA:
+            if _outside_unit(sigma):
+                raise ValueError("sigma outside [0, 1]")
+            return sigma
+        if _outside_unit(t):
+            raise ValueError("t outside [0, 1]")
+        return t
 
 
 def _outside_unit(v) -> bool:

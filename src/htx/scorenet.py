@@ -12,6 +12,13 @@ Training minimizes the denoising objective in score-residual form,
 
 with x_t = alpha_t x_0 + sigma_t eps and t uniform on [t_min, t_max].
 
+A training run (`train`) allocates one workspace: the two hidden
+activations, their back-propagated gradients and their 1 - h^2 factors, each
+(batch, width).  Every step writes into it in the order of operations of
+fresh arrays, so the curve and the parameters are bitwise those of a run
+that allocates per step, and no step maps new pages.  The gradients a step
+returns are fresh arrays, never views of the workspace.
+
 Weight file layout (little endian):
   bytes 0..6    magic b"HTXNET1"
   byte  7       uint8 L = 4, the number of layer sizes
@@ -74,11 +81,17 @@ class MlpNet:
         return out[0] if single else out
 
 
-def _layers(params, h0):
-    """Both tanh hidden activations and the output for input features h0."""
+def _layers(params, h0, h1=None, h2=None):
+    """Both tanh hidden activations and the output for input features h0.
+
+    Each activation is formed in place in one array: h1 and h2 when given,
+    else a fresh one.
+    """
     w1, b1, w2, b2, w3, b3 = params
-    h1 = np.tanh(h0 @ w1.T + b1)
-    h2 = np.tanh(h1 @ w2.T + b2)
+    h1 = np.matmul(h0, w1.T, out=h1)
+    np.tanh(np.add(h1, b1, out=h1), out=h1)
+    h2 = np.matmul(h1, w2.T, out=h2)
+    np.tanh(np.add(h2, b2, out=h2), out=h2)
     return h1, h2, h2 @ w3.T + b3
 
 
@@ -120,19 +133,23 @@ class TrainConfig:
 
 
 def dsm_loss_grad_at(net: MlpNet, x0: np.ndarray, t: np.ndarray, eps: np.ndarray,
-                     schedule: NoiseSchedule):
+                     schedule: NoiseSchedule, *, _work=None):
     """Loss and exact parameter gradients for fixed draws (t, eps).
 
     Separating the stochastic draws from the differentiable computation lets
-    finite differences check the gradients on identical inputs.
+    finite differences check the gradients on identical inputs.  `_work`, from
+    `_workspace`, receives the hidden activations, their back-propagated
+    gradients and their 1 - h^2 factors; by default each is a fresh array.
+    The returned gradients are always fresh.
     """
+    h1, h2, g_h1, g_h2, d1, d2 = _work or (None,) * 6
     a, s = schedule.alpha_sigma(t)
     a = a[:, None]
     s = s[:, None]
     xt = a * x0 + s * eps
     cond = np.concatenate([a, s], axis=1)
     h0 = np.concatenate([xt, cond], axis=1)
-    h1, h2, pred = _layers(net.params, h0)
+    h1, h2, pred = _layers(net.params, h0, h1, h2)
     _, _, w2, _, w3, _ = net.params
 
     n = x0.shape[0]
@@ -142,31 +159,47 @@ def dsm_loss_grad_at(net: MlpNet, x0: np.ndarray, t: np.ndarray, eps: np.ndarray
     g_out = 2.0 * resid / (s * n)
     g_w3 = g_out.T @ h2
     g_b3 = g_out.sum(axis=0)
-    g_h2 = (g_out @ w3) * (1.0 - h2 * h2)
+    g_h2 = _backprop(g_out, w3, h2, g_h2, d2)
     g_w2 = g_h2.T @ h1
     g_b2 = g_h2.sum(axis=0)
-    g_h1 = (g_h2 @ w2) * (1.0 - h1 * h1)
+    g_h1 = _backprop(g_h2, w2, h1, g_h1, d1)
     g_w1 = g_h1.T @ h0
     g_b1 = g_h1.sum(axis=0)
     return loss, (g_w1, g_b1, g_w2, g_b2, g_w3, g_b3)
 
 
+def _backprop(g_next, w_next, h, g_h=None, d=None):
+    """(g_next @ w_next) * (1 - h * h), into g_h, with the factor formed in d."""
+    g_h = np.matmul(g_next, w_next, out=g_h)
+    d = np.multiply(h, h, out=d)
+    np.subtract(1.0, d, out=d)
+    return np.multiply(g_h, d, out=g_h)
+
+
+def _workspace(net: MlpNet, batch: int) -> tuple:
+    """dsm_loss_grad_at's six (batch, width) arrays for one training run."""
+    widths = net.sizes[1:3] * 3  # h1, h2, g_h1, g_h2, d1, d2
+    return tuple(np.empty((batch, w)) for w in widths)
+
+
 def dsm_loss_grad(net: MlpNet, batch: np.ndarray, schedule: NoiseSchedule,
-                  rng: np.random.Generator):
+                  rng: np.random.Generator, *, _work=None):
     """Draw (t, eps) for the batch, then evaluate loss and gradients."""
     batch = np.atleast_2d(np.asarray(batch, dtype=float))
     if batch.shape[0] < 1:
         raise ValueError("batch must be non-empty")
     t = rng.uniform(schedule.t_min, schedule.t_max, size=batch.shape[0])
     eps = rng.standard_normal(batch.shape)
-    return dsm_loss_grad_at(net, batch, t, eps, schedule)
+    return dsm_loss_grad_at(net, batch, t, eps, schedule, _work=_work)
 
 
 def train(net: MlpNet, data: np.ndarray, cfg: TrainConfig, schedule: NoiseSchedule):
     """Adam on the denoising objective; returns (trained net, loss curve).
 
     The curve has one (step, loss) row every 100 steps and one for the
-    trained net.  Identical (seed, config, data) reproduces it bitwise.
+    trained net.  Identical (seed, config, data) reproduces it bitwise.  The
+    steps write their batch-by-width arrays into one workspace made for this
+    call (module docstring), bit for bit as fresh arrays would hold them.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if data.shape[0] < cfg.batch:
@@ -175,11 +208,12 @@ def train(net: MlpNet, data: np.ndarray, cfg: TrainConfig, schedule: NoiseSchedu
     params = [p.copy() for p in net.params]
     moment1 = [np.zeros_like(p) for p in params]
     moment2 = [np.zeros_like(p) for p in params]
+    work = _workspace(net, cfg.batch)
     curve = []
     for step in range(cfg.steps):
         idx = rng.integers(0, data.shape[0], size=cfg.batch)
         current = MlpNet(params=tuple(params), dim=net.dim)
-        loss, grads = dsm_loss_grad(current, data[idx], schedule, rng)
+        loss, grads = dsm_loss_grad(current, data[idx], schedule, rng, _work=work)
         if not np.isfinite(loss):
             raise TrainingError(step)
         if step % 100 == 0:
@@ -195,7 +229,7 @@ def train(net: MlpNet, data: np.ndarray, cfg: TrainConfig, schedule: NoiseSchedu
     trained = MlpNet(params=tuple(params), dim=net.dim)
     if cfg.steps > 0:
         final_rng = np.random.default_rng(cfg.seed + 1)
-        loss, _ = dsm_loss_grad(trained, data[: cfg.batch], schedule, final_rng)
+        loss, _ = dsm_loss_grad(trained, data[: cfg.batch], schedule, final_rng, _work=work)
         curve.append([float(cfg.steps), loss])
     return trained, np.asarray(curve)
 

@@ -37,6 +37,13 @@ def small_restore_config(**experiment):
     return ExperimentConfig.from_dict(doc)
 
 
+def _subprocess_env() -> dict:
+    """The environment of a child interpreter that imports htx from this checkout."""
+    root = Path(__file__).resolve().parents[1]
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
+
 class TestConfig:
     def test_minimal_config_is_one_line(self):
         cfg = ExperimentConfig.from_dict({"experiment": {"kind": "restore"}})
@@ -477,9 +484,7 @@ class TestCli:
             self, tmp_path, monkeypatch, capsys):
         # the parser is built once per process: each call, a config error among
         # them, prints, saves and exits as `python -m htx` does in a new process
-        root = Path(__file__).resolve().parents[1]
-        paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        env = _subprocess_env()
         calls = [["sample", "--trials", "3"], ["restore", "--trials", "0"],
                  ["baseline-sdedit", "--trials", "2", "--seed", "5"]]
         fresh, here = tmp_path / "fresh", tmp_path / "here"
@@ -506,9 +511,7 @@ class TestCli:
         # at t_min = 1e-16 the vp alpha rounds to 1, so sigma(t_min) is exactly 0
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"schedule": {"t_min": 1e-16}}))
-        root = Path(__file__).resolve().parents[1]
-        paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        env = _subprocess_env()
         proc = subprocess.run([sys.executable, "-m", "htx", "restore", "--config",
                                str(cfg_path), "--trials", "2"], cwd=tmp_path, env=env,
                               capture_output=True, text=True, timeout=120)
@@ -534,9 +537,7 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"density": {"means": [[1e200, 0], [0, 0]]},
                                         "sampler": {"steps": 20}}))
-        root = Path(__file__).resolve().parents[1]
-        paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        env = _subprocess_env()
         proc = subprocess.run([sys.executable, "-m", "htx", "restore", "--config",
                                str(cfg_path), "--trials", "3"], cwd=tmp_path, env=env,
                               capture_output=True, text=True, timeout=120)
@@ -775,3 +776,42 @@ def test_benchmark_workload_smoke(workloads, name, tmp_path):
     for case in cases:
         ok, detail = wl.check(case, wl.run(case))
         assert ok, f"{name} {case}: {detail}"
+
+
+def test_import_and_train_leave_scipy_unloaded(tmp_path):
+    """scipy serves only the conjugate posterior, so htx and htx train never load it."""
+    script = ("import sys\n"
+              "import htx\n"
+              "assert 'scipy' not in sys.modules, 'import htx loaded scipy'\n"
+              "from htx.cli import main\n"
+              f"code = main(['train', '--steps', '1', '--out', {str(tmp_path)!r}])\n"
+              "assert code == 0, code\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "scorenet.htx").is_file()
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_benchmark_output_contract():
+    """A short benchmark run exits cleanly and ends its stdout with its result line.
+
+    The result is the last line of stdout, strict JSON (no NaN or Infinity),
+    with a passing verdict and exactly the end-to-end metrics that
+    BENCHMARK.json names; nothing reaches stderr.
+    """
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "bridge-exact",
+                           "--seed", "0", "--seconds", "1", "--trace", "0"], cwd=root,
+                          env=_subprocess_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    result = json.loads(proc.stdout.splitlines()[-1], parse_constant=_reject_constant)
+    assert result["correct"] is True and result["failed"] == 0
+    declared = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
+    assert sorted(result["metrics"]) == sorted(m["name"] for m in declared)

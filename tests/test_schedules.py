@@ -208,6 +208,42 @@ class TestWeightSchedule:
                 ws.weight(0.5, 0.5, exponent)
         np.testing.assert_array_equal(ws.weight(0.5, 0.5, float("nan")), float("nan"))
 
+    @pytest.mark.parametrize("schedule", [NoiseSchedule.vp(), NoiseSchedule.otfm()],
+                             ids=["vp", "otfm"])
+    @pytest.mark.parametrize("family", [POWER_OF_SIGMA, POWER_OF_TIME, CONSTANT])
+    def test_weight_row_is_the_per_step_weights_bitwise(self, schedule, family):
+        plan = schedule.plan(schedule.t_max, schedule.t_min, 1000)
+        sigmas, times = plan.sigma, plan.times[:-1]
+        for exponent in (0, 0.0, 0.3, 1, 1.0, 2, 2.0, 2.5, 3, 3.0, 5, 5.0, 7.0, 9, 9.0):
+            ws = WeightSchedule(family, exponent=exponent, constant=0.25)
+            row = ws.weight_row(sigmas, times)
+            per_step = [ws.weight(s, t) for s, t in zip(plan.row("sigma"), plan.row("times"))]
+            assert len(row) == len(per_step) == 1000
+            assert np.array(row).tobytes() == np.array(per_step).tobytes(), exponent
+        exponents = np.linspace(0.0, 9.0, 3)  # a map is weighed step by step
+        ws = WeightSchedule(family)
+        np.testing.assert_array_equal(ws.weight_row(sigmas, times, exponents),
+                                      [ws.weight(s, t, exponents)
+                                       for s, t in zip(sigmas.tolist(), times.tolist())])
+
+    def test_weight_row_rejects_as_the_per_step_weights(self):
+        sigmas = np.array([0.9, 0.5, 1.5, 0.1])
+        times = np.array([0.9, 0.5, 0.3, 0.1])
+        ws = WeightSchedule(POWER_OF_SIGMA, exponent=3.0)
+        for weigh in (lambda: ws.weight_row(sigmas, times),
+                      lambda: [ws.weight(s, t) for s, t in zip(sigmas.tolist(), times.tolist())]):
+            with pytest.raises(ValueError, match=r"^sigma outside \[0, 1\]$"):
+                weigh()
+        # power_of_time reads t only, so the same sigma row passes
+        row = WeightSchedule(POWER_OF_TIME, exponent=3.0).weight_row(sigmas, times)
+        assert row == [t ** 3.0 for t in times.tolist()]
+        with pytest.raises(ValueError, match=r"^t outside \[0, 1\]$"):
+            WeightSchedule(POWER_OF_TIME).weight_row(times, sigmas)
+        with pytest.raises(ConfigError):
+            ws.weight_row(times, times, -1.0)
+        # nan passes the range check and the clamp, as in weight
+        assert np.isnan(ws.weight_row(np.array([np.nan]), np.array([0.5]))[0])
+
     def test_constant_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
             WeightSchedule(CONSTANT, constant=1.5)
