@@ -16,6 +16,19 @@ then V u, bitwise what the weighted path gives wherever that is finite.  The
 Cholesky factor serves as the SPD check and for sampling, so draws do not
 depend on the basis.
 
+The kernel runs feature-major.  A batch x (n, d) is projected as z = V^T x^T,
+(K d, n), so the rows alpha V^T mu and the eigenvalues it subtracts and
+divides by broadcast down the columns and every elementwise pass runs over
+rows of n contiguous entries; the responsibilities are spread with
+blocks^T r, and the score comes back C-ordered as u^T V^T.  A product with
+one output row or column is a BLAS gemv, whose summation order follows its
+operand's layout, so the kernel gives those two (the log density's sum within
+its one component, and the map back for d = 1) their operands row-wise,
+(n, K d); every result is then bitwise what a row-wise kernel gives (the
+tests keep one as the reference).  With K >= 2 components at d >= 4, BLAS
+may pick another gemm kernel by layout and size, and such a mixture's score
+can differ from the row-wise one in its last bits.
+
 All mixture evaluations run in log space (max-shifted log-sum-exp) so
 responsibilities never underflow for finite inputs.  At a point so far out that
 its squared Mahalanobis distance overflows (|x| beyond about 1e150) the log
@@ -164,30 +177,37 @@ def _as_batch(x, dim):
 
 
 def _log_terms(gm: GaussianMixture, xs: np.ndarray, basis_means, evals, log_norms):
-    """log w_k N(x; mu_k, Sigma_k) for xs (n, d) as (K, n), and u = [u_1 ... u_K]
-    as (n, K d) with u_k = Lambda_k^-1 V_k^T (mu_k - x), in gm's eigenbasis with
-    the eigen-rows of gm or of a mixture diffused from it."""
-    z = xs @ gm._basis
-    np.subtract(basis_means, z, out=z)
-    u = z / evals
+    """log w_k N(x; mu_k, Sigma_k) for xs (n, d) as (K, n), and u = [u_1; ...; u_K]
+    as (K d, n) with u_k = Lambda_k^-1 V_k^T (mu_k - x), in gm's eigenbasis with
+    the eigen-rows of gm or of a mixture diffused from it.
+
+    Feature-major, so each row-wise pass runs over n contiguous entries
+    (module docstring)."""
+    z = gm._basis.T @ xs.T
+    np.subtract(basis_means[:, None], z, out=z)
+    u = z / evals[:, None]
     z *= u
-    return log_norms[:, None] - 0.5 * (gm._blocks @ z.T), u
+    if gm.n_components == 1:  # the sum is then a gemv, whose order follows z's layout
+        z = np.asfortranarray(z)
+    return log_norms[:, None] - 0.5 * (gm._blocks @ z), u
 
 
 def _score(gm: GaussianMixture, xs: np.ndarray, basis_means, evals, log_norms):
-    """The mixture score sum_k r_k V_k u_k at xs (n, d); one component forms no
-    responsibility (module docstring) and reads no log_norms."""
+    """The mixture score sum_k r_k V_k u_k at xs (n, d), C-ordered (n, d); one
+    component forms no responsibility (module docstring) and reads no log_norms."""
     if gm.n_components == 1:
-        u = xs @ gm._basis
-        np.subtract(basis_means, u, out=u)
-        u /= evals
-        return u @ gm._basis.T
-    resp, u = _log_terms(gm, xs, basis_means, evals, log_norms)
-    resp -= resp.max(axis=0)
-    np.exp(resp, out=resp)
-    resp /= resp.sum(axis=0)
-    u *= resp.T @ gm._blocks
-    return u @ gm._basis.T
+        u = gm._basis.T @ xs.T
+        np.subtract(basis_means[:, None], u, out=u)
+        u /= evals[:, None]
+    else:
+        resp, u = _log_terms(gm, xs, basis_means, evals, log_norms)
+        resp -= resp.max(axis=0)
+        np.exp(resp, out=resp)
+        resp /= resp.sum(axis=0)
+        u *= gm._blocks.T @ resp
+    if xs.shape[1] == 1:  # the map back is then a gemv, whose sums follow u's layout
+        return np.ascontiguousarray(u.T) @ gm._basis.T
+    return u.T @ gm._basis.T
 
 
 def gm_sample(gm: GaussianMixture, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -339,11 +359,22 @@ def planned_score(gm: GaussianMixture, plan: TimePlan):
 
 
 def conditional_score(x, x0, schedule: NoiseSchedule, t):
-    """Score of the forward kernel N(x; alpha x0, sigma^2 I): (alpha x0 - x) / sigma^2."""
+    """Score of the forward kernel N(x; alpha x0, sigma^2 I): (alpha x0 - x) / sigma^2.
+
+    One reference row x0 (d,) against a batch x (n, d) is tiled to (n, d) first,
+    so the subtraction runs over whole contiguous operands, not over n short
+    rows; the difference and the quotient are then formed in that array.
+    """
     a, s = schedule.alpha_sigma(t)
     if (s == 0.0) if isinstance(s, float) else np.any(s == 0.0):
         raise SingularityError("conditional score undefined at sigma = 0")
-    return (a * np.asarray(x0, dtype=float) - np.asarray(x, dtype=float)) / (s * s)
+    ax0, x = a * np.asarray(x0, dtype=float), np.asarray(x, dtype=float)
+    if x.ndim != 2 or ax0.shape != x.shape[1:]:
+        return (ax0 - x) / (s * s)
+    diff = np.tile(ax0, (len(x), 1))
+    np.subtract(diff, x, out=diff)
+    diff /= s * s
+    return diff
 
 
 def exact_h(x, y, gm: GaussianMixture, schedule: NoiseSchedule, t):
@@ -353,6 +384,28 @@ def exact_h(x, y, gm: GaussianMixture, schedule: NoiseSchedule, t):
     tractable here because the diffused mixture density is analytic.
     """
     return conditional_score(x, y, schedule, t) - gm_score(gm_pushforward(gm, schedule, t), x)
+
+
+def bridge_flow(x, y, schedule: NoiseSchedule, s, t):
+    """The exact flow toward endpoint y from time s to time t, per coordinate:
+    x_t = alpha_t y + (sigma_t / sigma_s) (x_s - alpha_s y).
+
+    With the exact h (or lambda = 1 toward y) the drift is
+    f - c g^2 (alpha y - x) / sigma^2, whatever the mixture: the prior drops out.
+    This is its solution for the flow, c = 1/2.
+    """
+    a_s, sig_s = schedule.alpha_sigma(s)
+    a_t, sig_t = schedule.alpha_sigma(t)
+    y = np.asarray(y, dtype=float)
+    return a_t * y + (sig_t / sig_s) * (np.asarray(x, dtype=float) - a_s * y)
+
+
+def bridge_marginal(y, schedule: NoiseSchedule, t):
+    """Mean alpha_t y and per-coordinate variance sigma_t^2 of the bridge toward y
+    at time t: started from N(alpha_s y, sigma_s^2 I), the flow (`bridge_flow`)
+    and the reverse SDE (c = 1) both have this law at every later t."""
+    a, s = schedule.alpha_sigma(t)
+    return a * np.asarray(y, dtype=float), s * s
 
 
 # ---------------------------------------------------------------------------

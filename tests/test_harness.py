@@ -798,7 +798,8 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not strict JSON")
 
 
-def test_benchmark_output_contract():
+@pytest.mark.parametrize("workload", ["bridge-exact", "ensemble-sde"])
+def test_benchmark_output_contract(workload):
     """A short benchmark run exits cleanly and ends its stdout with its result line.
 
     The result is the last line of stdout, strict JSON (no NaN or Infinity),
@@ -806,7 +807,7 @@ def test_benchmark_output_contract():
     BENCHMARK.json names; nothing reaches stderr.
     """
     root = Path(__file__).resolve().parents[1]
-    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "bridge-exact",
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", "0", "--seconds", "1", "--trace", "0"], cwd=root,
                           env=_subprocess_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

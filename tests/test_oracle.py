@@ -225,7 +225,7 @@ class TestSingleComponentScore:
                                     pushed._evals, pushed._log_norms)
         resp = np.exp(logs - logs.max(axis=0))
         resp /= resp.sum(axis=0)
-        expected = (resp.T @ pushed._blocks * u) @ pushed._basis.T
+        expected = (pushed._blocks.T @ resp * u).T @ pushed._basis.T
         np.testing.assert_array_equal(gm_score(pushed, x), expected[0] if n is None else expected)
 
     def test_far_out_point_scores_finite(self):
@@ -238,6 +238,88 @@ class TestSingleComponentScore:
         assert np.all(np.isfinite(score))
         np.testing.assert_allclose(score, -np.linalg.solve(cov_t, x - a * gm.means[0]),
                                    rtol=1e-12)
+
+
+def _rowwise_log_terms(gm, xs, basis_means, evals, log_norms):
+    """The score kernel's log terms in the row-wise (n, K d) layout: the reference
+    the feature-major kernel must match bit for bit."""
+    z = xs @ gm._basis
+    np.subtract(basis_means, z, out=z)
+    u = z / evals
+    z *= u
+    return log_norms[:, None] - 0.5 * (gm._blocks @ z.T), u
+
+
+def _rowwise_score(gm, xs, basis_means, evals, log_norms):
+    if gm.n_components == 1:
+        u = xs @ gm._basis
+        np.subtract(basis_means, u, out=u)
+        u /= evals
+        return u @ gm._basis.T
+    resp, u = _rowwise_log_terms(gm, xs, basis_means, evals, log_norms)
+    resp -= resp.max(axis=0)
+    np.exp(resp, out=resp)
+    resp /= resp.sum(axis=0)
+    u *= resp.T @ gm._blocks
+    return u @ gm._basis.T
+
+
+def random_mixture(k, d, seed):
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.5, 1.5, k)
+    root = rng.standard_normal((k, d, d))
+    return GaussianMixture(w / w.sum(), 2.0 * rng.standard_normal((k, d)),
+                           root @ root.transpose(0, 2, 1) + 0.5 * np.eye(d))
+
+
+class TestFeatureMajorKernel:
+    """The feature-major (K d, n) score kernel gives the bits of a row-wise one."""
+
+    @staticmethod
+    def _check(gm, n):
+        x = 3.0 * np.random.default_rng(n).standard_normal((n, gm.dim))
+        own = (gm._basis_means, gm._evals, gm._log_norms)
+        got = gm_score(gm, x)
+        assert got.flags.c_contiguous
+        np.testing.assert_array_equal(got, _rowwise_score(gm, x, *own))
+        np.testing.assert_array_equal(gm_score(gm, x[0]), _rowwise_score(gm, x[:1], *own)[0])
+        plan = NoiseSchedule.vp().plan(1.0, 0.25, 20)
+        rows = oracle.plan_rows(gm, plan)
+        score = oracle.planned_score(gm, plan)
+        for k in (0, 9, 19):
+            log_norms = None if rows[2] is None else rows[2][k]
+            np.testing.assert_array_equal(
+                score(x, k), _rowwise_score(gm, x, rows[0][k], rows[1][k], log_norms))
+
+    @pytest.mark.parametrize("n", [1, 7, 2000, 10_000])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_scores_equal_rowwise_kernel(self, d, k, n):
+        self._check(random_mixture(k, d, seed=10 * d + k), n)
+
+    @pytest.mark.parametrize("n", [1, 7, 2000, 10_000])
+    def test_field_scores_equal_rowwise_kernel(self, n):
+        self._check(field_prior(), n)
+
+    @pytest.mark.parametrize("n", [1, 7, 2000])
+    def test_field_logpdf_matches_rowwise_kernel(self, n):
+        gm = field_prior()
+        x = np.random.default_rng(3).standard_normal((n, gm.dim))
+        logs, _ = _rowwise_log_terms(gm, x, gm._basis_means, gm._evals, gm._log_norms)
+        top = logs.max(axis=0)
+        want = top + np.log(np.exp(logs - top).sum(axis=0))
+        np.testing.assert_allclose(gm_logpdf(gm, x), want, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("x_shape", [(2,), (7, 2)])
+    @pytest.mark.parametrize("x0_shape", [(2,), (7, 2)])
+    def test_conditional_score_equals_broadcast_formula(self, x0_shape, x_shape):
+        rng = np.random.default_rng(4)
+        x, x0 = rng.standard_normal(x_shape), rng.standard_normal(x0_shape)
+        sch = NoiseSchedule.vp()
+        a, s = sch.alpha_sigma(0.4)
+        got = conditional_score(x, x0, sch, 0.4)
+        np.testing.assert_array_equal(got, (a * x0 - x) / (s * s))
+        assert got.shape == np.broadcast_shapes(x0_shape, x_shape)
 
 
 class TestEigenbasisOracle:

@@ -8,10 +8,11 @@ import pytest
 
 from htx import oracle, solvers
 from htx.errors import ConfigError, DivergenceError
-from htx.guidance import (GuidanceSpec, GuidedDrift, guided_score_drift, h_guided_drift,
-                          score_drift, unguided_drift)
-from htx.oracle import GaussianMixture, exact_h, gm_sample
-from htx.schedules import POWER_OF_SIGMA, NoiseSchedule, WeightSchedule
+from htx.guidance import (GuidanceSpec, GuidedDrift, drift_rows, guided_score_drift,
+                          h_guided_drift, score_drift, unguided_drift)
+from htx.oracle import (GaussianMixture, bridge_flow, bridge_marginal, exact_h,
+                        gm_sample)
+from htx.schedules import CONSTANT, POWER_OF_SIGMA, NoiseSchedule, WeightSchedule
 from htx.scorenet import mixture_score_model
 from htx.solvers import (EULER_MARUYAMA, SamplerConfig, Trajectory, marginal_stats,
                          ode_ensemble, sample_ode, sde_ensemble, trial_rng, trial_rngs)
@@ -324,9 +325,14 @@ class TestStreamedNoise:
                                               (None, solvers.NOISE_STEPS + 10)])
     @pytest.mark.parametrize("with_h", [False, True])
     @pytest.mark.parametrize("record_every", [0, 3])
-    def test_equals_predrawn(self, monkeypatch, block, steps, with_h, record_every):
+    # draw groups of 2 split a chunk of 3 into a group and a remainder, and a
+    # chunk of 1 is smaller than a group, as every chunk is than NOISE_GROUP
+    @pytest.mark.parametrize("group", [None, 2])
+    def test_equals_predrawn(self, monkeypatch, block, steps, with_h, record_every, group):
         if block is not None:
             monkeypatch.setattr(solvers, "NOISE_STEPS", block)
+        if group is not None:
+            monkeypatch.setattr(solvers, "NOISE_GROUP", group)
         monkeypatch.setattr(solvers, "SDE_CHUNK", 3)  # 7 trajectories in three chunks
         gm = two_mode()
         model = mixture_score_model(gm, VP)
@@ -362,6 +368,68 @@ class TestStreamedNoise:
         block = solvers.NOISE_STEPS
         slack = 512 * 1024  # plan rows, their lists and the score rows grow with steps
         assert traced_peak(4 * block) - traced_peak(block) < block * n * d * 8 + slack
+
+
+PINNED = WeightSchedule(CONSTANT, constant=1.0)
+
+
+def euler_bridge_moments(plan, c, y, mean, var):
+    """Per-coordinate mean and variance of the Euler walk of the bridge toward y at
+    every grid time, exactly: with lambda = 1 the step is x <- a x + c_y y (b = 0),
+    so m <- a m + c_y y and v <- a^2 v, plus g^2 dt for the SDE (c = 1)."""
+    p, _, r = drift_rows(plan, c, GuidanceSpec(y, PINNED))
+    a, cy = 1.0 - plan.dt * p, plan.dt * r
+    means, variances = [mean], [var]
+    for k in range(len(a)):
+        means.append(a[k] * means[-1] + cy[k] * y)
+        variances.append(a[k] ** 2 * variances[-1] + (plan.g2[k] * plan.dt[k] if c == 1.0 else 0.0))
+    return np.array(means), np.array(variances)
+
+
+class TestExactBridge:
+    """Euler runs of the bridge toward a fixed endpoint y against its closed form:
+    the drift f - c g^2 (alpha y - x) / sigma^2 leaves out the prior."""
+
+    y = np.array([2.5, -0.5])
+
+    def test_ode_endpoint_error_halves_with_the_step(self):
+        drift = guided_score_drift(mixture_score_model(two_mode(), VP),
+                                   GuidanceSpec(self.y, PINNED), VP)
+        starts = np.random.default_rng(3).standard_normal((4, 2))
+        exact = bridge_flow(starts, self.y, VP, VP.t_max, VP.t_min)
+
+        def error(steps):
+            cfg = SamplerConfig(steps=steps, start=VP.t_max, end=VP.t_min)
+            return np.abs(sample_ode(drift, cfg, starts).endpoint - exact).max()
+
+        errors = [error(steps) for steps in (1000, 2000, 4000, 8000)]
+        ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
+        assert all(1.9 <= r <= 2.1 for r in ratios), ratios
+
+    @pytest.mark.parametrize("c", [0.5, 1.0])
+    def test_exact_euler_moments_converge_at_first_order(self, c):
+        a1, s1 = VP.alpha_sigma(1.0)
+        mean, var = bridge_marginal(self.y, VP, 0.25)
+        errors = []
+        for steps in (500, 1000, 2000, 4000):
+            m, v = euler_bridge_moments(VP.plan(1.0, 0.25, steps), c, self.y, a1 * self.y, s1 * s1)
+            errors.append(max(np.abs(m[-1] - mean).max(), abs(v[-1] - var)))
+        ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
+        assert all(1.9 <= r <= 2.1 for r in ratios), ratios
+
+    def test_sde_moments_match_exact_euler_moments(self):
+        gm, y, n = two_mode(), self.y, 4000
+        a1, s1 = VP.alpha_sigma(1.0)
+        cfg = SamplerConfig(steps=200, start=1.0, end=0.25, record_every=50,
+                            solver=EULER_MARUYAMA, seed=11)
+        paths = sde_ensemble(mixture_score_model(gm, VP), lambda x, t: exact_h(x, y, gm, VP, t),
+                             VP, cfg, n, start_fn=lambda rng: a1 * y + s1 * rng.standard_normal(2))
+        mean, var = euler_bridge_moments(VP.plan(1.0, 0.25, 200), 1.0, y, a1 * y, s1 * s1)
+        states = np.stack([path.states for path in paths], axis=1)  # (records, n, d)
+        for k, got in zip(solvers._record_indices(cfg), states):
+            m, v = mean[k], var[k]
+            assert np.all(np.abs(got.mean(axis=0) - m) < 4.0 * np.sqrt(v / n)), k
+            assert np.all(np.abs(got.var(axis=0, ddof=1) - v) < 4.0 * v * np.sqrt(2.0 / (n - 1))), k
 
 
 class TestMarginalStats:
