@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments, verify
-from .config import ExperimentConfig, build_density, build_sampler, build_schedule
+from .config import ExperimentConfig, read_document
 from .errors import ConfigError, DivergenceError, SingularityError, TrainingError
 from .scorenet import MlpNet, TrainConfig, save_weights, train
 from .oracle import gm_sample
@@ -49,17 +49,12 @@ def _check_out(out, name: str) -> None:
 
 
 def _load_config(args) -> ExperimentConfig:
-    if args.config:
-        cfg = ExperimentConfig.from_json(args.config)
-    else:
-        cfg = ExperimentConfig.from_dict({})
-    doc = cfg.to_dict()
-    if args.seed is not None:
-        doc["experiment"]["seed"] = args.seed
-    if args.trials is not None:
-        doc["experiment"]["trials"] = args.trials
-    if args.out is not None:
-        doc["experiment"]["out"] = args.out
+    """The config document with --seed, --trials and --out applied, parsed and built once."""
+    doc = read_document(args.config) if args.config else {}
+    flags = {key: value for key, value in (("seed", args.seed), ("trials", args.trials),
+                                           ("out", args.out)) if value is not None}
+    if flags and isinstance(doc, dict) and isinstance(doc.get("experiment", {}), dict):
+        doc["experiment"] = {**doc.get("experiment", {}), **flags}
     cfg = ExperimentConfig.from_dict(doc)
     _check_out(cfg.experiment["out"], "experiment.out" if args.out is None else "--out")
     return cfg
@@ -88,9 +83,7 @@ def cmd_train(args) -> int:
     if not 1 <= args.steps <= MAX_TRAIN_STEPS:
         raise ConfigError(f"train --steps must lie in [1, {MAX_TRAIN_STEPS}], got {args.steps}")
     cfg = _load_config(args)
-    schedule = build_schedule(cfg)
-    build_sampler(cfg, schedule)  # train runs no sampler, but rejects what the others reject
-    gm = build_density(cfg)
+    gm, _, schedule, _ = cfg.built
     seed = cfg.experiment["seed"]
     rng = np.random.default_rng(seed)
     data = gm_sample(gm, max(8192, 4 * 256), rng)

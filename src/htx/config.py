@@ -3,10 +3,16 @@
 A config document has sections `experiment`, `density`, `operator`,
 `schedule`, `guidance`, and `sampler`; every field has a default, so the
 minimal config is `{"experiment": {"kind": "restore"}}`.
+
+`from_dict` checks each field's type, then builds every section once (kept as
+`ExperimentConfig.built`), with the weights of every exponent: a value out of
+range is rejected by the constructor that holds its range, naming its
+`section.key`, so a config that parses is a config that runs.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import sys
@@ -16,8 +22,7 @@ import numpy as np
 
 from . import oracle
 from .errors import ConfigError
-from .schedules import (CONSTANT, OTFM, POWER_OF_SIGMA, POWER_OF_TIME, VP, NoiseSchedule,
-                        WeightSchedule)
+from .schedules import OTFM, VP, NoiseSchedule, WeightSchedule
 from .solvers import EULER_ODE, SamplerConfig
 
 DEFAULTS = {
@@ -86,21 +91,19 @@ MAX_CELLS = 1024
 # this bound and MAX_CELLS; the largest shipped check draws 500
 MAX_TRIALS = 10_000
 _INF = float("inf")
-# closed [low, high] ranges, checked for every command, not only by the
-# drivers that build the field's section
+# closed [low, high] ranges of the fields that no section's constructor bounds
 RANGED_FIELDS = {("experiment", "trials"): (1, MAX_TRIALS), ("experiment", "seed"): (0, _INF),
-                 ("density", "cells"): (1, MAX_CELLS), ("guidance", "exponent"): (0.0, _INF),
-                 ("guidance", "constant"): (0.0, 1.0),
+                 ("density", "cells"): (1, MAX_CELLS),
                  ("guidance", "valid_exponent"): (0.0, _INF),
                  ("guidance", "invalid_exponent"): (0.0, _INF)}
-# fields that select a variant, with the values each may take
+# fields that select a variant, with the values each may take; the builders
+# dispatch on these without checking them (WeightSchedule checks guidance.family)
 CHOICE_FIELDS = {
     ("experiment", "kind"): ("restore", "ablate_exponent", "ablate_weight_family",
                              "baseline_sdedit", "verify", "train_score", "sample_unguided"),
     ("density", "kind"): ("mixture", "gaussian_field"),
     ("operator", "kind"): ("identity", "blur", "downsample", "mask", "shrink"),
     ("schedule", "kind"): (VP, OTFM),
-    ("guidance", "family"): (POWER_OF_SIGMA, POWER_OF_TIME, CONSTANT),
 }
 
 
@@ -112,6 +115,13 @@ def _is_number(value) -> bool:
 
 def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+# each field table, with the test its values pass and its name in a message
+_TYPES = ((INTEGER_FIELDS, _is_integer, "an integer"), (NUMBER_FIELDS, _is_number, "a number"),
+          (OPTIONAL_NUMBER_FIELDS, lambda v: v is None or _is_number(v), "a number or null"),
+          (NUMBER_LIST_FIELDS, lambda v: isinstance(v, list) and v and all(map(_is_number, v)),
+           "a non-empty list of numbers"))
 
 
 def _json_copy(value):
@@ -132,6 +142,15 @@ def _merge_section(name: str, overrides) -> dict:
             raise ConfigError(f"unknown key {key!r} in section {name!r}")
         base[key] = value
     return base
+
+
+def read_document(path):
+    """The JSON document at path; ConfigError if it cannot be read or parsed."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -157,23 +176,11 @@ class ExperimentConfig:
             if value not in allowed:
                 raise ConfigError(f"{section}.{key} must be one of {list(allowed)}, "
                                   f"got {value!r}")
-        for section, key in INTEGER_FIELDS:
-            value = getattr(cfg, section)[key]
-            if not _is_integer(value):
-                raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
-        for section, key in NUMBER_FIELDS:
-            value = getattr(cfg, section)[key]
-            if not _is_number(value):
-                raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
-        for section, key in OPTIONAL_NUMBER_FIELDS:
-            value = getattr(cfg, section)[key]
-            if value is not None and not _is_number(value):
-                raise ConfigError(f"{section}.{key} must be a number or null, got {value!r}")
-        for section, key in NUMBER_LIST_FIELDS:
-            value = getattr(cfg, section)[key]
-            if not (isinstance(value, list) and value and all(map(_is_number, value))):
-                raise ConfigError(f"{section}.{key} must be a non-empty list of numbers, "
-                                  f"got {value!r}")
+        for names, typed, kind in _TYPES:
+            for section, key in names:
+                value = getattr(cfg, section)[key]
+                if not typed(value):
+                    raise ConfigError(f"{section}.{key} must be {kind}, got {value!r}")
         for (section, key), (low, high) in RANGED_FIELDS.items():
             value = getattr(cfg, section)[key]
             if value is not None and not low <= value <= high:
@@ -181,18 +188,26 @@ class ExperimentConfig:
         out = cfg.experiment["out"]
         if not (isinstance(out, str) and out):
             raise ConfigError(f"experiment.out must be a non-empty path string, got {out!r}")
+        cfg.built  # builds every section; each constructor's ConfigError names its field
+        build_weights(cfg)
+        for i, exponent in enumerate(cfg.experiment["exponents"]):
+            try:
+                build_weights(cfg, exponent)
+            except ConfigError as exc:
+                raise ConfigError(f"experiment.exponents[{i}]: {exc}") from None
         return cfg
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-        return cls.from_dict(doc)
+        return cls.from_dict(read_document(path))
+
+    @functools.cached_property
+    def built(self) -> tuple:
+        """(density, operator, schedule, sampler), built once per config; not a
+        field, so equality, `to_dict` and `digest` see the sections only."""
+        schedule = build_schedule(self)
+        density = build_density(self)
+        return density, build_operator(self, density.dim), schedule, build_sampler(self, schedule)
 
     def to_dict(self) -> dict:
         return {name: _json_copy(getattr(self, name)) for name in DEFAULTS}
@@ -219,8 +234,9 @@ def rbf_field_prior(cells: int, length_scale: float, variance: float = 1.0,
     The jitter ridge keeps the Cholesky factorization well posed; RBF kernels
     on dense grids are otherwise numerically rank deficient.
     """
-    if cells < 1 or length_scale <= 0 or variance <= 0:
-        raise ConfigError("field prior needs positive cells, length_scale, variance")
+    for key, value in (("cells", cells), ("length_scale", length_scale), ("variance", variance)):
+        if not value > 0:
+            raise ConfigError(f"density.{key} must be positive, got {value!r}")
     if jitter < 0:
         raise ConfigError(f"density.jitter must be >= 0, got {jitter!r}")
     idx = np.arange(cells, dtype=float)

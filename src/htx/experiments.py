@@ -19,8 +19,7 @@ import numpy as np
 
 from . import oracle, report
 from ._version import __version__
-from .config import (ExperimentConfig, build_density, build_operator,
-                     build_sampler, build_schedule, build_weights)
+from .config import ExperimentConfig, _is_integer, _is_number, build_weights
 from .errors import ConfigError
 from .guidance import (GuidanceSpec, approximation_error, guided_score_drift,
                        region_exponents, sdedit_start, unguided_drift)
@@ -32,6 +31,11 @@ ERROR_CURVE_POINTS = 9
 # keys emit_report reads from every row of a record's aggregates and checks
 AGGREGATE_KEYS = ("series", "x", "n")
 CHECK_KEYS = ("name", "passed", "value", "threshold", "detail")
+# what emit_report needs of an aggregate row's values: (test, what it must be),
+# by key, and for every "*_mean" (null is a metric that was not finite)
+AGGREGATE_TYPES = {"series": (lambda v: isinstance(v, str), "a string"),
+                   "x": (_is_number, "a number"), "n": (_is_integer, "an integer")}
+MEAN_TYPE = (lambda v: v is None or _is_number(v), "a number or null")
 
 
 @dataclass(frozen=True)
@@ -117,6 +121,13 @@ class RunRecord:
                 absent = [key for key in keys if not isinstance(row, dict) or key not in row]
                 if absent:
                     raise ConfigError(f"{path}: {name}[{i}] lacks keys {absent}")
+        for i, row in enumerate(doc.get("aggregates", [])):
+            for key, value in row.items():
+                typed, kind = AGGREGATE_TYPES.get(key, MEAN_TYPE if key.endswith("_mean")
+                                                  else (None, None))
+                if typed and not typed(value):
+                    raise ConfigError(f"{path}: aggregates[{i}].{key} must be {kind}, "
+                                      f"got {value!r}")
         return cls(**doc)
 
     def save(self, out_root) -> Path:
@@ -317,11 +328,8 @@ def sdedit_trials(gm: oracle.GaussianMixture, schedule: NoiseSchedule,
 
 
 def _setup(cfg: ExperimentConfig):
-    """Build the run's objects and draw its trials once for every arm."""
-    schedule = build_schedule(cfg)
-    gm = build_density(cfg)
-    op = build_operator(cfg, gm.dim)
-    scfg = build_sampler(cfg, schedule)
+    """The run's built objects, with its trials drawn once for every arm."""
+    gm, op, schedule, scfg = cfg.built
     trials = draw_trials(gm, op, cfg.experiment["trials"], cfg.experiment["seed"])
     return gm, op, schedule, scfg, trials
 
@@ -407,11 +415,10 @@ def run_baseline_sdedit(cfg: ExperimentConfig) -> RunRecord:
 
 def run_sample_unguided(cfg: ExperimentConfig) -> RunRecord:
     """Unguided endpoint draws from the oracle density, with moment diagnostics."""
-    schedule = build_schedule(cfg)
-    gm = build_density(cfg)
+    gm, _, schedule, scfg = cfg.built
     trials = cfg.experiment["trials"]
     drift = unguided_drift(mixture_score_model(gm, schedule), schedule)
-    paths = ode_ensemble(drift, build_sampler(cfg, schedule), trials)
+    paths = ode_ensemble(drift, scfg, trials)
     endpoints = np.stack([p.endpoint for p in paths])
     loglik = oracle.gm_logpdf(gm, endpoints)
     rows = [{"loglik_p0": float(loglik[i])} for i in range(trials)]
@@ -451,10 +458,12 @@ def emit_report(record: RunRecord, fmt: str, out_dir):
         paths = []
         for metric in ("mse_to_y", "mse_to_coarse", "loglik_p0"):
             col = f"{metric}_mean"
+            rows = [row for row in record.aggregates if col in row]
+            # a metric that was not finite on some arm (null in record.json) gets no chart
+            if any(row[col] is None or not math.isfinite(row[col]) for row in rows):
+                continue
             by_series: dict[str, tuple[list, list]] = {}
-            for row in record.aggregates:
-                if col not in row:
-                    continue
+            for row in rows:
                 xs, ys = by_series.setdefault(row["series"], ([], []))
                 xs.append(row["x"])
                 ys.append(row[col])

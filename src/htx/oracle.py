@@ -435,7 +435,7 @@ class DegradationOperator:
         if lift.shape != (d, m) or valid.shape != (d,):
             raise ValueError("inconsistent operator shapes")
         if self.noise_std < 0:
-            raise ConfigError("noise_std must be >= 0")
+            raise ConfigError(f"operator.noise_std must be >= 0, got {self.noise_std!r}")
         zero_rows = ~np.any(a != 0.0, axis=1)
         if np.any(zero_rows):
             # all-zero output rows are only legal when they are flagged masked-out
@@ -498,7 +498,7 @@ def identity_operator(dim: int, noise_std: float = 0.0) -> DegradationOperator:
 
 def shrink(factor: float, dim: int, noise_std: float = 0.0) -> DegradationOperator:
     if factor <= 0:
-        raise ConfigError("shrink factor must be positive")
+        raise ConfigError(f"operator.factor must be positive for shrink, got {factor!r}")
     return DegradationOperator(factor * np.eye(dim), noise_std,
                                np.eye(dim), np.ones(dim, dtype=bool))
 
@@ -506,7 +506,8 @@ def shrink(factor: float, dim: int, noise_std: float = 0.0) -> DegradationOperat
 def blur_1d(kernel_std: float, grid_size: int, noise_std: float = 0.0) -> DegradationOperator:
     """Circular-free Gaussian blur on a 1-d grid; rows renormalized to sum 1."""
     if kernel_std <= 0 or grid_size < 1:
-        raise ConfigError("blur needs kernel_std > 0 and grid_size >= 1")
+        raise ConfigError(f"blur needs operator.kernel_std > 0 and a grid of at least one "
+                          f"cell, got {kernel_std!r} and {grid_size}")
     idx = np.arange(grid_size)
     a = np.exp(-0.5 * ((idx[:, None] - idx[None, :]) / kernel_std) ** 2)
     a /= a.sum(axis=1, keepdims=True)
@@ -517,7 +518,8 @@ def blur_1d(kernel_std: float, grid_size: int, noise_std: float = 0.0) -> Degrad
 def downsample(factor: int, grid_size: int, noise_std: float = 0.0) -> DegradationOperator:
     """Average `factor` adjacent cells; lift replicates each cell back out."""
     if factor < 1 or grid_size < 1 or grid_size % factor != 0:
-        raise ConfigError("downsample needs factor >= 1 dividing grid_size")
+        raise ConfigError(f"operator.factor must be >= 1 and divide the grid size for "
+                          f"downsample, got {factor!r} on {grid_size}")
     m = grid_size // factor
     a = np.zeros((m, grid_size))
     lift = np.zeros((grid_size, m))
@@ -532,7 +534,7 @@ def mask(indices, dim: int, noise_std: float = 0.0) -> DegradationOperator:
     erased = np.zeros(dim, dtype=bool)
     erased[np.asarray(list(indices), dtype=int)] = True
     if erased.all():
-        raise ConfigError("mask cannot erase every coordinate")
+        raise ConfigError("operator.indices cannot erase every coordinate")
     a = np.eye(dim)
     a[erased] = 0.0
     kept = np.flatnonzero(~erased)

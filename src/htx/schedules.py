@@ -91,15 +91,19 @@ class NoiseSchedule:
 
     def __post_init__(self):
         if self.kind not in (VP, OTFM):
-            raise ConfigError(f"unknown schedule kind {self.kind!r}")
+            raise ConfigError(f"schedule.kind must be one of {[VP, OTFM]}, got {self.kind!r}")
         if self.kind == VP and not 0.0 < self.beta_min < self.beta_max:
-            raise ConfigError("vp schedule needs 0 < beta_min < beta_max")
+            raise ConfigError(f"schedule.beta_min and schedule.beta_max need 0 < beta_min "
+                              f"< beta_max for vp, got {self.beta_min!r} and {self.beta_max!r}")
         if not 0.0 < self.t_min < self.t_max <= 1.0:
-            raise ConfigError("need 0 < t_min < t_max <= 1")
+            raise ConfigError(f"schedule.t_min and schedule.t_max need "
+                              f"0 < t_min < t_max <= 1, got {self.t_min!r} and {self.t_max!r}")
         if self.kind == OTFM and self.t_max >= 1.0:
-            raise ConfigError("otfm needs t_max < 1 (alpha vanishes at t = 1)")
+            raise ConfigError(f"schedule.t_max must be < 1 for otfm (alpha vanishes at "
+                              f"t = 1), got {self.t_max!r}")
         if not self._alpha_sigma(self.t_min)[1] > 0.0:
-            raise ConfigError(f"t_min = {self.t_min!r} is too small: sigma(t_min) rounds to 0")
+            raise ConfigError(f"schedule.t_min = {self.t_min!r} is too small: "
+                              f"sigma(t_min) rounds to 0")
         object.__setattr__(self, "_memo", {})
         object.__setattr__(self, "_hash", hash((self.kind, self.beta_min, self.beta_max,
                                                 self.t_min, self.t_max)))
@@ -235,11 +239,12 @@ class WeightSchedule:
 
     def __post_init__(self):
         if self.family not in (POWER_OF_SIGMA, POWER_OF_TIME, CONSTANT):
-            raise ConfigError(f"unknown weight family {self.family!r}")
+            raise ConfigError(f"guidance.family must be one of "
+                              f"{[POWER_OF_SIGMA, POWER_OF_TIME, CONSTANT]}, got {self.family!r}")
         if self.exponent < 0:
-            raise ConfigError("weight exponent must be >= 0")
+            raise ConfigError(f"guidance.exponent must be >= 0, got {self.exponent!r}")
         if not 0.0 <= self.constant <= 1.0:
-            raise ConfigError("constant weight must lie in [0, 1]")
+            raise ConfigError(f"guidance.constant must lie in [0, 1], got {self.constant!r}")
 
     def weight(self, sigma, t, exponent=None):
         """Evaluate lambda; power_of_sigma ignores t, power_of_time ignores sigma.

@@ -79,11 +79,12 @@ class SamplerConfig:
         if not 1 <= self.steps <= MAX_STEPS:
             raise ConfigError(f"sampler.steps must lie in [1, {MAX_STEPS}], got {self.steps!r}")
         if not self.start > self.end:
-            raise ConfigError("start time must exceed end time")
+            raise ConfigError(f"sampler.start must exceed sampler.end, "
+                              f"got {self.start!r} and {self.end!r}")
         if self.solver not in (EULER_ODE, EULER_MARUYAMA):
             raise ConfigError(f"unknown solver {self.solver!r}")
         if self.record_every < 0:
-            raise ConfigError("record_every must be >= 0")
+            raise ConfigError(f"sampler.record_every must be >= 0, got {self.record_every!r}")
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,24 @@
-"""Property tests at the config boundary.
+"""Property tests at the config and record boundaries.
 
-Any JSON document either passes `ExperimentConfig.from_dict` and every
-`build_*` function, or one of them raises `ConfigError`; nothing else
-escapes.  The documents stay small: integers at or below 32 (the largest
-`density.cells` drawn), and lists of at most 4 items, so a mixture has at
-most 4 components in 4 dimensions.
+`ExperimentConfig.from_dict` builds every section, so any JSON document
+either raises `ConfigError` there, and nothing else escapes, or every
+`build_*` function then succeeds on the parsed config.  Any document that
+`RunRecord.from_json` accepts re-emits as CSV and SVG.  The documents stay
+small: integers at or below 32 (the largest `density.cells` drawn), and lists
+of at most 4 items, so a mixture has at most 4 components in 4 dimensions.
 """
 
+import json
+
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from htx.config import (CHOICE_FIELDS, DEFAULTS, ExperimentConfig, build_density,
                         build_operator, build_sampler, build_schedule, build_weights)
 from htx.errors import ConfigError
+from htx.experiments import CHECK_KEYS, RunRecord, emit_report
+from htx.schedules import CONSTANT, POWER_OF_SIGMA, POWER_OF_TIME
 
 
 def _json(scalars):
@@ -27,6 +33,8 @@ SMALL_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 32), st.floa
 HUGE_INTS = st.sampled_from([2 ** 64, 10 ** 400, -(10 ** 400)])
 ANY_JSON = _json(st.one_of(SMALL_SCALARS, HUGE_INTS))
 NUMBERS = st.one_of(st.floats(), st.integers(-2, 32), HUGE_INTS)
+# the values of each field that selects a variant (WeightSchedule checks the family)
+CHOICES = {**CHOICE_FIELDS, ("guidance", "family"): (POWER_OF_SIGMA, POWER_OF_TIME, CONSTANT)}
 
 
 def _field(section, key):
@@ -37,7 +45,7 @@ def _field(section, key):
     if isinstance(default, list):
         typed = st.lists(st.one_of(NUMBERS, st.lists(NUMBERS, max_size=4)), max_size=4)
     elif isinstance(default, str):
-        typed = st.sampled_from(CHOICE_FIELDS.get((section, key), ["", "runs"]))
+        typed = st.sampled_from(CHOICES.get((section, key), ["", "runs"]))
     else:
         typed = NUMBERS
     return st.one_of(st.just(default), typed, ANY_JSON)
@@ -49,35 +57,79 @@ SECTIONS = {section: st.one_of(
 DOCUMENTS = st.one_of(st.fixed_dictionaries({}, optional=SECTIONS), ANY_JSON)
 
 
-def _built(build, *args):
-    """build(*args), or None where it raises ConfigError."""
-    try:
-        return build(*args)
-    except ConfigError:
-        return None
-
-
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(DOCUMENTS)
 @example({"density": {"variance": 10 ** 400}})
 @example({"density": {"means": [[0, 10 ** 400]], "weights": [1]}})
 @example({"density": {"kind": "gaussian_field", "jitter": 0.0, "length_scale": 100.0}})
 def test_document_builds_or_raises_config_error(doc):
-    cfg = _built(ExperimentConfig.from_dict, doc)
-    if cfg is None:
+    try:
+        cfg = ExperimentConfig.from_dict(doc)
+    except ConfigError:
         return
-    schedule = _built(build_schedule, cfg)
-    gm = _built(build_density, cfg)
-    _built(build_weights, cfg)
-    if gm is not None:
-        _built(build_operator, cfg, gm.dim)
-    if schedule is not None:
-        _built(build_sampler, cfg, schedule)
+    gm, op, schedule, scfg = cfg.built
+    assert build_operator(cfg, build_density(cfg).dim).dim == op.dim == gm.dim
+    assert build_sampler(cfg, build_schedule(cfg)) == scfg
+    for exponent in (None, *cfg.experiment["exponents"]):
+        build_weights(cfg, exponent)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(DOCUMENTS)
 def test_round_trip_keeps_the_digest(doc):
-    cfg = _built(ExperimentConfig.from_dict, doc)
-    if cfg is not None:
-        assert ExperimentConfig.from_dict(cfg.to_dict()).digest() == cfg.digest()
+    try:
+        cfg = ExperimentConfig.from_dict(doc)
+    except ConfigError:
+        return
+    assert ExperimentConfig.from_dict(cfg.to_dict()).digest() == cfg.digest()
+
+
+METRICS = ("mse_to_y", "mse_to_coarse", "loglik_p0")
+FINITE = st.one_of(st.integers(-2, 32), st.floats(allow_nan=False, allow_infinity=False))
+# aggregate rows as a run writes them, null among the means as record.json writes
+# a non-finite one; two series over a few x values, so that charts get drawn
+ROWS = st.fixed_dictionaries(
+    {"series": st.sampled_from(["a", "b"]), "x": st.integers(0, 3), "n": st.integers(0, 32)},
+    optional={**{f"{m}_mean": st.one_of(FINITE, st.none()) for m in METRICS},
+              "mse_to_y_se": FINITE, "moment_distances": ANY_JSON})
+
+
+@st.composite
+def records(draw):
+    """A record as a run writes it, with at most one value replaced by any JSON."""
+    doc = {"kind": "k", "digest": "d", "config": {}, "seed": 0, "per_trial": {},
+           "aggregates": draw(st.lists(ROWS, max_size=6))}
+    if draw(st.booleans()):
+        doc["checks"] = [{key: draw(ANY_JSON) for key in CHECK_KEYS}]
+    if doc["aggregates"] and draw(st.booleans()):
+        row = draw(st.sampled_from(doc["aggregates"]))
+        row[draw(st.sampled_from(sorted(row)))] = draw(st.one_of(NUMBERS, ANY_JSON))
+    return doc
+
+
+def _record(*rows):
+    return {"kind": "k", "digest": "d", "config": {}, "seed": 0, "per_trial": {},
+            "aggregates": [{"series": "a", "x": float(i), "n": 2, **row}
+                           for i, row in enumerate(rows)]}
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("records")
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(doc=st.one_of(records(), ANY_JSON))
+@example(doc=_record({"mse_to_y_mean": 1.0}, {"mse_to_y_mean": None}))
+@example(doc=_record({"mse_to_y_mean": 1.0}, {"mse_to_y_mean": "2"}))
+@example(doc=_record({"mse_to_y_mean": 1.0}, {"mse_to_y_mean": 2.0, "x": "foo"}))
+@example(doc=_record({"mse_to_y_mean": 1.0}, {"mse_to_y_mean": 2.0, "series": ["a"]}))
+def test_accepted_record_re_emits(scratch, doc):
+    path = scratch / "record.json"
+    path.write_text(json.dumps(doc))
+    try:
+        record = RunRecord.from_json(path)
+    except ConfigError:
+        return
+    emit_report(record, "csv", scratch)
+    emit_report(record, "svg", scratch)

@@ -480,6 +480,27 @@ class TestCli:
         assert len(err) == 1 and field in err[0]
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("command", ["restore", "ablate-exponent", "ablate-weightfn",
+                                         "baseline-sdedit", "sample", "train"])
+    @pytest.mark.parametrize("doc, field", [
+        ({"operator": {"kernel_std": -1.0}}, "operator.kernel_std"),
+        ({"schedule": {"beta_min": 5.0, "beta_max": 1.0}}, "schedule.beta_min"),
+        ({"sampler": {"record_every": -1}}, "sampler.record_every"),
+        ({"experiment": {"exponents": [-1.0]}}, "experiment.exponents"),
+    ])
+    def test_constructor_range_exit_two_for_every_command(self, tmp_path, monkeypatch, capsys,
+                                                          command, doc, field):
+        # a range that a section's constructor holds is checked when the config is
+        # parsed, whether or not the command's driver uses that section
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**doc, "sampler": {"steps": 2, **doc.get("sampler", {})}}))
+        flags = ["--steps", "1"] if command == "train" else []
+        assert main([command, "--config", str(cfg_path), "--trials", "2", *flags]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and field in err[0]
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
     def test_main_calls_in_one_process_give_what_fresh_processes_give(
             self, tmp_path, monkeypatch, capsys):
         # the parser is built once per process: each call, a config error among
@@ -636,31 +657,24 @@ class TestCli:
                           ({"guidance": {"constant": 2.0}}, "guidance.constant"),
                           ({"guidance": {"exponent": -1.0}}, "guidance.exponent"),
                           ({"density": {"cells": 10**12}}, "density.cells"),
-                          ({"density": {"cells": 1025}}, "density.cells")):
+                          ({"density": {"cells": 1025}}, "density.cells"),
+                          # ranges a section's constructor holds: from_dict builds every section
+                          ({"density": {"weights": [0.5, 0.6]}}, "density.weights"),
+                          ({"density": {"kind": "gaussian_field", "jitter": -1.0}},
+                           "density.jitter"),
+                          ({"density": {"weights": [float("nan"), 0.5]}}, "density.weights"),
+                          ({"density": {"means": [[]], "weights": [1.0]}}, "density.means"),
+                          ({"density": {"weights": ["0.5", "0.5"]}}, "density.weights"),
+                          ({"density": {"means": [["-3", 0.0], [3.0, 0.0]]}}, "density.means"),
+                          ({"density": {"kind": "gaussian_field", "jitter": 0.0,
+                                        "length_scale": 100.0}},
+                           "density.variance, length_scale and jitter"),
+                          *(({"operator": {"kind": "mask", "indices": indices}},
+                             "operator.indices") for indices in ([20], 5, [-1], [0.5])),
+                          ({"sampler": {"start": 2.0}}, "sampler.start"),
+                          ({"sampler": {"end": 0.0}}, "sampler.end")):
             with pytest.raises(ConfigError, match=name):
                 ExperimentConfig.from_dict(doc)
-        cfg = ExperimentConfig.from_dict({"density": {"weights": [0.5, 0.6]}})
-        with pytest.raises(ConfigError, match="density.weights"):
-            build_density(cfg)
-        cfg = ExperimentConfig.from_dict({"density": {"kind": "gaussian_field", "jitter": -1.0}})
-        with pytest.raises(ConfigError, match="density.jitter"):
-            build_density(cfg)
-        for density, name in (({"weights": [float("nan"), 0.5]}, "density.weights"),
-                              ({"means": [[]], "weights": [1.0]}, "density.means"),
-                              ({"weights": ["0.5", "0.5"]}, "density.weights"),
-                              ({"means": [["-3", 0.0], [3.0, 0.0]]}, "density.means"),
-                              ({"kind": "gaussian_field", "jitter": 0.0, "length_scale": 100.0},
-                               "density.variance, length_scale and jitter")):
-            with pytest.raises(ConfigError, match=name):
-                build_density(ExperimentConfig.from_dict({"density": density}))
-        for indices in ([20], 5, [-1], [0.5]):
-            cfg = ExperimentConfig.from_dict({"operator": {"kind": "mask", "indices": indices}})
-            with pytest.raises(ConfigError, match="operator.indices"):
-                build_operator(cfg, 2)
-        for key, value in (("start", 2.0), ("end", 0.0)):
-            cfg = ExperimentConfig.from_dict({"sampler": {key: value}})
-            with pytest.raises(ConfigError, match=f"sampler.{key}"):
-                build_sampler(cfg, build_schedule(cfg))
 
     def test_underflowed_posterior_weight_exit_zero(self, tmp_path):
         # the conjugate posterior gives one mode of each trial a weight of exactly 0
@@ -734,6 +748,44 @@ class TestCli:
                 f"wrote {out / name}.svg" for name in charts]
 
 
+    @staticmethod
+    def _ablation_record(tmp_path, **changes):
+        """A saved two-arm ablate-exponent record, its first aggregate row changed."""
+        record = run_ablate_exponent(small_restore_config(trials=3, exponents=[1.0, 5.0]))
+        path = record.save(tmp_path / "runs") / "record.json"
+        doc = json.loads(path.read_text())
+        doc["aggregates"][0].update(changes)
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    @pytest.mark.parametrize("changes, field", [
+        ({"x": "foo"}, "aggregates[0].x"),
+        ({"series": ["a=1"]}, "aggregates[0].series"),
+        ({"mse_to_y_mean": "0.5"}, "aggregates[0].mse_to_y_mean"),
+        ({"n": 2.5}, "aggregates[0].n"),
+    ])
+    def test_report_on_mistyped_aggregate_exit_two(self, tmp_path, capsys, fmt, changes, field):
+        path = self._ablation_record(tmp_path, **changes)
+        capsys.readouterr()
+        assert main(["report", "--record", str(path), "--format", fmt,
+                     "--out", str(tmp_path / "again")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and field in err[0]
+
+    def test_report_leaves_out_the_chart_of_a_null_metric(self, tmp_path, capsys):
+        # record.json writes a non-finite metric as null; it re-reports with no chart
+        path = self._ablation_record(tmp_path, mse_to_y_mean=None)
+        out = tmp_path / "again"
+        capsys.readouterr()
+        assert main(["report", "--record", str(path), "--format", "svg", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"wrote {out / name}.svg" for name in ("mse_to_coarse", "loglik_p0")]
+        assert main(["report", "--record", str(path), "--out", str(out)]) == 0
+        header, rows = read_csv(out / "metrics.csv")
+        assert rows[0][header.index("mse_to_y_mean")] == ""
+
+
 def test_tracing_targets_resolve():
     """Every function the benchmark's tracer wraps exists under its listed name."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -798,7 +850,7 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not strict JSON")
 
 
-@pytest.mark.parametrize("workload", ["bridge-exact", "ensemble-sde"])
+@pytest.mark.parametrize("workload", ["bridge-exact", "ensemble-sde", "restore-field"])
 def test_benchmark_output_contract(workload):
     """A short benchmark run exits cleanly and ends its stdout with its result line.
 
