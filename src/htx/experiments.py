@@ -23,7 +23,7 @@ from .config import ExperimentConfig, _is_integer, _is_number, build_weights
 from .errors import ConfigError
 from .guidance import (GuidanceSpec, approximation_error, guided_score_drift,
                        region_exponents, sdedit_start, unguided_drift)
-from .schedules import POWER_OF_SIGMA, POWER_OF_TIME, NoiseSchedule, WeightSchedule
+from .schedules import CONSTANT, POWER_OF_SIGMA, POWER_OF_TIME, NoiseSchedule, WeightSchedule
 from .scorenet import mixture_score_model
 from .solvers import SamplerConfig, ode_ensemble, sample_ode, trial_rngs
 
@@ -338,6 +338,10 @@ def _exponent_map_from_config(cfg: ExperimentConfig, op: oracle.DegradationOpera
     g = cfg.guidance
     if g["valid_exponent"] is None and g["invalid_exponent"] is None:
         return None
+    if g["family"] == CONSTANT:
+        key = "valid_exponent" if g["valid_exponent"] is not None else "invalid_exponent"
+        raise ConfigError(f"guidance.{key} needs a power-family guidance.family, "
+                          f"got {CONSTANT!r}")
     valid_e = g["valid_exponent"] if g["valid_exponent"] is not None else g["exponent"]
     invalid_e = g["invalid_exponent"] if g["invalid_exponent"] is not None else g["exponent"]
     return region_exponents(op.valid, valid_e, invalid_e)
@@ -377,15 +381,16 @@ def _start_guided(t0: float):
 
 def run_restore(cfg: ExperimentConfig) -> RunRecord:
     """Guided restoration with an unguided arm and the posterior-mean reference."""
+    exponent_map = _exponent_map_from_config(cfg, cfg.built[1])  # checked before any draw
     setup = _setup(cfg)
-    _, op, schedule, scfg, trials = setup
+    _, _, schedule, scfg, trials = setup
     x = cfg.guidance["exponent"]
     # surrogate-error magnitude (alpha/sigma^2) ||y~ - y|| of every trial on a time grid
     times = np.linspace(scfg.start, scfg.end, ERROR_CURVE_POINTS)
     curves = approximation_error(times, trials.fine[:, None], trials.coarse[:, None], schedule)
     return _sweep(cfg, "restore", [
         ("guided", "guided", x,
-         _restoration(build_weights(cfg), _exponent_map_from_config(cfg, op))),
+         _restoration(build_weights(cfg), exponent_map)),
         ("unguided", "unguided", x, _restoration(None)),
     ], setup, extras={"error_curve_times": times.tolist(),
                       "guided_error_curves_mean": curves.mean(axis=0).tolist()})
@@ -407,7 +412,17 @@ def run_ablate_weight_family(cfg: ExperimentConfig) -> RunRecord:
 
 
 def run_baseline_sdedit(cfg: ExperimentConfig) -> RunRecord:
-    """Start-guided baseline swept over the noising times experiment.t0_fractions."""
+    """Start-guided baseline swept over the noising times experiment.t0_fractions.
+
+    Every time must lie in (sampler.end, schedule.t_max]; it is checked here,
+    before any arm runs, since no other command reads it.
+    """
+    _, _, schedule, scfg = cfg.built
+    for i, t0 in enumerate(cfg.experiment["t0_fractions"]):
+        if not scfg.end < t0 <= schedule.t_max:
+            raise ConfigError(f"experiment.t0_fractions[{i}] must lie in (sampler.end, "
+                              f"schedule.t_max] = ({scfg.end!r}, {schedule.t_max!r}], "
+                              f"got {t0!r}")
     return _sweep(cfg, "baseline_sdedit", [
         (f"t0={t0:g}", "sdedit", float(t0), _start_guided(float(t0)))
         for t0 in cfg.experiment["t0_fractions"]], posterior=False)

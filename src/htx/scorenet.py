@@ -12,12 +12,14 @@ Training minimizes the denoising objective in score-residual form,
 
 with x_t = alpha_t x_0 + sigma_t eps and t uniform on [t_min, t_max].
 
-A training run (`train`) allocates one workspace: the two hidden
-activations, their back-propagated gradients and their 1 - h^2 factors, each
-(batch, width).  Every step writes into it in the order of operations of
-fresh arrays, so the curve and the parameters are bitwise those of a run
-that allocates per step, and no step maps new pages.  The gradients a step
-returns are fresh arrays, never views of the workspace.
+A training run (`train`) holds the parameters, their gradients and Adam's
+two moments as vectors in weight-file order, each layer's array a view
+(`_layer_views`), and one workspace: the two hidden activations, their
+back-propagated gradients and their 1 - h^2 factors, each (batch, width).
+Every step writes into them in the order of operations of fresh arrays, so
+the curve and the parameters are bitwise those of a run that allocates per
+step, and no step maps new pages.  A standalone `dsm_loss_grad_at` returns
+fresh gradients, never views of a workspace.
 
 Weight file layout (little endian):
   bytes 0..6    magic b"HTXNET1"
@@ -139,10 +141,11 @@ def dsm_loss_grad_at(net: MlpNet, x0: np.ndarray, t: np.ndarray, eps: np.ndarray
     Separating the stochastic draws from the differentiable computation lets
     finite differences check the gradients on identical inputs.  `_work`, from
     `_workspace`, receives the hidden activations, their back-propagated
-    gradients and their 1 - h^2 factors; by default each is a fresh array.
-    The returned gradients are always fresh.
+    gradients and their 1 - h^2 factors, and a seventh entry, when given, the
+    six parameter gradients; by default each is a fresh array.
     """
-    h1, h2, g_h1, g_h2, d1, d2 = _work or (None,) * 6
+    h1, h2, g_h1, g_h2, d1, d2, *out = _work or (None,) * 6
+    gw1, gb1, gw2, gb2, gw3, gb3 = out[0] if out else (None,) * 6
     a, s = schedule.alpha_sigma(t)
     a = a[:, None]
     s = s[:, None]
@@ -157,15 +160,11 @@ def dsm_loss_grad_at(net: MlpNet, x0: np.ndarray, t: np.ndarray, eps: np.ndarray
     loss = float(np.sum(resid * resid) / n)
 
     g_out = 2.0 * resid / (s * n)
-    g_w3 = g_out.T @ h2
-    g_b3 = g_out.sum(axis=0)
     g_h2 = _backprop(g_out, w3, h2, g_h2, d2)
-    g_w2 = g_h2.T @ h1
-    g_b2 = g_h2.sum(axis=0)
     g_h1 = _backprop(g_h2, w2, h1, g_h1, d1)
-    g_w1 = g_h1.T @ h0
-    g_b1 = g_h1.sum(axis=0)
-    return loss, (g_w1, g_b1, g_w2, g_b2, g_w3, g_b3)
+    return loss, (np.matmul(g_h1.T, h0, out=gw1), np.sum(g_h1, axis=0, out=gb1),
+                  np.matmul(g_h2.T, h1, out=gw2), np.sum(g_h2, axis=0, out=gb2),
+                  np.matmul(g_out.T, h2, out=gw3), np.sum(g_out, axis=0, out=gb3))
 
 
 def _backprop(g_next, w_next, h, g_h=None, d=None):
@@ -180,6 +179,16 @@ def _workspace(net: MlpNet, batch: int) -> tuple:
     """dsm_loss_grad_at's six (batch, width) arrays for one training run."""
     widths = net.sizes[1:3] * 3  # h1, h2, g_h1, g_h2, d1, d2
     return tuple(np.empty((batch, w)) for w in widths)
+
+
+def _layer_views(flat: np.ndarray, sizes) -> tuple:
+    """(W1, b1, W2, b2, W3, b3) as reshaped views of `flat`, in weight-file order."""
+    views, off = [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        end = off + fan_out * fan_in
+        views += [flat[off:end].reshape(fan_out, fan_in), flat[end:end + fan_out]]
+        off = end + fan_out
+    return tuple(views)
 
 
 def dsm_loss_grad(net: MlpNet, batch: np.ndarray, schedule: NoiseSchedule,
@@ -198,35 +207,36 @@ def train(net: MlpNet, data: np.ndarray, cfg: TrainConfig, schedule: NoiseSchedu
 
     The curve has one (step, loss) row every 100 steps and one for the
     trained net.  Identical (seed, config, data) reproduces it bitwise.  The
-    steps write their batch-by-width arrays into one workspace made for this
-    call (module docstring), bit for bit as fresh arrays would hold them.
+    steps write into vectors and a workspace made for this call (module
+    docstring), bit for bit as fresh arrays would hold them.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if data.shape[0] < cfg.batch:
         raise ValueError("data size must be >= batch size")
     rng = np.random.default_rng(cfg.seed)
-    params = [p.copy() for p in net.params]
-    moment1 = [np.zeros_like(p) for p in params]
-    moment2 = [np.zeros_like(p) for p in params]
-    work = _workspace(net, cfg.batch)
+    theta = np.concatenate([np.ravel(p) for p in net.params])
+    grad, moment1, moment2, tmp = (np.zeros_like(theta) for _ in range(4))
+    trained = MlpNet(params=_layer_views(theta, net.sizes), dim=net.dim)
+    work = (*_workspace(net, cfg.batch), _layer_views(grad, net.sizes))
     curve = []
     for step in range(cfg.steps):
         idx = rng.integers(0, data.shape[0], size=cfg.batch)
-        current = MlpNet(params=tuple(params), dim=net.dim)
-        loss, grads = dsm_loss_grad(current, data[idx], schedule, rng, _work=work)
+        loss, _ = dsm_loss_grad(trained, data[idx], schedule, rng, _work=work)
         if not np.isfinite(loss):
             raise TrainingError(step)
         if step % 100 == 0:
             curve.append([float(step), loss])
-        scale1 = 1.0 - BETA1 ** (step + 1)
-        scale2 = 1.0 - BETA2 ** (step + 1)
-        for i, g in enumerate(grads):
-            moment1[i] = BETA1 * moment1[i] + (1.0 - BETA1) * g
-            moment2[i] = BETA2 * moment2[i] + (1.0 - BETA2) * g * g
-            step_dir = (moment1[i] / scale1) / (np.sqrt(moment2[i] / scale2) + ADAM_EPS)
-            params[i] = params[i] - LEARNING_RATE * step_dir
+        scale1, scale2 = 1.0 - BETA1 ** (step + 1), 1.0 - BETA2 ** (step + 1)
+        # Adam in whole-vector passes, each in the order of operations of m = b1 m + (1 - b1) g,
+        # v = b2 v + (1 - b2) g g and theta -= lr (m / scale1) / (sqrt(v / scale2) + eps)
+        moment1 *= BETA1
+        moment1 += np.multiply(grad, 1.0 - BETA1, out=tmp)
+        moment2 *= BETA2
+        moment2 += np.multiply(np.multiply(grad, 1.0 - BETA2, out=tmp), grad, out=tmp)
+        np.sqrt(np.divide(moment2, scale2, out=tmp), out=tmp)
+        np.divide(np.divide(moment1, scale1, out=grad), np.add(tmp, ADAM_EPS, out=tmp), out=grad)
+        theta -= np.multiply(grad, LEARNING_RATE, out=grad)
 
-    trained = MlpNet(params=tuple(params), dim=net.dim)
     if cfg.steps > 0:
         final_rng = np.random.default_rng(cfg.seed + 1)
         loss, _ = dsm_loss_grad(trained, data[: cfg.batch], schedule, final_rng, _work=work)
@@ -237,12 +247,9 @@ def train(net: MlpNet, data: np.ndarray, cfg: TrainConfig, schedule: NoiseSchedu
 def save_weights(net: MlpNet, path):
     """Persist the network in the flat little-endian format described above."""
     sizes = net.sizes
+    body = np.concatenate([np.ravel(p) for p in net.params]).astype("<f8")
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<B", len(sizes)))
-        fh.write(struct.pack(f"<{len(sizes)}I", *sizes))
-        for p in net.params:
-            fh.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
+        fh.write(_MAGIC + struct.pack(f"<B{len(sizes)}I", len(sizes), *sizes) + body.tobytes())
 
 
 def load_weights(path) -> MlpNet:
@@ -263,19 +270,12 @@ def load_weights(path) -> MlpNet:
     if min(sizes) < 1 or sizes[0] != sizes[-1] + 2:
         raise ConfigError(f"{path}: layer sizes {list(sizes)} need positive widths "
                           f"and input width dim + 2")
-    pairs = list(zip(sizes[:-1], sizes[1:]))
-    expected = off + 8 * sum(fan_out * (fan_in + 1) for fan_in, fan_out in pairs)
+    expected = off + 8 * sum(out * (inp + 1) for inp, out in zip(sizes[:-1], sizes[1:]))
     if len(blob) != expected:
         problem = "truncated parameters" if len(blob) < expected else "trailing bytes"
         raise ConfigError(f"{path}: {problem}: {len(blob)} bytes, expected {expected}")
-    params = []
-    for fan_in, fan_out in pairs:
-        w = np.frombuffer(blob, dtype="<f8", count=fan_out * fan_in, offset=off)
-        off += w.nbytes
-        b = np.frombuffer(blob, dtype="<f8", count=fan_out, offset=off)
-        off += b.nbytes
-        params.extend([w.reshape(fan_out, fan_in).copy(), b.copy()])
-    return MlpNet(params=tuple(params), dim=sizes[-1])
+    flat = np.frombuffer(blob, dtype="<f8", offset=off).astype(float)
+    return MlpNet(params=_layer_views(flat, sizes), dim=sizes[-1])
 
 
 class ScoreModel:

@@ -6,10 +6,13 @@ either raises `ConfigError` there, and nothing else escapes, or every
 `RunRecord.from_json` accepts re-emits as CSV and SVG.  The documents stay
 small: integers at or below 32 (the largest `density.cells` drawn), and lists
 of at most 4 items, so a mixture has at most 4 components in 4 dimensions.
+A saved weight file loads back bitwise, and any truncated, extended or
+header-corrupted copy of it raises `ConfigError`.
 """
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,6 +22,7 @@ from htx.config import (CHOICE_FIELDS, DEFAULTS, ExperimentConfig, build_density
 from htx.errors import ConfigError
 from htx.experiments import CHECK_KEYS, RunRecord, emit_report
 from htx.schedules import CONSTANT, POWER_OF_SIGMA, POWER_OF_TIME
+from htx.scorenet import MlpNet, load_weights, save_weights
 
 
 def _json(scalars):
@@ -133,3 +137,66 @@ def test_accepted_record_re_emits(scratch, doc):
         return
     emit_report(record, "csv", scratch)
     emit_report(record, "svg", scratch)
+
+
+@st.composite
+def nets(draw):
+    """A net of dim 1-4 and widths 1-16, with a few entries set to any float
+    (signed zeros, infinities, NaNs)."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    net = MlpNet.init(draw(st.integers(1, 4)), (draw(st.integers(1, 16)),
+                                                draw(st.integers(1, 16))),
+                      rng=np.random.default_rng(seed))
+    params = [p.copy() for p in net.params]
+    for value in draw(st.lists(st.floats(), max_size=6)):
+        p = params[draw(st.integers(0, 5))]
+        p.flat[draw(st.integers(0, p.size - 1))] = value
+    return MlpNet(tuple(params), net.dim)
+
+
+def _saved(scratch, net) -> bytes:
+    save_weights(net, scratch / "net.htx")
+    return (scratch / "net.htx").read_bytes()
+
+
+def _load(scratch, blob: bytes) -> MlpNet:
+    (scratch / "net.htx").write_bytes(blob)
+    return load_weights(scratch / "net.htx")
+
+
+# magic, the number of layer sizes, four uint32 sizes
+HEADER_BYTES = 7 + 1 + 4 * 4
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(nets())
+def test_weight_file_round_trips_bitwise(scratch, net):
+    loaded = _load(scratch, _saved(scratch, net))
+    assert loaded.dim == net.dim
+    for got, want in zip(loaded.params, net.params, strict=True):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(derandomize=True, max_examples=5, deadline=None)
+@given(nets())
+def test_every_truncated_weight_file_is_config_error(scratch, net):
+    blob = _saved(scratch, net)
+    for size in range(len(blob)):
+        with pytest.raises(ConfigError):
+            _load(scratch, blob[:size])
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(nets(), st.binary(min_size=1, max_size=64))
+def test_weight_file_with_trailing_bytes_is_config_error(scratch, net, tail):
+    with pytest.raises(ConfigError):
+        _load(scratch, _saved(scratch, net) + tail)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(nets(), st.integers(1, 255))
+def test_weight_file_with_a_flipped_header_byte_is_config_error(scratch, net, mask):
+    blob = _saved(scratch, net)
+    for i in range(HEADER_BYTES):
+        with pytest.raises(ConfigError):
+            _load(scratch, blob[:i] + bytes([blob[i] ^ mask]) + blob[i + 1:])

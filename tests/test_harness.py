@@ -617,6 +617,33 @@ class TestCli:
         assert "--steps" in capsys.readouterr().err
         assert not (tmp_path / "w").exists()
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"experiment": {"t0_fractions": [2.0]}}, "experiment.t0_fractions[0]"),
+        ({"experiment": {"t0_fractions": [0.8, 0.3]}, "sampler": {"end": 0.5}},
+         "experiment.t0_fractions[1]"),
+        ({"guidance": {"family": "constant", "valid_exponent": 1.0}},
+         "guidance.valid_exponent"),
+        ({"guidance": {"family": "constant", "invalid_exponent": 1.0}},
+         "guidance.invalid_exponent"),
+    ])
+    def test_driver_only_value_exit_two_only_in_its_driver(self, tmp_path, monkeypatch, capsys,
+                                                           doc, field):
+        # a start time is read by baseline-sdedit alone, a per-region exponent by restore
+        # alone: that driver rejects it before any trial is drawn, the others run
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**doc, "sampler": {**doc.get("sampler", {}),
+                                                           "steps": 2}}))
+        rejecting = "baseline-sdedit" if "experiment" in doc else "restore"
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "draw_trials", lambda *a: pytest.fail("trials drawn"))
+            assert main([rejecting, "--config", str(cfg_path), "--trials", "2"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and field in err[0]
+        assert not (tmp_path / "runs").exists()
+        for command in [c for c in ("restore", "baseline-sdedit", "sample") if c != rejecting]:
+            assert main([command, "--config", str(cfg_path), "--trials", "2"]) == 0
+
     def test_train_steps_above_the_bound_exit_two(self, tmp_path, monkeypatch, capsys):
         # the flag is checked before the config is read or any data is drawn
         monkeypatch.setattr(cli, "gm_sample", lambda *a: pytest.fail("train drew data"))

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from htx import cli
 from htx.errors import ConfigError, SingularityError, TrainingError
 from htx.oracle import GaussianMixture
 from htx.schedules import NoiseSchedule
@@ -228,6 +229,18 @@ class TestWorkspace:
         for got, want in zip(trained.params, params, strict=True):
             assert np.array_equal(got, want)
 
+    def test_non_square_net_equals_the_allocating_loop_bitwise(self):
+        # every block of dim 3 and hidden (5, 3) has its own shape: (5, 5), (5,),
+        # (3, 5), (3,), (3, 3), (3,), so a view cut at a wrong offset shows
+        data = np.random.default_rng(33).standard_normal((512, 3))
+        net = MlpNet.init(3, hidden=(5, 3), rng=np.random.default_rng(43))
+        cfg = TrainConfig(steps=300, batch=32, seed=3)
+        trained, curve = train(net, data, cfg, SCHEDULE)
+        params, ref_curve = _allocating_train(net, data, cfg, SCHEDULE)
+        assert np.array_equal(curve, ref_curve)
+        for got, want in zip(trained.params, params, strict=True):
+            assert got.shape == want.shape and np.array_equal(got, want)
+
     def test_standalone_calls_are_equal_and_share_no_memory(self):
         rng = np.random.default_rng(41)
         net = MlpNet.init(2, rng=rng)
@@ -317,6 +330,31 @@ class TestTraining:
         first = curve[:5, 1].mean()
         last = curve[-5:, 1].mean()
         assert last <= first
+
+    def test_caller_net_unchanged_and_results_share_no_memory(self):
+        net = MlpNet.init(2, hidden=(6, 4), rng=np.random.default_rng(17))
+        before = [p.tobytes() for p in net.params]
+        data = np.random.default_rng(18).standard_normal((256, 2))
+        cfg = TrainConfig(steps=50, batch=64)
+        first, _ = train(net, data, cfg, SCHEDULE)
+        second, _ = train(net, data, cfg, SCHEDULE)
+        assert [p.tobytes() for p in net.params] == before
+        for p in first.params:
+            assert not any(np.shares_memory(p, q) for q in net.params + second.params)
+
+    def test_cli_train_saves_the_trained_net_bitwise(self, tmp_path, monkeypatch):
+        runs = []
+
+        def recording(*args):
+            runs.append(train(*args))
+            return runs[-1]
+        monkeypatch.setattr(cli, "train", recording)
+        assert cli.main(["train", "--steps", "200", "--out", str(tmp_path)]) == 0
+        ((trained, _),) = runs
+        loaded = load_weights(tmp_path / "scorenet.htx")
+        assert loaded.dim == trained.dim
+        for got, want in zip(loaded.params, trained.params, strict=True):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_divergence_raises_training_error(self):
         net = MlpNet.init(1, rng=np.random.default_rng(15))
