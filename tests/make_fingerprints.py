@@ -4,9 +4,11 @@ The file holds three sections of pins:
 
 - `pins`: the SHA-256 of `record.json` and `metrics.csv` as `htx <command>`
   writes them, for the five run commands on the default config and on the
-  16-cell blurred field. Every command runs in process through `cli.main`,
-  from a fresh working directory and with the relative `--out runs`: the
-  record holds its output path, so an absolute one would change its bytes.
+  16-cell blurred field, and under `values` the SHA-256 of the record's
+  values in a form that does not depend on its layout (`value_hash`). Every
+  command runs in process through `cli.main`, from a fresh working directory
+  and with the relative `--out runs`: the record holds its output path, so an
+  absolute one would change its bytes.
 - `verify`: the `repr` of the value of each of the ten `htx verify` checks.
 - `demos`: the SHA-256 of the standard output of each demo script.
 
@@ -62,8 +64,26 @@ def sha256(data: str | bytes) -> str:
     return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
 
 
+def columns(trials) -> dict[str, list]:
+    """An arm's per-trial table as {metric: [trial 0, trial 1, ...]}, from that
+    form or from one row per trial, [{metric: value}, ...]."""
+    if isinstance(trials, dict):
+        return trials
+    return {key: [row[key] for row in trials] for key in (trials[0] if trials else ())}
+
+
+def value_hash(doc: dict) -> str:
+    """SHA-256 of a record's `aggregates`, `extras` and per-trial table, with
+    the table in column form and every key sorted, so that a change of layout
+    alone does not move it while any changed value does."""
+    values = {"aggregates": doc["aggregates"], "extras": doc["extras"],
+              "per_trial": {arm: columns(trials) for arm, trials in doc["per_trial"].items()}}
+    return sha256(json.dumps(values, sort_keys=True))
+
+
 def fingerprint(config: str, command: str) -> dict[str, str]:
-    """{file: SHA-256} of what `htx <command>` saves on CONFIGS[config], run in the cwd."""
+    """{file: SHA-256} of what `htx <command>` saves on CONFIGS[config], run in the
+    cwd, and under "values" the `value_hash` of its record."""
     argv = [command, "--out", "runs"]
     if CONFIGS[config] is not None:
         Path("config.json").write_text(json.dumps(CONFIGS[config]))
@@ -76,7 +96,9 @@ def fingerprint(config: str, command: str) -> dict[str, str]:
     record = next(line[len("wrote "):] for line in printed.getvalue().splitlines()
                   if line.startswith("wrote ") and line.endswith("record.json"))
     out = Path(record).parent
-    return {name: sha256((out / name).read_bytes()) for name in FILES}
+    pins = {name: sha256((out / name).read_bytes()) for name in FILES}
+    pins["values"] = value_hash(json.loads((out / "record.json").read_text()))
+    return pins
 
 
 def run_demo(demo: Path, cwd) -> subprocess.CompletedProcess:

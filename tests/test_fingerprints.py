@@ -1,5 +1,9 @@
 """Every driver's saved record, byte for byte, against the committed pins.
 
+Each pin also holds the hash of the record's values in column form
+(`make_fingerprints.value_hash`): a change of the record's layout alone moves
+its record.json pin and leaves its values pin where it was.
+
 The pins in fingerprints.json were made by make_fingerprints.py with the
 Python, numpy and scipy versions it records. On that stack a moved pin fails
 and names the record; on another stack a mismatch is skipped with the
