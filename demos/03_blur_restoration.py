@@ -24,8 +24,8 @@ guided = restore_trials(prior, schedule, cfg, drawn, weights)
 unguided = restore_trials(prior, schedule, cfg, drawn, None)
 
 rows = {
-    "guided (a = 5)": [m.mse_to_y for m in guided],
-    "unguided": [m.mse_to_y for m in unguided],
+    "guided (a = 5)": guided["mse_to_y"],
+    "unguided": unguided["mse_to_y"],
     "posterior mean (knows operator)": posterior_mse(prior, operator, drawn),
 }
 print(f"{trials} trials, per-coordinate squared error to the clean field:")

@@ -23,14 +23,14 @@ drawn = draw_trials(gm, op, 100, 23)  # every arm below starts from these trials
 
 print("t0      mse_to_coarse     mse_to_y")
 for t0 in (0.2, 0.5, 0.8):
-    rows, _ = sdedit_trials(gm, schedule, cfg, drawn, t0)
-    mc, se_c = mean_se([m.mse_to_coarse for m in rows])
-    my, se_y = mean_se([m.mse_to_y for m in rows])
+    columns, _ = sdedit_trials(gm, schedule, cfg, drawn, t0)
+    mc, se_c = mean_se(columns["mse_to_coarse"])
+    my, se_y = mean_se(columns["mse_to_y"])
     print(f"{t0:.1f}    {mc:7.3f} +- {se_c:.3f}   {my:7.3f} +- {se_y:.3f}")
 
 guided = restore_trials(gm, schedule, cfg, drawn,
                         WeightSchedule("power_of_sigma", exponent=5.0))
-my, se_y = mean_se([m.mse_to_y for m in guided])
-mc, se_c = mean_se([m.mse_to_coarse for m in guided])
+my, se_y = mean_se(guided["mse_to_y"])
+mc, se_c = mean_se(guided["mse_to_coarse"])
 print(f"\nweighted correction (a = 5): mse_to_coarse {mc:.3f} +- {se_c:.3f}, "
       f"mse_to_y {my:.3f} +- {se_y:.3f}")

@@ -24,9 +24,8 @@ from .guidance import (GuidanceSpec, GuidedDrift, approx_h, approximation_error,
 from .solvers import (SamplerConfig, Trajectory, marginal_stats, ode_ensemble,
                       sample_ode, sde_ensemble, trial_rng)
 from .config import ExperimentConfig, rbf_field_prior
-from .experiments import (MetricSet, RunRecord, run_ablate_exponent,
-                          run_ablate_weight_family, run_baseline_sdedit,
-                          run_restore, run_sample_unguided)
+from .experiments import (RunRecord, run_ablate_exponent, run_ablate_weight_family,
+                          run_baseline_sdedit, run_restore, run_sample_unguided)
 from .verify import run_verify
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,10 +1,11 @@
 """Experiment drivers: restoration, ablations, the start-guided baseline.
 
-Every driver returns a RunRecord holding the full per-trial metric table, the
-aggregate rows (mean and standard error), and enough configuration to rerun
-bitwise.  Each run draws its trials once and every arm shares them: trial i
-of every arm sees the same (fine sample, degradation noise, start noise),
-which removes between-arm Monte Carlo variance from ordering comparisons.
+Every driver returns a RunRecord holding the full per-trial metric table, one
+column per metric, the aggregate rows (mean and standard error), and enough
+configuration to rerun bitwise.  Each run draws its trials once and every arm
+shares them: trial i of every arm sees the same (fine sample, degradation
+noise, start noise), which removes between-arm Monte Carlo variance from
+ordering comparisons.
 """
 
 from __future__ import annotations
@@ -38,19 +39,6 @@ AGGREGATE_TYPES = {"series": (lambda v: isinstance(v, str), "a string"),
 MEAN_TYPE = (lambda v: v is None or _is_number(v), "a number or null")
 
 
-@dataclass(frozen=True)
-class MetricSet:
-    """Per-trial endpoint metrics; squared errors are per-coordinate means."""
-
-    mse_to_y: float
-    mse_to_coarse: float
-    loglik_p0: float
-
-    def as_row(self) -> dict:
-        return {"mse_to_y": self.mse_to_y, "mse_to_coarse": self.mse_to_coarse,
-                "loglik_p0": self.loglik_p0}
-
-
 class Trials(NamedTuple):
     """Per-trial draws that every arm of a run shares."""
 
@@ -62,13 +50,18 @@ class Trials(NamedTuple):
 
 @dataclass
 class RunRecord:
-    """Persisted outcome of one experiment run."""
+    """Persisted outcome of one experiment run.
+
+    `per_trial` holds each arm's per-trial metrics as columns, {arm: {metric:
+    [trial 0, trial 1, ...]}}, each as long as the arm's aggregate `n`;
+    record.json writes a non-finite value as null.
+    """
 
     kind: str
     digest: str
     config: dict
     seed: int
-    per_trial: dict[str, list[dict]]
+    per_trial: dict[str, dict[str, list]]
     aggregates: list[dict]
     version: str = __version__
     artifacts: list[str] = field(default_factory=list)
@@ -76,7 +69,7 @@ class RunRecord:
     extras: dict = field(default_factory=dict)
 
     @classmethod
-    def of(cls, cfg: ExperimentConfig, kind: str, per_trial: dict[str, list[dict]],
+    def of(cls, cfg: ExperimentConfig, kind: str, per_trial: dict[str, dict[str, list]],
            aggregates: list[dict], **fields) -> "RunRecord":
         """The record of a run of cfg, carrying cfg's digest, config and seed."""
         return cls(kind=kind, digest=cfg.digest(), config=cfg.to_dict(),
@@ -183,9 +176,9 @@ def _record_json(value, depth: int = 0) -> str:
     for a value nested `depth` containers deep.
 
     The containers that hold containers are walked here.  A container of
-    scalars, and a list of non-empty flat dicts or of non-empty flat lists
-    (per-trial rows, endpoints), is one C-encoded string whose separators are
-    replaced by the newline and indentation of their depth.
+    scalars (a per-trial column), and a list of non-empty flat dicts or of
+    non-empty flat lists (check rows, endpoints), is one C-encoded string
+    whose separators are replaced by the newline and indentation of their depth.
     """
     if isinstance(value, np.ndarray):
         value = _jsonable(value)
@@ -226,13 +219,11 @@ def mean_se(values) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
 
 
-def aggregate_rows(per_trial: list[dict], series: str, x: float) -> dict:
-    """Collapse per-trial rows into one aggregate row with mean and SE columns."""
-    row = {"series": series, "x": x, "n": len(per_trial)}
-    for key in per_trial[0]:
-        mean, se = mean_se([trial[key] for trial in per_trial])
-        row[f"{key}_mean"] = mean
-        row[f"{key}_se"] = se
+def aggregate_row(columns: dict[str, np.ndarray], series: str, x: float) -> dict:
+    """One arm's aggregate row: the mean and SE of each per-trial metric column."""
+    row = {"series": series, "x": x, "n": len(next(iter(columns.values())))}
+    for key, column in columns.items():
+        row[f"{key}_mean"], row[f"{key}_se"] = mean_se(column)
     return row
 
 
@@ -288,16 +279,17 @@ def posterior_mse(gm: oracle.GaussianMixture, op: oracle.DegradationOperator,
 
 
 def _metrics(gm: oracle.GaussianMixture, trials: Trials,
-             endpoints: np.ndarray) -> list[MetricSet]:
-    """Each trial's metrics; a mean over axis 1 sums each row as np.mean of the row does."""
-    rows = (np.mean((endpoints - trials.fine) ** 2, axis=1),
-            np.mean((endpoints - trials.coarse) ** 2, axis=1), oracle.gm_logpdf(gm, endpoints))
-    return [MetricSet(*row) for row in zip(*(r.tolist() for r in rows))]
+             endpoints: np.ndarray) -> dict[str, np.ndarray]:
+    """Each metric's per-trial column; squared errors are per-coordinate means, and a
+    mean over axis 1 sums each row as np.mean of the row does."""
+    return {"mse_to_y": np.mean((endpoints - trials.fine) ** 2, axis=1),
+            "mse_to_coarse": np.mean((endpoints - trials.coarse) ** 2, axis=1),
+            "loglik_p0": oracle.gm_logpdf(gm, endpoints)}
 
 
 def restore_trials(gm: oracle.GaussianMixture, schedule: NoiseSchedule,
                    scfg: SamplerConfig, trials: Trials, weights: WeightSchedule | None,
-                   exponent_map: np.ndarray | None = None) -> list[MetricSet]:
+                   exponent_map: np.ndarray | None = None) -> dict[str, np.ndarray]:
     """One restoration arm from starts z; weights=None runs the unguided reference.
 
     All trials integrate as a single batch: the guided drift broadcasts over a
@@ -314,7 +306,7 @@ def restore_trials(gm: oracle.GaussianMixture, schedule: NoiseSchedule,
 
 def sdedit_trials(gm: oracle.GaussianMixture, schedule: NoiseSchedule,
                   scfg: SamplerConfig, trials: Trials,
-                  t0: float) -> tuple[list[MetricSet], np.ndarray]:
+                  t0: float) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Start-guided baseline arm: start at alpha(t0) y~ + sigma(t0) z, sample unguided."""
     starts, _ = sdedit_start(trials.coarse, t0, schedule, trials.z)
     drift = unguided_drift(mixture_score_model(gm, schedule), schedule)
@@ -351,21 +343,20 @@ def _sweep(cfg: ExperimentConfig, kind: str, arms, setup=None, posterior: bool =
            **fields) -> RunRecord:
     """Run arms (name, series, x, run) on the run's shared trials into one record.
 
-    `run(gm, schedule, scfg, trials)` returns an arm's per-trial metrics.  With
-    `posterior`, every row also carries the trial's posterior-mean error: a
-    property of the trials, so it is computed once for every arm.
+    `run(gm, schedule, scfg, trials)` returns an arm's metric columns.  With
+    `posterior`, every arm also carries the trials' posterior-mean errors: a
+    property of the trials, so the column is computed once for every arm.
     """
     gm, op, schedule, scfg, trials = setup or _setup(cfg)
     post = posterior_mse(gm, op, trials) if posterior else None
     per_trial = {}
     aggregates = []
     for name, series, x, run in arms:
-        rows = [m.as_row() for m in run(gm, schedule, scfg, trials)]
+        columns = run(gm, schedule, scfg, trials)
         if post is not None:
-            for row, p in zip(rows, post):
-                row["posterior_mse"] = float(p)
-        per_trial[name] = rows
-        aggregates.append(aggregate_rows(rows, series, x))
+            columns["posterior_mse"] = post
+        per_trial[name] = {key: column.tolist() for key, column in columns.items()}
+        aggregates.append(aggregate_row(columns, series, x))
     return RunRecord.of(cfg, kind, per_trial, aggregates, **fields)
 
 
@@ -436,16 +427,15 @@ def run_sample_unguided(cfg: ExperimentConfig) -> RunRecord:
     paths = ode_ensemble(drift, scfg, trials)
     endpoints = np.stack([p.endpoint for p in paths])
     loglik = oracle.gm_logpdf(gm, endpoints)
-    rows = [{"loglik_p0": float(loglik[i])} for i in range(trials)]
-    agg = aggregate_rows(rows, "unguided", 0.0)
+    agg = aggregate_row({"loglik_p0": loglik}, "unguided", 0.0)
     agg["moment_distances"] = {
         "mean_gap": float(np.linalg.norm(endpoints.mean(axis=0) - gm.mean())),
         # a sample covariance needs two endpoints; with one it is undefined (null)
         "cov_gap": float(np.linalg.norm(np.cov(endpoints.T) - gm.covariance()))
         if trials > 1 else math.nan,
     }
-    return RunRecord.of(cfg, "sample_unguided", {"unguided": rows}, [agg],
-                        extras={"endpoints": endpoints.tolist()})
+    return RunRecord.of(cfg, "sample_unguided", {"unguided": {"loglik_p0": loglik.tolist()}},
+                        [agg], extras={"endpoints": endpoints.tolist()})
 
 
 # ---------------------------------------------------------------------------

@@ -307,8 +307,8 @@ def check_sdedit_limits() -> CheckResult:
     drawn = draw_trials(gm, op, trials, seed)
     coarse_means = []
     for t0 in (0.2, 0.5, 0.8):
-        rows, _ = sdedit_trials(gm, schedule, scfg, drawn, t0)
-        mean, _ = mean_se([m.mse_to_coarse for m in rows])
+        columns, _ = sdedit_trials(gm, schedule, scfg, drawn, t0)
+        mean, _ = mean_se(columns["mse_to_coarse"])
         coarse_means.append(mean)
     monotone = all(coarse_means[i] <= coarse_means[i + 1]
                    for i in range(len(coarse_means) - 1))

@@ -25,6 +25,7 @@ from htx.report import read_csv, svg_line_chart, write_csv
 from htx.schedules import CONSTANT, WeightSchedule
 from htx.solvers import trial_rng
 from htx.verify import check_identity_gap, run_verify
+from make_fingerprints import value_hash
 
 
 def small_restore_config(**experiment):
@@ -115,8 +116,7 @@ class TestRestoreRecord:
             "sampler": {"steps": 2000},
         }
         record = run_restore(ExperimentConfig.from_dict(doc))
-        guided = [row["mse_to_y"] for row in record.per_trial["guided"]]
-        assert max(guided) < 1e-3
+        assert max(record.per_trial["guided"]["mse_to_y"]) < 1e-3
 
     def test_guided_beats_unguided_on_shrink_toy(self):
         cfg = small_restore_config(trials=64)
@@ -139,11 +139,10 @@ class TestRestoreRecord:
 
     def test_posterior_reference_column_present(self):
         record = run_restore(small_restore_config())
-        assert all("posterior_mse" in row for row in record.per_trial["guided"])
+        guided = record.per_trial["guided"]
+        assert len(guided["posterior_mse"]) == len(guided["mse_to_y"])
         # squared error of any estimator is at least the per-trial MMSE on average
-        g = np.mean([r["mse_to_y"] for r in record.per_trial["guided"]])
-        p = np.mean([r["posterior_mse"] for r in record.per_trial["guided"]])
-        assert g >= p
+        assert np.mean(guided["mse_to_y"]) >= np.mean(guided["posterior_mse"])
 
     def test_save_layout(self, tmp_path):
         record = run_restore(small_restore_config())
@@ -160,6 +159,62 @@ class TestRestoreRecord:
         loaded = RunRecord.from_json(out / "record.json")
         again = run_restore(ExperimentConfig.from_dict(loaded.config))
         assert again.aggregates == record.aggregates
+
+
+ENDPOINT_METRICS = ["mse_to_y", "mse_to_coarse", "loglik_p0"]
+
+
+def saved_record(tmp_path, command: str, noise_std: float) -> Path:
+    """The record.json that `htx <command>` saves on a small run of the 2-d mixture."""
+    work = tmp_path / f"{command}-{noise_std}"
+    work.mkdir()
+    (work / "cfg.json").write_text(json.dumps({
+        "experiment": {"trials": 5, "seed": 3, "exponents": [3.0, 5.0],
+                       "t0_fractions": [0.3, 0.6]},
+        "operator": {"kind": "shrink", "factor": 0.5, "noise_std": noise_std},
+        "sampler": {"steps": 20}}))
+    assert main([command, "--config", str(work / "cfg.json"), "--out", str(work / "runs")]) == 0
+    [path] = (work / "runs").rglob("record.json")
+    return path
+
+
+class TestRecordLayout:
+    """record.json's per-trial table is {arm: {metric: [trial 0, trial 1, ...]}}."""
+
+    @pytest.mark.parametrize("noise_std", [0.0, 0.1])
+    @pytest.mark.parametrize("command", list(cli.RUN_DRIVERS))
+    def test_columns_give_the_aggregate_rows(self, tmp_path, command, noise_std):
+        doc = json.loads(saved_record(tmp_path, command, noise_std).read_text())
+        assert len(doc["per_trial"]) == len(doc["aggregates"])
+        for columns, row in zip(doc["per_trial"].values(), doc["aggregates"]):
+            assert row["n"] == 5
+            assert [len(column) for column in columns.values()] == [row["n"]] * len(columns)
+            assert [key[:-len("_mean")] for key in row if key.endswith("_mean")] == list(columns)
+            for key, column in columns.items():
+                # bit for bit: json writes each float so that it reads back exactly
+                assert (row[f"{key}_mean"], row[f"{key}_se"]) == experiments.mean_se(column)
+            if command == "sample":
+                assert list(columns) == ["loglik_p0"]
+            elif command == "baseline-sdedit":
+                assert list(columns) == ENDPOINT_METRICS
+            else:
+                posterior = ["posterior_mse"] if noise_std > 0 else []
+                assert list(columns) == ENDPOINT_METRICS + posterior
+
+    @pytest.mark.parametrize("command", list(cli.RUN_DRIVERS))
+    def test_report_reads_a_record_with_one_row_per_trial(self, tmp_path, command):
+        # records written before the column table hold one {metric: value} row per
+        # trial; report reads only the aggregates, so it writes the same metrics.csv
+        path = saved_record(tmp_path, command, 0.1)
+        doc = json.loads(path.read_text())
+        doc["per_trial"] = {arm: [dict(zip(columns, trial)) for trial in zip(*columns.values())]
+                            for arm, columns in doc["per_trial"].items()}
+        rows = tmp_path / "rows"
+        rows.mkdir()
+        (rows / "record.json").write_text(json.dumps(doc, indent=2))
+        assert value_hash(doc) == value_hash(json.loads(path.read_text()))
+        assert main(["report", "--record", str(rows / "record.json")]) == 0
+        assert (rows / "metrics.csv").read_bytes() == (path.parent / "metrics.csv").read_bytes()
 
 
 FIELD = {"kind": "gaussian_field", "cells": 16, "length_scale": 3.0}
@@ -229,20 +284,20 @@ class TestAblations:
         scfg = build_sampler(cfg, schedule)
         trials = draw_trials(gm, build_operator(cfg, gm.dim), cfg.experiment["trials"],
                              cfg.experiment["seed"])
-        un = [m.mse_to_y for m in restore_trials(gm, schedule, scfg, trials, None)]
-        const0 = [m.mse_to_y for m in restore_trials(
-            gm, schedule, scfg, trials, WeightSchedule(CONSTANT, constant=0.0))]
+        un = restore_trials(gm, schedule, scfg, trials, None)["mse_to_y"]
+        const0 = restore_trials(gm, schedule, scfg, trials,
+                                WeightSchedule(CONSTANT, constant=0.0))["mse_to_y"]
         np.testing.assert_allclose(np.mean(const0), np.mean(un), atol=1e-12)
 
     def test_arms_share_drawn_trials(self):
-        # common random numbers: an arm's rows do not depend on the driver that
+        # common random numbers: an arm's columns do not depend on the driver that
         # runs it, and the posterior reference is the same for every arm
         cfg = small_restore_config(exponents=[5.0])
         restore = run_restore(cfg)
         ablate = run_ablate_exponent(cfg)
         assert ablate.per_trial["a=5"] == restore.per_trial["guided"]
-        assert ([r["posterior_mse"] for r in restore.per_trial["guided"]]
-                == [r["posterior_mse"] for r in restore.per_trial["unguided"]])
+        assert (restore.per_trial["guided"]["posterior_mse"]
+                == restore.per_trial["unguided"]["posterior_mse"])
 
     def test_sdedit_rows(self):
         cfg = small_restore_config(trials=8, t0_fractions=[0.3, 0.6])
@@ -362,9 +417,9 @@ class TestCli:
 
         def stub(cfg):
             ran.append(cfg)
-            rows = [{"mse_to_y": 1.0}, {"mse_to_y": 3.0}]
-            return RunRecord.of(cfg, "stub", {"arm": rows},
-                                [experiments.aggregate_rows(rows, "arm", 0.0)])
+            columns = {"mse_to_y": np.array([1.0, 3.0])}
+            return RunRecord.of(cfg, "stub", {"arm": {"mse_to_y": [1.0, 3.0]}},
+                                [experiments.aggregate_row(columns, "arm", 0.0)])
 
         monkeypatch.setattr(experiments, driver, stub)
         assert main([command, "--seed", "4", "--out", str(tmp_path)]) == 0

@@ -418,8 +418,8 @@ class TestPushforwardMemo:
         def arm(gm, sch, weights):
             op = build_operator(cfg, gm.dim)
             trials = draw_trials(gm, op, 6, 2)
-            return [m.as_row() for m in restore_trials(gm, sch, build_sampler(cfg, sch),
-                                                        trials, weights)]
+            columns = restore_trials(gm, sch, build_sampler(cfg, sch), trials, weights)
+            return {key: column.tolist() for key, column in columns.items()}
         # run_restore runs both arms on one mixture and schedule; a planned arm
         # reads the plan's rows and leaves no memo behind for the next arm
         record = run_restore(cfg)
@@ -430,9 +430,9 @@ class TestPushforwardMemo:
         fresh_guided = arm(build_density(cfg), build_schedule(cfg), build_weights(cfg))
         fresh_unguided = arm(build_density(cfg), build_schedule(cfg), None)
         assert warm_guided == fresh_guided and warm_unguided == fresh_unguided
-        for rows, ref in ((record.per_trial["guided"], fresh_guided),
-                          (record.per_trial["unguided"], fresh_unguided)):
-            assert [{k: r[k] for k in ref[0]} for r in rows] == ref
+        for columns, ref in ((record.per_trial["guided"], fresh_guided),
+                             (record.per_trial["unguided"], fresh_unguided)):
+            assert {k: columns[k] for k in ref} == ref
 
     def test_memo_is_bounded(self):
         sch, gm = NoiseSchedule.vp(), standard_normal_2d()
