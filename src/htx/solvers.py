@@ -37,7 +37,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConfigError, DivergenceError
-from .guidance import GuidedDrift, score_drift
+from .guidance import GuidedDrift, h_guided_drift, score_drift, unguided_drift
 from .schedules import NoiseSchedule, TimePlan
 from .scorenet import ScoreModel
 
@@ -314,21 +314,20 @@ def sde_ensemble(model: ScoreModel, h_term, schedule: NoiseSchedule,
     """n Euler-Maruyama runs of the reverse SDE, optionally with a correction h.
 
     Update: x_{t-dt} = x_t - [f - g^2 (s + h)] dt + g sqrt(dt) z; h_term may be
-    None.  The drift part runs as guidance.score_drift's update
+    None.  The drift part is the law of guidance.unguided_drift, or of
+    h_guided_drift with h, run as guidance.score_drift's update
     x <- a x + b (s + h) with c = 1 and a new array each step, to which the
     step's noise is added in place.  Without h the score reads the plan's
     rows; with h it comes from model.score(x, t), which the exact h rescores.
     start_fn(rng), when given, draws each start, as in ode_ensemble.
-    Trajectories run in
-    batches of SDE_CHUNK.  Each draws its noise from its own stream
-    NOISE_STEPS steps at a time, bitwise equal to one whole-path draw, so no
-    batch holds more than NOISE_STEPS steps of noise.
+    Trajectories run in batches of SDE_CHUNK.  Each draws its noise from its
+    own stream NOISE_STEPS steps at a time, bitwise equal to one whole-path
+    draw, so no batch holds more than NOISE_STEPS steps of noise.
     """
     plan = schedule.plan(cfg.start, cfg.end, cfg.steps)
-    if h_term is None:
-        advance = score_drift(plan, 1.0, model.planned_score(plan))
-    else:
-        advance = score_drift(plan, 1.0, plan.per_time(model.score), plan.per_time(h_term))
+    drift = (unguided_drift(model, schedule) if h_term is None
+             else h_guided_drift(model, h_term, schedule))
+    advance = score_drift(plan, 1.0, *drift.law(plan))
     noise_scale = (np.sqrt(plan.g2) * np.sqrt(plan.dt)).tolist()
     return _ensemble(advance, plan, cfg, n, model.dim, start_fn, SDE_CHUNK, noise_scale)
 
