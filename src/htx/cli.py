@@ -8,7 +8,8 @@ parser is built once per process, by `_parser`.
 
 Exit status: 0 on success, 1 if any verification check fails, 2 on a
 configuration error or on a run that the given input drove to a non-finite
-state (a diverged sampler, a non-finite training loss, a singular step).
+state (a diverged sampler, a non-finite training loss, a singular step) or
+to a degenerate conjugate posterior.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import numpy as np
 
 from . import experiments, verify
 from .config import ExperimentConfig, read_document
-from .errors import ConfigError, DivergenceError, SingularityError, TrainingError
+from .errors import (ConfigError, DegeneratePosteriorError, DivergenceError, SingularityError,
+                     TrainingError)
 from .scorenet import MlpNet, TrainConfig, save_weights, train
 from .oracle import gm_sample
 
@@ -153,7 +155,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DivergenceError, SingularityError, TrainingError) as exc:
+    except (DegeneratePosteriorError, DivergenceError, SingularityError, TrainingError) as exc:
         print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

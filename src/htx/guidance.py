@@ -139,10 +139,10 @@ def lambda_weights(spec: GuidanceSpec, schedule: NoiseSchedule, t):
 
 def region_exponents(valid: np.ndarray, valid_exponent: float,
                      invalid_exponent: float) -> np.ndarray:
-    """Per-coordinate exponents from a validity mask (observed vs filled-in)."""
+    """Per-coordinate float exponents from a validity mask (observed vs filled-in)."""
     if valid_exponent < 0 or invalid_exponent < 0:
         raise ConfigError("exponents must be >= 0")
-    return np.where(np.asarray(valid, dtype=bool), valid_exponent, invalid_exponent)
+    return np.where(np.asarray(valid, dtype=bool), float(valid_exponent), float(invalid_exponent))
 
 
 def approx_h(x, t, coarse, score_at_x, schedule: NoiseSchedule):

@@ -65,9 +65,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DegeneratePosteriorError, SingularityError
-from .schedules import MEMO_CAP, NoiseSchedule, TimePlan
+from .schedules import NoiseSchedule, TimePlan
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+# diffused mixtures kept per parent by gm_pushforward's memo (float-time callers
+# only), above the longest grid in the package (2,000 steps)
+MEMO_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -146,14 +149,14 @@ class GaussianMixture:
         return second - np.outer(mu, mu)
 
 
-def _check_covariances(covs: np.ndarray) -> np.ndarray:
-    """Cholesky factors of covariances (K, d, d); ValueError unless each is SPD."""
+def _check_covariances(covs: np.ndarray, error=ValueError) -> np.ndarray:
+    """Cholesky factors of covariances (K, d, d); `error` unless each is SPD."""
     if not np.allclose(covs, np.swapaxes(covs, 1, 2), atol=1e-12):
-        raise ValueError("covariances must be symmetric")
+        raise error("covariances must be symmetric")
     try:
         return np.linalg.cholesky(covs)
     except np.linalg.LinAlgError as exc:
-        raise ValueError("covariances must be positive definite") from exc
+        raise error("covariances must be positive definite") from exc
 
 
 def _set_eigenvalues(gm: GaussianMixture, evals, basis_means) -> None:
@@ -564,14 +567,22 @@ def _kalman(gm: GaussianMixture, op: DegradationOperator, measurements):
         raise DegeneratePosteriorError("posterior needs noise_std > 0")
     a = op.matrix
     m = op.measurement_dim
-    s2 = op.noise_std ** 2
+    try:
+        s2 = op.noise_std ** 2
+    except OverflowError as exc:
+        raise DegeneratePosteriorError(f"noise variance overflows at noise_std = "
+                                       f"{op.noise_std!r}") from exc
     n, k_count = measurements.shape[0], gm.n_components
     log_w = np.empty((n, k_count))
     means = np.empty((n, k_count, gm.dim))
     covs = np.empty_like(gm.covs)
     for k in range(k_count):
         cross = a @ gm.covs[k]  # (m, d)
-        chol = np.linalg.cholesky(cross @ a.T + s2 * np.eye(m))
+        try:
+            chol = np.linalg.cholesky(cross @ a.T + s2 * np.eye(m))
+        except np.linalg.LinAlgError as exc:
+            raise DegeneratePosteriorError(f"innovation covariance of component {k} "
+                                           f"is not positive definite") from exc
         resid = measurements - a @ gm.means[k]  # (n, m)
         z = solve_triangular(chol, resid.T, lower=True)
         log_w[:, k] = (gm._log_weights[k] - 0.5 * m * _LOG_2PI
@@ -610,13 +621,14 @@ def posterior_mean(gm: GaussianMixture, op: DegradationOperator, measurements):
 
     Every row is conditioned on the same per-component factorization, and
     the shared posterior covariances pass the check a GaussianMixture runs,
-    once for the whole batch.
+    once for the whole batch; a failed factorization or check raises
+    DegeneratePosteriorError.
     """
     ys = np.asarray(measurements, dtype=float)
     if ys.ndim not in (1, 2) or ys.shape[-1] != op.measurement_dim:
         raise ValueError(f"expected measurements of width {op.measurement_dim} as (m,) "
                          f"or (n, m), got shape {ys.shape}")
     weights, means, covs = _kalman(gm, op, np.atleast_2d(ys))
-    _check_covariances(covs)
+    _check_covariances(covs, DegeneratePosteriorError)
     mean = np.einsum("nk,nkd->nd", weights, means)
     return mean[0] if ys.ndim == 1 else mean

@@ -18,8 +18,7 @@ which reduces to g^2 = beta(t) for vp and g^2 = 2t / (1 - t) for otfm.
 
 A sampler walks a `TimePlan` (`NoiseSchedule.plan`): every step's
 coefficients, from one range check and one array evaluation of the grid,
-bitwise equal to the float path.  The per-time memo serves only float-time
-callers: `oracle.exact_h` and the drifts built on it.
+bitwise equal to the float path.
 """
 
 from __future__ import annotations
@@ -38,10 +37,6 @@ POWER_OF_TIME = "power_of_time"
 CONSTANT = "constant"
 
 _RANGE_SLACK = 1e-12  # absorbs float drift on time grids
-# entries per time-keyed memo (float-time callers only): above the verify grids (at
-# most 2,000 steps) but not check_euler_convergence's 20,000-step reference, which
-# clears each memo every 4,096 steps
-MEMO_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -76,12 +71,7 @@ class TimePlan:
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Coefficient pair (alpha_t, sigma_t) with its drift and diffusion.
-
-    Coefficients at a float t are computed once per instance (`_coefficients`).
-    The field hash is computed once too: every pushforward memo lookup hashes
-    the schedule.
-    """
+    """Coefficient pair (alpha_t, sigma_t) with its drift and diffusion."""
 
     kind: str
     beta_min: float = 0.1
@@ -104,12 +94,6 @@ class NoiseSchedule:
         if not self._alpha_sigma(self.t_min)[1] > 0.0:
             raise ConfigError(f"schedule.t_min = {self.t_min!r} is too small: "
                               f"sigma(t_min) rounds to 0")
-        object.__setattr__(self, "_memo", {})
-        object.__setattr__(self, "_hash", hash((self.kind, self.beta_min, self.beta_max,
-                                                self.t_min, self.t_max)))
-
-    def __hash__(self):
-        return self._hash
 
     @classmethod
     def vp(cls, beta_min: float = 0.1, beta_max: float = 20.0,
@@ -151,26 +135,6 @@ class NoiseSchedule:
             raise ConfigError("beta(t) is defined for the vp schedule only")
         return self.beta_min + t * (self.beta_max - self.beta_min)
 
-    def _coefficients(self, t) -> tuple:
-        """(alpha, sigma, alpha'/alpha, sigma', g^2) at t; a float t is computed once.
-
-        A float-time caller (exact_h and the drifts on it) revisits the grid
-        times of a run, so each float t is checked and computed on its first
-        visit only; any other t is checked and computed afresh.  A memo entry
-        is what the fresh computation returns, so a hit is bitwise equal to
-        it.  The memo belongs to this instance and is cleared when it reaches
-        MEMO_CAP entries.
-        """
-        if not isinstance(t, float):
-            return self._evaluate(self._check_t(t))
-        entry = self._memo.get(t)
-        if entry is None:
-            entry = self._evaluate(self._check_t(t))
-            if len(self._memo) >= MEMO_CAP:
-                self._memo.clear()
-            self._memo[t] = entry
-        return entry
-
     def _evaluate(self, t) -> tuple:
         a, s = self._alpha_sigma(t)
         lad = self._log_alpha_dot(t)
@@ -196,23 +160,17 @@ class NoiseSchedule:
             return -0.5 * self.beta(t)
         return -1.0 / (1.0 - t)
 
-    # alpha_sigma and log_alpha_dot keep a direct array path: training calls
-    # alpha_sigma on a fresh batch of times every step
     def alpha_sigma(self, t):
         """Return (alpha_t, sigma_t); accepts scalar or array t."""
-        if isinstance(t, float):
-            return self._coefficients(t)[:2]
         return self._alpha_sigma(self._check_t(t))
 
     def log_alpha_dot(self, t):
         """d(log alpha_t)/dt, the per-coordinate drift rate."""
-        if isinstance(t, float):
-            return self._coefficients(t)[2]
         return self._log_alpha_dot(self._check_t(t))
 
     def sigma_dot(self, t):
         """d(sigma_t)/dt."""
-        return self._coefficients(t)[3]
+        return self._evaluate(self._check_t(t))[3]
 
     def drift_f(self, x, t):
         """Forward drift f(x, t) = (alpha'_t / alpha_t) x."""
@@ -220,7 +178,7 @@ class NoiseSchedule:
 
     def diffusion_g2(self, t):
         """Squared diffusion g^2(t) = 2 sigma sigma' - 2 (alpha'/alpha) sigma^2."""
-        return self._coefficients(t)[4]
+        return self._evaluate(self._check_t(t))[4]
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,7 @@ NOISE_STEPS = 250
 # copy moves them into the step-major buffer (0.5 MB at d = 2)
 NOISE_GROUP = 128
 # the largest Euler grid a sampler takes: a plan keeps a few float rows per step,
-# and check_euler_convergence's reference, the longest grid in the package, has 20,000
+# and the longest grid in the package, two of htx verify's checks, has 2,000
 MAX_STEPS = 100_000
 # numpy's SeedSequence hash: its constants and its pool of 4 uint32 words
 _MASK32 = 0xFFFF_FFFF

@@ -226,7 +226,7 @@ def check_sde_ode_marginals() -> CheckResult:
 
 
 def check_euler_convergence() -> CheckResult:
-    """Endpoint error against a 20000-step reference halves with the step size."""
+    """Endpoint error against the exact bridge endpoint halves with the step size."""
     schedule = NoiseSchedule.vp()
     gm = _two_mode_mixture()
     model = mixture_score_model(gm, schedule)
@@ -243,7 +243,7 @@ def check_euler_convergence() -> CheckResult:
         cfg = SamplerConfig(steps=steps, start=schedule.t_max, end=schedule.t_min)
         return sample_ode(drift, cfg, x_start=start).endpoint
 
-    reference = endpoint(20_000)
+    reference = oracle.bridge_flow(start, target, schedule, schedule.t_max, schedule.t_min)
     errors = [float(np.linalg.norm(endpoint(m) - reference)) for m in (250, 500, 1000)]
     ratios = [errors[0] / errors[1], errors[1] / errors[2]]
     passed = all(1.7 <= r <= 2.3 for r in ratios)

@@ -21,6 +21,9 @@ Run it from the repository root after a change that moves bits on purpose,
 and list each moved pin:
 
     PYTHONPATH=src python tests/make_fingerprints.py
+
+It prints one line per pin that moved, `section/key: old → new` (`moved_pins`),
+with the relative change of a verify value, ready to paste into the change log.
 """
 
 from __future__ import annotations
@@ -132,6 +135,45 @@ def check_pin(section: str, key: str, got) -> None:
     pytest.fail(detail)
 
 
+def _flat(doc: dict) -> dict[str, str]:
+    """Every pin of a fingerprints document as {"section/key": value}; a run
+    command's pins are keyed by file, as "pins/<config>/<command>/<file>"."""
+    flat = {}
+    for section in ("pins", "verify", "demos"):
+        for key, value in doc.get(section, {}).items():
+            if isinstance(value, dict):
+                flat.update({f"{section}/{key}/{name}": pin for name, pin in value.items()})
+            else:
+                flat[f"{section}/{key}"] = value
+    return flat
+
+
+def moved_pins(old: dict, new: dict) -> list[str]:
+    """One line per pin that differs between two fingerprints documents:
+    `section/key: old → new`, a hash shown by its first 8 digits and a verify
+    value whole, with its relative change; a pin on one side only reads (none)
+    on the other."""
+    was, now = _flat(old), _flat(new)
+    lines = []
+    for key in [*now, *(key for key in was if key not in now)]:
+        before, after = was.get(key), now.get(key)
+        if before == after:
+            continue
+        line = f"{key}: {_shown(key, before)} → {_shown(key, after)}"
+        if key.startswith("verify/") and before is not None and after is not None:
+            base = float(before)
+            if base != 0.0:
+                line += f" ({float(after) / base - 1.0:+.2%})"
+        lines.append(line)
+    return lines
+
+
+def _shown(key: str, pin: str | None) -> str:
+    if pin is None:
+        return "(none)"
+    return pin if key.startswith("verify/") else pin[:8]
+
+
 def main() -> int:
     pins = {}
     demos = {}
@@ -154,9 +196,12 @@ def main() -> int:
         if proc.returncode != 0:
             raise RuntimeError(f"{demo.name} exited {proc.returncode}: {proc.stderr}")
         demos[demo.stem] = sha256(proc.stdout)
-    PATH.write_text(json.dumps({"stack": stack(), "pins": pins, "verify": values,
-                                "demos": demos}, indent=2) + "\n")
+    old = json.loads(PATH.read_text()) if PATH.exists() else {}
+    new = {"stack": stack(), "pins": pins, "verify": values, "demos": demos}
+    PATH.write_text(json.dumps(new, indent=2) + "\n")
     print(f"wrote {PATH}")
+    for line in moved_pins(old, new):
+        print(line)
     return 0
 
 

@@ -2,7 +2,10 @@
 
 `ExperimentConfig.from_dict` builds every section, so any JSON document
 either raises `ConfigError` there, and nothing else escapes, or every
-`build_*` function then succeeds on the parsed config.  Any document that
+`build_*` function then succeeds on the parsed config.  An accepted document
+whose fields hold values of their own type, run through each of the five run
+commands by `cli.main` at 2 trials and at most 40 steps, exits 0 with a record
+or 2 with one line on stderr and no record.  Any document that
 `RunRecord.from_json` accepts re-emits as CSV and SVG.  The documents stay
 small: integers at or below 32 (the largest `density.cells` drawn), and lists
 of at most 4 items, so a mixture has at most 4 components in 4 dimensions.
@@ -10,13 +13,18 @@ A saved weight file loads back bitwise, and any truncated, extended or
 header-corrupted copy of it raises `ConfigError`.
 """
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from htx import cli
 from htx.config import (CHOICE_FIELDS, DEFAULTS, ExperimentConfig, build_density,
                         build_operator, build_sampler, build_schedule, build_weights)
 from htx.errors import ConfigError
@@ -41,24 +49,31 @@ NUMBERS = st.one_of(st.floats(), st.integers(-2, 32), HUGE_INTS)
 CHOICES = {**CHOICE_FIELDS, ("guidance", "family"): (POWER_OF_SIGMA, POWER_OF_TIME, CONSTANT)}
 
 
-def _field(section, key):
-    """Values for one field: its default, one of its own type, or any JSON."""
+def _field(section, key, junk=True):
+    """Values for one field: its default, one of its own type, or (with junk) any JSON."""
     default = DEFAULTS[section][key]
     if (section, key) == ("density", "cells"):
-        return st.one_of(st.just(default), st.integers(-2, 32), _json(SMALL_SCALARS))
-    if isinstance(default, list):
-        typed = st.lists(st.one_of(NUMBERS, st.lists(NUMBERS, max_size=4)), max_size=4)
-    elif isinstance(default, str):
-        typed = st.sampled_from(CHOICES.get((section, key), ["", "runs"]))
+        typed, junk_values = st.integers(-2, 32), _json(SMALL_SCALARS)
     else:
-        typed = NUMBERS
-    return st.one_of(st.just(default), typed, ANY_JSON)
+        junk_values = ANY_JSON
+        if isinstance(default, list):
+            typed = st.lists(st.one_of(NUMBERS, st.lists(NUMBERS, max_size=4)), max_size=4)
+        elif isinstance(default, str):
+            typed = st.sampled_from(CHOICES.get((section, key), ["", "runs"]))
+        else:
+            typed = NUMBERS
+    return st.one_of(st.just(default), typed, *([junk_values] if junk else []))
 
 
 SECTIONS = {section: st.one_of(
     st.fixed_dictionaries({}, optional={key: _field(section, key) for key in keys}),
     ANY_JSON) for section, keys in DEFAULTS.items()}
 DOCUMENTS = st.one_of(st.fixed_dictionaries({}, optional=SECTIONS), ANY_JSON)
+# documents whose every field holds its default or a value of its own type
+TYPED_DOCUMENTS = st.fixed_dictionaries({}, optional={
+    section: st.fixed_dictionaries({}, optional={key: _field(section, key, junk=False)
+                                                 for key in keys})
+    for section, keys in DEFAULTS.items()})
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -86,6 +101,39 @@ def test_round_trip_keeps_the_digest(doc):
     except ConfigError:
         return
     assert ExperimentConfig.from_dict(cfg.to_dict()).digest() == cfg.digest()
+
+
+# the most sampler steps a run of the exit-code property takes
+PROPERTY_STEPS = 40
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(TYPED_DOCUMENTS)
+@example({"operator": {"noise_std": 1e160}})
+@example({"density": {"kind": "gaussian_field", "variance": 2 ** 64, "jitter": 5.0}})
+@example({"density": {"kind": "gaussian_field", "jitter": 4.1973848737427287e+223}})
+@example({"guidance": {"exponent": 2 ** 64, "invalid_exponent": 2 ** 64}})
+def test_accepted_document_runs_to_exit_0_or_2(doc):
+    try:
+        steps = ExperimentConfig.from_dict(doc).sampler["steps"]
+    except ConfigError:
+        return
+    doc = {**doc, "sampler": {**doc.get("sampler", {}), "steps": min(steps, PROPERTY_STEPS)}}
+    with tempfile.TemporaryDirectory() as work:
+        config = Path(work) / "config.json"
+        config.write_text(json.dumps(doc))
+        for command in cli.RUN_DRIVERS:
+            out = Path(work) / command
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                code = cli.main([command, "--config", str(config), "--trials", "2",
+                                 "--out", str(out)])
+            records = list(out.rglob("record.json"))
+            if code == 0:
+                assert len(records) == 1, command
+            else:
+                assert code == 2 and not records, (command, code)
+                assert len(stderr.getvalue().splitlines()) == 1, (command, stderr.getvalue())
 
 
 METRICS = ("mse_to_y", "mse_to_coarse", "loglik_p0")

@@ -303,6 +303,10 @@ class TestPerCoordinateWeights:
         valid = np.array([True, False, True])
         np.testing.assert_array_equal(region_exponents(valid, 4.0, 8.0),
                                       [4.0, 8.0, 4.0])
+        # integers, even beyond int64, come back as float exponents
+        got = region_exponents(valid, 3, 2 ** 64)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, [3.0, 2.0 ** 64, 3.0])
 
     def test_exponent_map_weights(self):
         spec = GuidanceSpec(np.zeros(3), WeightSchedule(POWER_OF_SIGMA),

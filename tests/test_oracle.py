@@ -10,14 +10,14 @@ from htx import oracle, solvers
 from htx.config import (ExperimentConfig, build_density, build_operator, build_sampler,
                         build_schedule, build_weights, rbf_field_prior)
 from htx.errors import ConfigError, DegeneratePosteriorError
-from htx.oracle import (DegradationOperator, GaussianMixture, blur_1d,
-                        conditional_score, degrade, downsample, exact_h,
+from htx.oracle import (MEMO_CAP, DegradationOperator, GaussianMixture,
+                        blur_1d, conditional_score, degrade, downsample, exact_h,
                         gm_logpdf, gm_pushforward, gm_sample, gm_score,
                         identity_operator, linear_gaussian_posterior, mask,
                         posterior_mean, shrink)
 from htx.experiments import draw_trials, restore_trials, run_restore
 from htx.guidance import h_guided_drift
-from htx.schedules import MEMO_CAP, NoiseSchedule
+from htx.schedules import NoiseSchedule
 from htx.scorenet import mixture_score_model
 from htx.solvers import EULER_MARUYAMA, SamplerConfig, sample_ode, sde_ensemble
 
@@ -402,7 +402,7 @@ class TestPushforwardMemo:
     def test_warm_objects_reproduce_fresh_runs(self):
         sch, gm = NoiseSchedule.vp(), two_mode()
         first = _exact_h_runs(gm, sch)
-        assert gm._pushforwards and sch._memo
+        assert gm._pushforwards
         for warm, fresh in zip(_exact_h_runs(gm, sch),
                                _exact_h_runs(two_mode(), NoiseSchedule.vp())):
             np.testing.assert_array_equal(warm, fresh)
@@ -425,7 +425,7 @@ class TestPushforwardMemo:
         record = run_restore(cfg)
         gm, sch = build_density(cfg), build_schedule(cfg)
         warm_guided = arm(gm, sch, build_weights(cfg))
-        assert not gm._pushforwards and not sch._memo
+        assert not gm._pushforwards
         warm_unguided = arm(gm, sch, None)
         fresh_guided = arm(build_density(cfg), build_schedule(cfg), build_weights(cfg))
         fresh_unguided = arm(build_density(cfg), build_schedule(cfg), None)
@@ -758,6 +758,17 @@ class TestBatchedPosterior:
     def test_zero_noise_rejected(self):
         with pytest.raises(DegeneratePosteriorError):
             posterior_mean(standard_normal_2d(), mask([0], 2), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("doc, match", [
+        ({"operator": {"noise_std": 1e160}}, "noise variance overflows"),
+        ({"density": {"kind": "gaussian_field", "variance": 2 ** 64, "jitter": 5.0}},
+         "innovation covariance"),
+        ({"density": {"kind": "gaussian_field", "jitter": 4.1973848737427287e+223}},
+         "covariances must be positive definite")])
+    def test_failed_factorisation_is_degenerate(self, doc, match):
+        gm, op, _, _ = ExperimentConfig.from_dict(doc).built
+        with pytest.raises(DegeneratePosteriorError, match=match):
+            posterior_mean(gm, op, np.zeros((2, op.measurement_dim)))
 
     @pytest.mark.parametrize("meas", [np.zeros(3), np.zeros((4, 1)), np.zeros((2, 4, 2))])
     def test_wrong_measurement_shape_rejected(self, meas):

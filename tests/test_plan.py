@@ -255,7 +255,6 @@ class TestPlannedArmTouchesNoMemo:
                               (WeightSchedule(POWER_OF_TIME), np.full(gm.dim, 2.0))):
             restore_trials(gm, schedule, scfg, trials, weights, emap)
         assert calls == []
-        assert schedule._memo == {}
         assert not gm.__dict__.get("_pushforwards") and "_score_slot" not in gm.__dict__
 
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from htx.errors import ConfigError, TimeRangeError
-from htx.schedules import (CONSTANT, MEMO_CAP, POWER_OF_SIGMA, POWER_OF_TIME,
-                           NoiseSchedule, WeightSchedule)
+from htx.schedules import (CONSTANT, POWER_OF_SIGMA, POWER_OF_TIME, NoiseSchedule,
+                           WeightSchedule)
 
 # Independent oracle: alpha(1) = exp(-quad(beta)/2) with beta linear 0.1 -> 20,
 # evaluated by scipy.integrate.quad (integral 10.05); frozen here.
@@ -122,43 +122,22 @@ class TestCalculusConsistency:
         assert type(sch._check_t(np.float64(0.5))) is float
 
 
-class TestCoefficientMemo:
+class TestFloatTimeCoefficients:
     @pytest.mark.parametrize("make", [NoiseSchedule.vp, NoiseSchedule.otfm], ids=["vp", "otfm"])
-    def test_memoised_floats_equal_array_path(self, make):
+    def test_floats_equal_array_path(self, make):
         sch = make()
         grid = np.linspace(sch.t_max, sch.t_min, 50)
         a, s = sch.alpha_sigma(grid)
         by_array = (a, s, sch.log_alpha_dot(grid), sch.sigma_dot(grid),
                     sch.diffusion_g2(grid))
         x = np.array([0.7, -1.3])
-        for visit in range(2):  # first visit fills the memo, the second reads it
+        for visit in range(2):  # a revisited time gives the same bits
             for k, t in enumerate(grid.tolist()):
                 got = (*sch.alpha_sigma(t), sch.log_alpha_dot(t), sch.sigma_dot(t),
                        sch.diffusion_g2(t))
                 for value, ref in zip(got, by_array):
                     np.testing.assert_array_equal(value, ref[k])
                 np.testing.assert_array_equal(sch.drift_f(x, t), by_array[2][k] * x)
-            assert len(sch._memo) == 50
-
-    def test_memo_is_bounded(self):
-        sch = NoiseSchedule.vp()
-        for t in np.linspace(sch.t_min, sch.t_max, MEMO_CAP + 10).tolist():
-            sch.alpha_sigma(t)
-            assert len(sch._memo) <= MEMO_CAP
-        # a cleared memo refills with the same values
-        np.testing.assert_array_equal(sch.alpha_sigma(0.5), sch.alpha_sigma(np.array(0.5)))
-
-    def test_rejected_times_are_not_memoised(self):
-        sch = NoiseSchedule.vp()
-        for _ in range(2):
-            with pytest.raises(TimeRangeError):
-                sch.diffusion_g2(1.5)
-        assert sch._memo == {}
-
-    def test_instances_keep_their_own_memo(self):
-        first, second = NoiseSchedule.vp(), NoiseSchedule.vp()
-        first.alpha_sigma(0.5)
-        assert len(first._memo) == 1 and second._memo == {}
 
 
 class TestWeightSchedule:
