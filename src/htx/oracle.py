@@ -43,7 +43,9 @@ for K = 1, where the score is affine and diagonal in the basis, it also hands
 the arrays to the solver's jump (`guidance.score_drift`), so an arm that jumps
 every step never splits them.
 `gm_pushforward`'s memo and the score slot thus serve only float-time
-callers: `exact_h` and the drifts built on it.
+callers: `exact_h` and the drifts built on it.  A diffused mixture keeps the
+(alpha, sigma) it was made from, and `exact_h` forms its kernel score from
+them, so a time the memo holds computes no schedule coefficient.
 
 `gm_score` keeps its last result in a one-entry slot, so a drift that scores
 the same state twice in one evaluation (the model score s, then the exact
@@ -83,7 +85,8 @@ class GaussianMixture:
     Lambda_K] and `_basis_means` (K d,) is [V_1^T mu_1 ... V_K^T mu_K].
     `_blocks` (K, K d) marks which of the K d columns belong to component k,
     so `_blocks @ v` sums v within each component, and `_log_norms` (K,)
-    holds log w_k - (d log 2 pi + log det Sigma_k) / 2.
+    holds log w_k - (d log 2 pi + log det Sigma_k) / 2.  `_basis_t` and
+    `_blocks_t` are the kernel's transposed views of the two, made once.
     """
 
     weights: np.ndarray  # (K,)
@@ -114,6 +117,8 @@ class GaussianMixture:
         k, d = m.shape
         object.__setattr__(self, "_basis", basis.transpose(1, 0, 2).reshape(d, k * d))
         object.__setattr__(self, "_blocks", np.kron(np.eye(k), np.ones(d)))
+        object.__setattr__(self, "_basis_t", self._basis.T)
+        object.__setattr__(self, "_blocks_t", self._blocks.T)
         _set_eigenvalues(self, evals.ravel(), np.matmul(m[:, None, :], basis).ravel())
 
     @cached_property
@@ -186,7 +191,7 @@ def _log_terms(gm: GaussianMixture, xs: np.ndarray, basis_means, evals, log_norm
 
     Feature-major, so each row-wise pass runs over n contiguous entries
     (module docstring)."""
-    z = gm._basis.T @ xs.T
+    z = gm._basis_t @ xs.T
     np.subtract(basis_means[:, None], z, out=z)
     u = z / evals[:, None]
     z *= u
@@ -197,20 +202,21 @@ def _log_terms(gm: GaussianMixture, xs: np.ndarray, basis_means, evals, log_norm
 
 def _score(gm: GaussianMixture, xs: np.ndarray, basis_means, evals, log_norms):
     """The mixture score sum_k r_k V_k u_k at xs (n, d), C-ordered (n, d); one
-    component forms no responsibility (module docstring) and reads no log_norms."""
+    component forms no responsibility (module docstring) and reads no log_norms.
+    The reductions call their ufuncs, not the ndarray methods' Python wrappers."""
     if gm.n_components == 1:
-        u = gm._basis.T @ xs.T
+        u = gm._basis_t @ xs.T
         np.subtract(basis_means[:, None], u, out=u)
         u /= evals[:, None]
     else:
         resp, u = _log_terms(gm, xs, basis_means, evals, log_norms)
-        resp -= resp.max(axis=0)
+        resp -= np.maximum.reduce(resp, axis=0)
         np.exp(resp, out=resp)
-        resp /= resp.sum(axis=0)
-        u *= gm._blocks.T @ resp
+        resp /= np.add.reduce(resp, axis=0)
+        u *= gm._blocks_t @ resp
     if xs.shape[1] == 1:  # the map back is then a gemv, whose sums follow u's layout
-        return np.ascontiguousarray(u.T) @ gm._basis.T
-    return u.T @ gm._basis.T
+        return np.ascontiguousarray(u.T) @ gm._basis_t
+    return u.T @ gm._basis_t
 
 
 def gm_sample(gm: GaussianMixture, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -265,17 +271,14 @@ def gm_pushforward(gm: GaussianMixture, schedule: NoiseSchedule, t) -> GaussianM
 
 def _pushforward(gm: GaussianMixture, schedule: NoiseSchedule, t) -> GaussianMixture:
     a, s = schedule.alpha_sigma(t)
-    a2, s2 = a * a, s * s
     pushed = object.__new__(_DiffusedMixture)
     object.__setattr__(pushed, "weights", gm.weights)
     object.__setattr__(pushed, "means", a * gm.means)
     object.__setattr__(pushed, "_parent_covs", gm.covs)
-    object.__setattr__(pushed, "_scales", (a2, s2))
-    object.__setattr__(pushed, "_log_weights", gm._log_weights)
-    object.__setattr__(pushed, "_basis", gm._basis)
-    object.__setattr__(pushed, "_blocks", gm._blocks)
-    object.__setattr__(pushed, "_score_slot", gm._score_slot)
-    _set_eigenvalues(pushed, a2 * gm._evals + s2, a * gm._basis_means)
+    object.__setattr__(pushed, "_alpha_sigma", (a, s))
+    for name in ("_log_weights", "_basis", "_basis_t", "_blocks", "_blocks_t", "_score_slot"):
+        object.__setattr__(pushed, name, getattr(gm, name))
+    _set_eigenvalues(pushed, (a * a) * gm._evals + s * s, a * gm._basis_means)
     for arr in (pushed.means, pushed._evals, pushed._basis_means, pushed._log_norms):
         arr.flags.writeable = False
     return pushed
@@ -290,8 +293,8 @@ class _DiffusedMixture(GaussianMixture):
 
     @cached_property
     def covs(self) -> np.ndarray:
-        a2, s2 = self._scales
-        covs = a2 * self._parent_covs + s2 * np.eye(self.dim)
+        a, s = self._alpha_sigma
+        covs = (a * a) * self._parent_covs + (s * s) * np.eye(self.dim)
         covs.flags.writeable = False
         return covs
 
@@ -300,8 +303,8 @@ def gm_logpdf(gm: GaussianMixture, x):
     """Exact mixture log density at x; x may be (d,) or (n, d)."""
     xs, single = _as_batch(x, gm.dim)
     logs, _ = _log_terms(gm, xs, gm._basis_means, gm._evals, gm._log_norms)
-    top = logs.max(axis=0)
-    lp = top + np.log(np.exp(logs - top).sum(axis=0))
+    top = np.maximum.reduce(logs, axis=0)
+    lp = top + np.log(np.add.reduce(np.exp(logs - top), axis=0))
     return float(lp[0]) if single else lp
 
 
@@ -368,7 +371,11 @@ def conditional_score(x, x0, schedule: NoiseSchedule, t):
     so the subtraction runs over whole contiguous operands, not over n short
     rows; the difference and the quotient are then formed in that array.
     """
-    a, s = schedule.alpha_sigma(t)
+    return _kernel_score(x, x0, *schedule.alpha_sigma(t))
+
+
+def _kernel_score(x, x0, a, s):
+    """conditional_score with the time's (alpha, sigma) given."""
     if (s == 0.0) if isinstance(s, float) else np.any(s == 0.0):
         raise SingularityError("conditional score undefined at sigma = 0")
     ax0, x = a * np.asarray(x0, dtype=float), np.asarray(x, dtype=float)
@@ -384,9 +391,11 @@ def exact_h(x, y, gm: GaussianMixture, schedule: NoiseSchedule, t):
     """Endpoint-conditioned drift correction grad log p(x_0 = y | x_t).
 
     By Bayes' rule this is the kernel score minus the marginal score; it is
-    tractable here because the diffused mixture density is analytic.
+    tractable here because the diffused mixture density is analytic.  The kernel
+    score takes (alpha, sigma) from the diffused mixture of t (module docstring).
     """
-    return conditional_score(x, y, schedule, t) - gm_score(gm_pushforward(gm, schedule, t), x)
+    pushed = gm_pushforward(gm, schedule, t)
+    return _kernel_score(x, y, *pushed._alpha_sigma) - gm_score(pushed, x)
 
 
 def bridge_flow(x, y, schedule: NoiseSchedule, s, t):
@@ -605,7 +614,9 @@ def linear_gaussian_posterior(gm: GaussianMixture, op: DegradationOperator,
     Each component gets the conjugate (Kalman) update; weights are reweighted
     by the component marginal likelihood of the measurement.  The covariance
     update uses the Joseph form to stay positive definite.  A component whose
-    posterior weight underflows to exactly 0 is dropped from the result.
+    posterior weight underflows to exactly 0 is dropped from the result.  A
+    failed factorization, or a kept covariance that fails the mixture's check,
+    raises DegeneratePosteriorError, as in posterior_mean.
     """
     ym = np.asarray(measurement, dtype=float)
     if ym.shape != (op.measurement_dim,):
@@ -613,6 +624,7 @@ def linear_gaussian_posterior(gm: GaussianMixture, op: DegradationOperator,
                          f"got shape {ym.shape}")
     weights, means, covs = _kalman(gm, op, ym[None])
     keep = weights[0] > 0
+    _check_covariances(covs[keep], DegeneratePosteriorError)
     return GaussianMixture(weights[0, keep], means[0, keep], covs[keep])
 
 

@@ -27,13 +27,6 @@ def write_csv(path, header: list[str], rows: list[list]) -> str:
     return str(path)
 
 
-def read_csv(path) -> tuple[list[str], list[list[str]]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        return header, [row for row in reader]
-
-
 def _scale(values, lo, hi, out_lo, out_hi):
     span = hi - lo
     if span == 0:

@@ -226,7 +226,8 @@ def _integrate(advance, plan: TimePlan, cfg: SamplerConfig, x0: np.ndarray, nois
                 x = advance(x, k)
                 if noise is not None:
                     x += next(noise)
-                if not np.isfinite(x).all():
+                # ndarray.all's ufunc, without the method's Python wrapper
+                if not np.logical_and.reduce(np.isfinite(x), axis=None):
                     bad = np.flatnonzero(~np.isfinite(np.atleast_2d(x)).all(axis=1))
                     raise DivergenceError(k, t=grid[k], trajectory=int(bad[0]))
         rec_states[i] = x

@@ -1,5 +1,6 @@
 """Config handling, run records, reports, and the CLI surface."""
 
+import csv
 import importlib
 import importlib.util
 import inspect
@@ -21,11 +22,18 @@ from htx import cli, experiments, oracle, verify
 from htx.experiments import (RunRecord, draw_trials, emit_report, restore_trials,
                              run_ablate_exponent, run_ablate_weight_family,
                              run_baseline_sdedit, run_restore)
-from htx.report import read_csv, svg_line_chart, write_csv
+from htx.report import svg_line_chart, write_csv
 from htx.schedules import CONSTANT, WeightSchedule
 from htx.solvers import trial_rng
 from htx.verify import check_identity_gap, run_verify
 from make_fingerprints import value_hash
+
+
+def read_csv(path) -> tuple[list[str], list[list[str]]]:
+    """The header and the rows of a CSV file `write_csv` wrote, as strings."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        return next(reader), list(reader)
 
 
 def small_restore_config(**experiment):
@@ -868,12 +876,18 @@ class TestCli:
         assert rows[0][header.index("mse_to_y_mean")] == ""
 
 
-def test_tracing_targets_resolve():
-    """Every function the benchmark's tracer wraps exists under its listed name."""
+@pytest.fixture(scope="module")
+def tracing():
+    """perfbench/tracing.py, loaded from its file."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracing_targets_resolve(tracing):
+    """Every function the benchmark's tracer wraps exists under its listed name."""
     targets = [t for ts in tracing.LAYERS.values() for t in ts]
     targets += list(tracing.COUNTED.values())
     for module_name, attr in targets:
@@ -900,16 +914,61 @@ def workloads():
 @pytest.mark.parametrize("name", ["bridge-exact", "ensemble-sde", "restore-field",
                                   "train-dsm"])
 def test_benchmark_workload_smoke(workloads, name, tmp_path):
-    """Each workload builds at seed 0 and its first case passes its own check.
-
-    ensemble-sde checks an SDE case against the ODE case of the same target
-    run before it, so both cases of target 0 run.
-    """
+    """Each workload builds at seed 0 and its first case passes its own check."""
     wl = workloads.WORKLOADS[name](0, tmp_path)
-    cases = [c for c in wl.cases if c[0] == 0] if name == "ensemble-sde" else wl.cases[:1]
-    for case in cases:
+    for case in _first_cases(wl):
         ok, detail = wl.check(case, wl.run(case))
         assert ok, f"{name} {case}: {detail}"
+
+
+def _first_cases(wl):
+    """A workload's first case; ensemble-sde's SDE case is checked against the
+    ODE case of the same target run before it, so both cases of target 0."""
+    return [c for c in wl.cases if c[0] == 0] if wl.name == "ensemble-sde" else wl.cases[:1]
+
+
+# LAYERS rows that no workload's first case reaches, because production code no
+# longer calls the functions they wrap; each is a FOUND: line in CHANGES.md,
+# mended by retargeting the row in perfbench/tracing.py
+SILENT_LAYERS = {
+    "guidance.drift": "planned steppers never call GuidedDrift.__call__",
+    "oracle.draw": "draw_trials places its trials without gm_sample or degrade",
+    "oracle.posterior": "restore conditions through posterior_mean",
+    "solvers.trial_rng": "trial streams come from trial_rngs",
+}
+
+
+def test_traced_layers_record_spans(workloads, tracing, tmp_path):
+    """Every LAYERS row records a span on some workload's first case, except
+    the known silent rows; the exact-h step keeps its coefficient, pushforward
+    and exact_h spans on bridge-exact."""
+    live = {}
+    for name, cls in workloads.WORKLOADS.items():
+        wl = cls(0, tmp_path)
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            for case in _first_cases(wl):
+                wl.run(case)
+        finally:
+            tracer.uninstall()
+        live[name] = {tracing.SPAN_LAYER[span[0]] for span in tracer.spans}
+    assert set(tracing.LAYERS) - set().union(*live.values()) == set(SILENT_LAYERS)
+    assert {"schedules.coef", "oracle.pushforward", "oracle.exact_h"} <= live["bridge-exact"]
+
+
+# bridge-exact's check allows 1% of alpha |y| + sigma |z| at the end time, where
+# sigma is about 0.01, but the Euler error of the noise part is about 26% of
+# sigma |z|; a target near the origin (seed 55, case 8: |y| = 0.24) fails it.
+# See the FOUND: line on bridge-exact's check in CHANGES.md; when the benchmark's
+# check is mended this test passes and the mark comes off.
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="bridge-exact's tolerance ignores the Euler error of the noise part")
+def test_bridge_exact_check_holds_on_seed_55(workloads, tmp_path):
+    wl = workloads.WORKLOADS["bridge-exact"](55, tmp_path)
+    failed = [(i, detail) for i in wl.cases for ok, detail in [wl.check(i, wl.run(i))]
+              if not ok]
+    assert failed == []
 
 
 def test_import_and_train_leave_scipy_unloaded(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from htx import oracle, solvers
 from htx.config import (ExperimentConfig, build_density, build_operator, build_sampler,
                         build_schedule, build_weights, rbf_field_prior)
-from htx.errors import ConfigError, DegeneratePosteriorError
+from htx.errors import ConfigError, DegeneratePosteriorError, TimeRangeError
 from htx.oracle import (MEMO_CAP, DegradationOperator, GaussianMixture,
                         blur_1d, conditional_score, degrade, downsample, exact_h,
                         gm_logpdf, gm_pushforward, gm_sample, gm_score,
@@ -578,6 +578,29 @@ class TestConditionalScoreAndExactH:
             fd[k] = (log_posterior(x + e) - log_posterior(x - e)) / (2 * step)
         np.testing.assert_allclose(exact_h(x, y, gm, sch, t), fd, rtol=1e-6, atol=1e-6)
 
+    @pytest.mark.parametrize("kind", ["vp", "otfm"])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("x_shape, y_shape", [((2,), (2,)), ((5, 2), (2,)),
+                                                  ((5, 2), (5, 2))])
+    def test_exact_h_is_kernel_score_minus_score(self, kind, k, x_shape, y_shape):
+        """Bit for bit conditional_score - gm_score of the diffused mixture, on a
+        memoised float time, a repeat of it and a 0-d array time, which no memo
+        holds; a time outside the schedule's range raises TimeRangeError."""
+        sch = getattr(NoiseSchedule, kind)()
+        gm = random_mixture(k, 2, seed=k)
+        rng = np.random.default_rng(len(x_shape) + 3 * len(y_shape))
+        x, y = rng.standard_normal(x_shape), 2.0 * rng.standard_normal(y_shape)
+        for t in (sch.t_min, 0.37, 0.37, np.array(0.61), sch.t_max):
+            # a copy of x, so that the score slot cannot serve the reference
+            expected = (conditional_score(x, y, sch, t)
+                        - gm_score(gm_pushforward(gm, sch, t), x.copy()))
+            got = exact_h(x, y, gm, sch, t)
+            assert got.shape == np.broadcast_shapes(x_shape, y_shape)
+            np.testing.assert_array_equal(got, expected)
+        for t in (sch.t_max + 0.5, -0.5, float("nan")):
+            with pytest.raises(TimeRangeError):
+                exact_h(x, y, gm, sch, t)
+
     def test_bayes_identity_exact(self):
         sch = NoiseSchedule.vp()
         gm = two_mode()
@@ -769,6 +792,8 @@ class TestBatchedPosterior:
         gm, op, _, _ = ExperimentConfig.from_dict(doc).built
         with pytest.raises(DegeneratePosteriorError, match=match):
             posterior_mean(gm, op, np.zeros((2, op.measurement_dim)))
+        with pytest.raises(DegeneratePosteriorError, match=match):
+            linear_gaussian_posterior(gm, op, np.zeros(op.measurement_dim))
 
     @pytest.mark.parametrize("meas", [np.zeros(3), np.zeros((4, 1)), np.zeros((2, 4, 2))])
     def test_wrong_measurement_shape_rejected(self, meas):
