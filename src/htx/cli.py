@@ -42,6 +42,8 @@ RUN_DRIVERS = {"restore": "run_restore", "ablate-exponent": "run_ablate_exponent
 def _check_out(out, name: str) -> None:
     """Raise ConfigError naming `name` unless `out` is, or can be made, a writable
     directory; checked before a run, so that a bad path does not end it afterwards."""
+    if out == "":
+        raise ConfigError(f"{name} must be a non-empty path, got ''")
     existing = os.path.abspath(out)
     while not os.path.exists(existing):
         existing = os.path.dirname(existing)
@@ -63,11 +65,10 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def cmd_verify(args) -> int:
-    cfg = ExperimentConfig.from_dict({"experiment": {"kind": "verify",
-                                                     "out": args.out or "runs"}})
-    _check_out(cfg.experiment["out"], "--out")
+    out = "runs" if args.out is None else args.out
+    _check_out(out, "--out")
     record = verify.run_verify()
-    record.save(cfg.experiment["out"])
+    record.save(out)
     return 0 if record.extras["all_passed"] else 1
 
 
@@ -101,8 +102,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_report(args) -> int:
-    out = Path(args.out or Path(args.record).parent)
-    _check_out(out, "--out" if args.out else "--out (by default the record's directory)")
+    given = args.out is not None
+    out = args.out if given else Path(args.record).parent
+    _check_out(out, "--out" if given else "--out (by default the record's directory)")
     record = experiments.RunRecord.from_json(args.record)
     written = experiments.emit_report(record, args.format, out)
     for path in [written] if args.format == "csv" else written:

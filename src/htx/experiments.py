@@ -77,18 +77,8 @@ class RunRecord:
                    **fields)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "digest": self.digest,
-            "config": self.config,
-            "seed": self.seed,
-            "version": self.version,
-            "per_trial": self.per_trial,
-            "aggregates": self.aggregates,
-            "artifacts": self.artifacts,
-            "checks": self.checks,
-            "extras": self.extras,
-        }
+        """The record's fields by name, in the order the dataclass declares them."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_json(cls, path) -> "RunRecord":
@@ -126,9 +116,10 @@ class RunRecord:
     def save(self, out_root) -> Path:
         """Write record.json, metrics.csv, and SVG charts under <out>/<digest>/.
 
-        record.json is strict JSON: a non-finite value is written as null.  Its
-        text is `json.dumps(_jsonable(record), indent=2, allow_nan=False)` byte
-        for byte, written by `_record_json` with json's C encoder.
+        record.json is strict JSON with no indentation: a non-finite value is
+        written as null.  Its text is `json.dumps(_jsonable(record),
+        allow_nan=False)` byte for byte, written by json's C encoder.
+        `python -m json.tool record.json` prints it indented.
         """
         out = Path(out_root) / self.digest
         out.mkdir(parents=True, exist_ok=True)
@@ -137,7 +128,7 @@ class RunRecord:
         if len(self.aggregates) > 1:
             self.artifacts.extend(emit_report(self, "svg", out))
         record_path = out / "record.json"
-        record_path.write_text(_record_json(self.to_dict()))
+        record_path.write_text(_compact(self.to_dict()))
         return out
 
 
@@ -155,61 +146,13 @@ def _jsonable(value):
     return value
 
 
-# json's C encoder writes no indentation: _record_json has it separate items by
-# "\x00", which the encoder escapes inside strings, and puts the indentation there
-_SEP = "\x00"
-_encode = json.JSONEncoder(separators=(_SEP, ": "), allow_nan=False).encode
-_CONTAINERS = (dict, list, tuple, np.ndarray)
-
-
 def _compact(value) -> str:
-    """value in compact JSON with _SEP between items, through _jsonable only
-    when it holds what JSON cannot write as it is (numpy values, non-finite floats)."""
+    """value as compact strict JSON, through _jsonable only when it holds what
+    JSON cannot write as it is (numpy values, non-finite floats)."""
     try:
-        return _encode(value)
+        return json.dumps(value, allow_nan=False)
     except (TypeError, ValueError):
-        return _encode(_jsonable(value))
-
-
-def _record_json(value, depth: int = 0) -> str:
-    """`json.dumps(_jsonable(value), indent=2, allow_nan=False)`, byte for byte,
-    for a value nested `depth` containers deep.
-
-    The containers that hold containers are walked here.  A container of
-    scalars (a per-trial column), and a list of non-empty flat dicts or of
-    non-empty flat lists (check rows, endpoints), is one C-encoded string
-    whose separators are replaced by the newline and indentation of their depth.
-    """
-    if isinstance(value, np.ndarray):
-        value = _jsonable(value)
-    if not (isinstance(value, _CONTAINERS) and value):
-        return _compact(value)
-    children = list(value.values()) if isinstance(value, dict) else value
-    inner = "\n" + "  " * (depth + 1)
-    outer = inner[:-2]
-    if not any(isinstance(child, _CONTAINERS) for child in children):
-        text = _compact(value)
-        return text[0] + inner + text[1:-1].replace(_SEP, "," + inner) + outer + text[-1]
-    if not isinstance(value, dict):
-        kind = type(children[0])
-        if kind in (dict, list) and all(type(child) is kind and child for child in children):
-            text = _compact(value)
-            # one bracket per row and the list's own: no row nests, no string holds one
-            if text.count("[") + text.count("{") == len(children) + 1:
-                opens, closes = text[1], text[-2]
-                row = inner + "  "
-                text = text[2:-2].replace(closes + _SEP + opens,
-                                          inner + closes + "," + inner + opens + row)
-                return ("[" + inner + opens + row + text.replace(_SEP, "," + row)
-                        + inner + closes + outer + "]")
-    if isinstance(value, dict):
-        # each key as the encoder writes it: '"key": null' less its value
-        keys = _compact(dict.fromkeys(value))[1:-1].split(_SEP)
-        items = [key[:-4] + _record_json(child, depth + 1)
-                 for key, child in zip(keys, children)]
-        return "{" + inner + ("," + inner).join(items) + outer + "}"
-    items = [_record_json(child, depth + 1) for child in children]
-    return "[" + inner + ("," + inner).join(items) + outer + "]"
+        return json.dumps(_jsonable(value), allow_nan=False)
 
 
 def mean_se(values) -> tuple[float, float]:
@@ -449,16 +392,13 @@ def emit_report(record: RunRecord, fmt: str, out_dir):
     out_dir.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
         if record.checks and not record.aggregates:
-            header = ["name", "passed", "value", "threshold", "detail"]
-            rows = [[c["name"], c["passed"], c["value"], c["threshold"], c["detail"]]
-                    for c in record.checks]
-            return report.write_csv(out_dir / "metrics.csv", header, rows)
-        keys = sorted({k for row in record.aggregates for k in row
-                       if k not in ("series", "x", "n", "moment_distances")})
-        header = ["series", "x", "n", *keys]
-        rows = [[row["series"], row["x"], row["n"], *(row.get(k, "") for k in keys)]
+            rows = [[c[key] for key in CHECK_KEYS] for c in record.checks]
+            return report.write_csv(out_dir / "metrics.csv", list(CHECK_KEYS), rows)
+        skip = {*AGGREGATE_KEYS, "moment_distances"}
+        keys = sorted({k for row in record.aggregates for k in row if k not in skip})
+        rows = [[*(row[k] for k in AGGREGATE_KEYS), *(row.get(k, "") for k in keys)]
                 for row in record.aggregates]
-        return report.write_csv(out_dir / "metrics.csv", header, rows)
+        return report.write_csv(out_dir / "metrics.csv", [*AGGREGATE_KEYS, *keys], rows)
     if fmt == "svg":
         paths = []
         for metric in ("mse_to_y", "mse_to_coarse", "loglik_p0"):

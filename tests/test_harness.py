@@ -629,10 +629,14 @@ class TestCli:
         assert proc.stderr == ("run failed: DivergenceError: non-finite state at step 0 "
                                "(t=1, trajectory 0)\n")
 
-    @pytest.mark.parametrize("command", ["restore", "train", "report", "verify"])
+    @pytest.mark.parametrize("command, empty", [
+        pytest.param(command, empty, id=command + "-empty" * empty)
+        for empty in (False, True) for command in ("restore", "train", "report", "verify")])
     def test_unwritable_out_exit_two_before_the_run(self, tmp_path, monkeypatch, capsys,
-                                                    command):
-        # below a regular file no directory can be made; the run never starts
+                                                    command, empty):
+        # below a regular file no directory can be made, and an empty path is none;
+        # the run never starts
+        monkeypatch.chdir(tmp_path)
         record_path = run_restore(small_restore_config(trials=2)).save(tmp_path) / "record.json"
         blocker = tmp_path / "file"
         blocker.write_text("")
@@ -643,10 +647,11 @@ class TestCli:
         monkeypatch.setattr(verify, "run_verify", lambda: ran.append("verify"))
         flags = {"restore": ["--trials", "2"], "train": ["--steps", "1"],
                  "report": ["--record", str(record_path)], "verify": []}[command]
-        assert main([command, *flags, "--out", str(blocker / "sub")]) == 2
+        assert main([command, *flags, "--out", "" if empty else str(blocker / "sub")]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "--out" in err[0]
-        assert ran == []
+        # an empty --out of a run command is rejected with the config, as experiment.out
+        assert len(err) == 1 and ("--out" in err[0] or empty and "experiment.out" in err[0])
+        assert ran == [] and not (tmp_path / "runs").exists()
 
     def test_unwritable_experiment_out_names_the_field(self, tmp_path, capsys):
         blocker = tmp_path / "file"
