@@ -27,10 +27,11 @@ print("otfm g^2 at t = 0.5:", otfm.diffusion_g2(0.5), "(= 2t / (1 - t))")
 
 ts = np.linspace(vp.t_min, vp.t_max, 41)
 _, sigmas = vp.alpha_sigma(ts)
+ticks = np.round(ts, 3).tolist()
 series = {}
 for a in (1, 3, 5, 9):
     ws = WeightSchedule("power_of_sigma", exponent=float(a))
-    series[f"sigma^{a}"] = [float(ws.weight(s, t)) for s, t in zip(sigmas, ts)]
-path = svg_line_chart("demo_weights.svg", np.round(ts, 3).tolist(), series,
+    series[f"sigma^{a}"] = (ticks, [float(ws.weight(s, t)) for s, t in zip(sigmas, ts)])
+path = svg_line_chart("demo_weights.svg", ticks, series,
                       xlabel="t", ylabel="lambda", title="guidance weight families")
 print(f"\nwrote {path}: the larger the exponent, the earlier guidance fades.")

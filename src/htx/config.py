@@ -85,7 +85,7 @@ OPTIONAL_NUMBER_FIELDS = (("schedule", "t_max"), ("guidance", "valid_exponent"),
                           ("sampler", "end"))
 NUMBER_LIST_FIELDS = (("experiment", "exponents"), ("experiment", "t0_fractions"))
 # largest gaussian_field grid: its prior allocates cells^2 covariance entries and
-# takes about 0.5 s to build at this size
+# takes about 0.5 s to build at this size; a mixture's K d^2 entries share the bound
 MAX_CELLS = 1024
 # most trials per run: a run holds several (trials, d) float arrays, each 82 MB at
 # this bound and MAX_CELLS; the largest shipped check draws 500
@@ -276,6 +276,9 @@ def build_density(cfg: ExperimentConfig) -> oracle.GaussianMixture:
         weights = _float_array(sec, "weights", ndim=1)
         if weights.shape[0] != means.shape[0]:
             raise ConfigError("density.weights must give one weight per row of density.means")
+        if means.shape[0] * means.shape[1] ** 2 > MAX_CELLS ** 2:
+            raise ConfigError(f"density.means of shape {means.shape} needs more than "
+                              f"{MAX_CELLS ** 2} (K d^2) covariance entries")
         if np.any(weights <= 0) or abs(weights.sum() - 1.0) > 1e-12:
             raise ConfigError(f"density.weights must be positive and sum to 1, "
                               f"got {sec['weights']!r}")

@@ -414,10 +414,9 @@ def emit_report(record: RunRecord, fmt: str, out_dir):
                 ys.append(row[col])
             if not by_series or all(len(xs) < 2 for xs, _ in by_series.values()):
                 continue
-            xs0 = next(iter(by_series.values()))[0]
+            ticks = sorted({x for xs, _ in by_series.values() for x in xs})
             path = report.svg_line_chart(
-                out_dir / f"{metric}.svg", xs0,
-                {name: ys for name, (xs, ys) in by_series.items()},
+                out_dir / f"{metric}.svg", ticks, by_series,
                 xlabel="configuration", ylabel=metric,
                 title=f"{record.kind}: {metric}")
             paths.append(path)

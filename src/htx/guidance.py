@@ -17,19 +17,19 @@ alone.  Written as drift = p x - q s - r y~ (`drift_rows`),
   p = f-rate + c g^2 lambda / sigma^2,  q = c g^2 (1 - lambda),  r = c g^2 lambda alpha / sigma^2,
 
 with c = 1/2 for the flow and c = 1 for the reverse SDE, and lambda = 0 (no
-r) unguided.  A solver walks a drift over the rows of a `TimePlan`
+r) unguided.  A drift hands a solver its grid and its Euler step
 (`GuidedDrift.stepper`): every step's rows a = 1 - dt p, b = dt q and
-c_y = dt r are formed once per plan, in array passes, and the Euler step is
+c_y = dt r are formed once per `TimePlan`, in array passes, and the step is
 the three-term update x <- a x + b s + c_y y~ (`score_drift`).  The update
 allocates its result and its one temporary, and writes into nothing else:
 not the state it was given, the score, the reference or a closure's return.
-Only the source of the score s differs between drifts: a score-form drift
-reads it from the model's plan rows, the drift on a correction closure
-h(x, t) from model.score(x, t) (so that an exact h can reuse it), with
-s <- s + h and lambda = 0.
+Only the source of the score s differs between drifts: the model's plan
+rows, or, for a correction closure h(x, t), model.score(x, t) + h(x, t) with
+lambda = 0, since s + h is one score (the model is scored first, on the same
+x, so that an exact h can reuse its score).
 
 The exact score of a one-component prior is affine and diagonal in the
-prior's eigenbasis, so with scalar lambda and no h any run of steps composes
+prior's eigenbasis, so with scalar lambda any run of steps composes
 in closed form there (`_eigen_jump`), to rounding, not bit for bit.  A jump
 declines, and the solver walks, wherever a bound from the rows cannot rule
 out that the walk overflows, so a divergence is still named at its step.
@@ -86,9 +86,9 @@ class GuidanceSpec:
 class GuidedDrift:
     """Deterministic drift closure; evaluates on (d,) or (n, d) states.
 
-    stepper(start, end, steps) gives a solver its `TimePlan` and advance(x, k),
-    the Euler step from the plan's k-th time; a drift built by hand advances as
-    x - fn(x, t_k) dt_k over a plan of the grid alone.
+    stepper(start, end, steps) gives a solver the grid, linspace(start, end,
+    steps + 1), and advance(x, k), the Euler step from its k-th time; a drift
+    built by hand advances as x - fn(x, t_k) dt_k.
     """
 
     fn: Callable[[np.ndarray, float], np.ndarray]
@@ -99,36 +99,34 @@ class GuidedDrift:
 
     def stepper(self, start: float, end: float, steps: int):
         times = np.linspace(start, end, steps + 1)
-        plan = TimePlan(None, times, times[:-1] - times[1:])
-        grid, dts, fn = plan.row("times"), plan.row("dt"), self.fn
-        return plan, lambda x, k: x - fn(x, grid[k]) * dts[k]
+        grid, dts, fn = times.tolist(), (times[:-1] - times[1:]).tolist(), self.fn
+        return times, lambda x, k: x - fn(x, grid[k]) * dts[k]
 
 
 @dataclass(frozen=True)
 class _PlannedDrift(GuidedDrift):
-    """A score-form drift: law(plan) gives the (score, h, spec) that `score_drift` takes."""
+    """A score-form drift: scores(plan) gives the score(x, k) that `score_drift` takes."""
 
     schedule: NoiseSchedule
-    law: Callable[[TimePlan], tuple]
+    scores: Callable[[TimePlan], Callable]
+    spec: GuidanceSpec | None
 
     def stepper(self, start: float, end: float, steps: int):
         plan = self.schedule.plan(start, end, steps)
-        return plan, score_drift(plan, 0.5, *self.law(plan))
+        return plan.times, score_drift(plan, 0.5, self.scores(plan), self.spec)
 
 
-def _planned_drift(law, schedule: NoiseSchedule, dim: int) -> GuidedDrift:
+def _planned_drift(scores, spec, schedule: NoiseSchedule, dim: int) -> GuidedDrift:
     """At one time t the drift p x - q s - r y~ from the rows of the one-time plan of t."""
 
     def fn(x, t):
         plan = schedule.plan(t, t, 1)
-        score, h, spec = law(plan)
         p, q, r = drift_rows(plan, 0.5, spec)
         x = np.asarray(x, dtype=float)
-        s = score(x, 0) if h is None else score(x, 0) + h(x, 0)
-        drift = p[0] * x - q[0] * s
+        drift = p[0] * x - q[0] * scores(plan)(x, 0)
         return drift if r is None else drift - r[0] * spec.coarse
 
-    return _PlannedDrift(fn, dim, schedule, law)
+    return _PlannedDrift(fn, dim, schedule, scores, spec)
 
 
 def lambda_weights(spec: GuidanceSpec, schedule: NoiseSchedule, t):
@@ -175,18 +173,17 @@ def _per_step(row: np.ndarray) -> list:
     return row.tolist() if row.ndim == 1 else list(row)
 
 
-def score_drift(plan: TimePlan, c: float, score: Callable, h: Callable | None = None,
-                spec: GuidanceSpec | None = None):
+def score_drift(plan: TimePlan, c: float, score: Callable, spec: GuidanceSpec | None = None):
     """advance(x, k): the Euler step x - drift dt_k of the one score-form drift law.
 
     With a = 1 - dt p, b = dt q and c_y = dt r from `drift_rows`, the step is
-    x <- a x + b (s + h) + c_y y~.  c = 1/2 gives the deterministic flow, c = 1
-    the reverse SDE.  score(x, k) gives s at plan.times[k], and h(x, k), when
-    given, the correction that is added to it (lambda = 0); spec, when given,
-    the guidance toward spec.coarse.  The step returns a new array and writes
-    only into arrays it allocated.  When the score is affine with eigen-rows
-    (`oracle.planned_score`), there is no h and lambda is scalar,
-    advance.jump(x, k0, k1) offers steps k0 to k1 in one pass (`_eigen_jump`).
+    x <- a x + b s + c_y y~.  c = 1/2 gives the deterministic flow, c = 1 the
+    reverse SDE.  score(x, k) gives s at plan.times[k], a correction h already
+    added to it (s + h is one score); spec, when given, the guidance toward
+    spec.coarse.  The step returns a new array and writes only into arrays it
+    allocated.  When the score is affine with eigen-rows (`oracle.planned_score`)
+    and lambda is scalar, advance.jump(x, k0, k1) offers steps k0 to k1 in one
+    pass (`_eigen_jump`).
     """
     p, q, r = drift_rows(plan, c, spec)
     dt = plan.dt[(slice(None),) + (None,) * (p.ndim - 1)]
@@ -195,12 +192,7 @@ def score_drift(plan: TimePlan, c: float, score: Callable, h: Callable | None = 
     coarse = None if r is None else spec.coarse
 
     def advance(x, k):
-        s = score(x, k)
-        if h is None:
-            out = s * b[k]
-        else:
-            out = s + h(x, k)
-            out *= b[k]
+        out = score(x, k) * b[k]
         term = x * a[k]
         out += term
         if coarse is not None:
@@ -208,7 +200,7 @@ def score_drift(plan: TimePlan, c: float, score: Callable, h: Callable | None = 
         return out
 
     eigen_rows = getattr(score, "eigen_rows", None)
-    if eigen_rows is not None and h is None and p.ndim == 1:
+    if eigen_rows is not None and p.ndim == 1:
         advance.jump = _eigen_jump(*eigen_rows, *rows, coarse)
     return advance
 
@@ -275,22 +267,21 @@ def _eigen_jump(basis, basis_means, evals, a, b, cy, coarse):
 
 def unguided_drift(model: ScoreModel, schedule: NoiseSchedule) -> GuidedDrift:
     """Plain deterministic sampling drift f - g^2 s / 2."""
-    return _planned_drift(lambda plan: (model.planned_score(plan), None, None),
-                          schedule, model.dim)
+    return _planned_drift(model.planned_score, None, schedule, model.dim)
 
 
 def h_guided_drift(model: ScoreModel, h_fn: Callable, schedule: NoiseSchedule) -> GuidedDrift:
     """Drift f - g^2 (s + h) / 2 for an arbitrary correction closure h(x, t)."""
+    # the model is scored first, on the same x, so that an exact h reuses its score
     return _planned_drift(
-        lambda plan: (plan.per_time(model.score), plan.per_time(h_fn), None),
-        schedule, model.dim)
+        lambda plan: plan.per_time(lambda x, t: model.score(x, t) + h_fn(x, t)),
+        None, schedule, model.dim)
 
 
 def guided_score_drift(model: ScoreModel, spec: GuidanceSpec,
                        schedule: NoiseSchedule) -> GuidedDrift:
     """Score-form guided drift; the weight interpolates toward the kernel score."""
-    return _planned_drift(lambda plan: (model.planned_score(plan), None, spec),
-                          schedule, spec.dim)
+    return _planned_drift(model.planned_score, spec, schedule, spec.dim)
 
 
 def guided_velocity_drift(model: ScoreModel, spec: GuidanceSpec,

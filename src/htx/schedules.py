@@ -23,7 +23,7 @@ bitwise equal to the float path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,27 +45,19 @@ class TimePlan:
 
     Step k runs from times[k] to times[k + 1], dt[k] = times[k] - times[k + 1];
     the rows alpha, sigma, lad (alpha'/alpha) and g2 hold the schedule at times[k].
-    The plan of a drift built by hand has no schedule and only the grid rows.
     """
 
-    schedule: NoiseSchedule | None
+    schedule: NoiseSchedule
     times: np.ndarray  # (steps + 1,), start to end
     dt: np.ndarray     # (steps,)
-    alpha: np.ndarray | None = None
-    sigma: np.ndarray | None = None
-    lad: np.ndarray | None = None
-    g2: np.ndarray | None = None
-    _lists: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def row(self, name: str) -> list:
-        """Row `name` as a list of floats, made on first use: steppers index it per step."""
-        if name not in self._lists:
-            self._lists[name] = getattr(self, name).tolist()
-        return self._lists[name]
+    alpha: np.ndarray
+    sigma: np.ndarray
+    lad: np.ndarray
+    g2: np.ndarray
 
     def per_time(self, fn):
         """fn(x, t) as a function of (x, k) with t = times[k]."""
-        times = self.row("times")
+        times = self.times.tolist()
         return lambda x, k: fn(x, times[k])
 
 

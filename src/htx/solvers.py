@@ -6,8 +6,8 @@ uniform grid.  The deterministic update is
   x_{t - dt} = x_t - drift(x_t, t) dt,
 
 and the stochastic one adds g(t) sqrt(dt) z with z standard normal.  The loop
-walks the grid by step index and asks the drift's advance(x, k) for each new
-state: a score-form drift runs it as the three-term update
+sees only the grid times and the drift's advance(x, k), which gives each new
+state by step index: a score-form drift runs it as the three-term update
 x <- a x + b s + c_y y~, whose coefficient rows it formed from the schedule's
 `TimePlan` before the first step (`guidance.score_drift`), and the reverse SDE
 takes its noise scales from the same plan and adds each step's noise in place
@@ -38,7 +38,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConfigError, DivergenceError
 from .guidance import GuidedDrift, h_guided_drift, score_drift, unguided_drift
-from .schedules import NoiseSchedule, TimePlan
+from .schedules import NoiseSchedule
 from .scorenet import ScoreModel
 
 EULER_ODE = "euler_ode"
@@ -89,11 +89,14 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded sampling path; times strictly decrease and end at the endpoint."""
+    """Recorded sampling path; times strictly decrease, and the last state is the endpoint."""
 
     times: np.ndarray
     states: np.ndarray  # (n_recorded, d)
-    endpoint: np.ndarray
+
+    @property
+    def endpoint(self) -> np.ndarray:
+        return self.states[-1]
 
 
 def trial_rng(seed: int, index: int) -> np.random.Generator:
@@ -202,21 +205,20 @@ def _record_indices(cfg: SamplerConfig) -> np.ndarray:
     return np.asarray(idx)
 
 
-def _integrate(advance, plan: TimePlan, cfg: SamplerConfig, x0: np.ndarray, noise=None):
-    """Shared Euler loop over the plan's grid: x <- advance(x, k), a new array, plus,
+def _integrate(advance, times: np.ndarray, cfg: SamplerConfig, x0: np.ndarray, noise=None):
+    """Shared Euler loop over the grid `times`: x <- advance(x, k), a new array, plus,
     for the SDE, next(noise), step k's increment shaped like x0, (d,) or (n, d).
 
     Without noise, each stretch between two records is one advance.jump(x, k0, k1)
     where the drift offers it and the jump does not decline (returns None).  A
     non-finite state raises DivergenceError naming the step, its grid time and
-    the first row of x that is not finite.
+    the first row of x that is not finite.  Returns the recorded times and states.
     """
     rec_idx = _record_indices(cfg)
     rec_states = np.empty((len(rec_idx),) + x0.shape)
     x = np.asarray(x0, dtype=float)
     rec_states[0] = x
     jump = getattr(advance, "jump", None) if noise is None else None
-    grid = plan.row("times")
     for i, (k0, k1) in enumerate(zip(rec_idx[:-1].tolist(), rec_idx[1:].tolist()), 1):
         moved = None if jump is None else jump(x, k0, k1)
         if moved is not None:
@@ -229,18 +231,17 @@ def _integrate(advance, plan: TimePlan, cfg: SamplerConfig, x0: np.ndarray, nois
                 # ndarray.all's ufunc, without the method's Python wrapper
                 if not np.logical_and.reduce(np.isfinite(x), axis=None):
                     bad = np.flatnonzero(~np.isfinite(np.atleast_2d(x)).all(axis=1))
-                    raise DivergenceError(k, t=grid[k], trajectory=int(bad[0]))
+                    raise DivergenceError(k, t=float(times[k]), trajectory=int(bad[0]))
         rec_states[i] = x
-    return plan.times[rec_idx], rec_states, x
+    return times[rec_idx], rec_states
 
 
 def sample_ode(drift: GuidedDrift, cfg: SamplerConfig, x_start) -> Trajectory:
     """Deterministic reverse-time Euler run from x_start, (d,) or (n, d)."""
     if cfg.solver != EULER_ODE:
         raise ConfigError("sample_ode requires the euler_ode solver")
-    plan, advance = drift.stepper(cfg.start, cfg.end, cfg.steps)
-    times, states, endpoint = _integrate(advance, plan, cfg, np.asarray(x_start, dtype=float))
-    return Trajectory(times=times, states=states, endpoint=endpoint)
+    times, advance = drift.stepper(cfg.start, cfg.end, cfg.steps)
+    return Trajectory(*_integrate(advance, times, cfg, np.asarray(x_start, dtype=float)))
 
 
 def _noise(streams: list, scale: list, dim: int):
@@ -271,7 +272,7 @@ def _noise(streams: list, scale: list, dim: int):
             yield row
 
 
-def _ensemble(advance, plan: TimePlan, cfg: SamplerConfig, n: int, dim: int, start_fn,
+def _ensemble(advance, times: np.ndarray, cfg: SamplerConfig, n: int, dim: int, start_fn,
               chunk: int, noise_scale=None) -> list[Trajectory]:
     """n trajectories in batches of `chunk`; trajectory i draws from trial_rng(seed, i).
 
@@ -290,11 +291,10 @@ def _ensemble(advance, plan: TimePlan, cfg: SamplerConfig, n: int, dim: int, sta
         noise = None if noise_scale is None else _noise(streams, noise_scale, dim)
         del streams  # an ODE batch is done with them; an SDE batch's noise holds them
         try:
-            rec_times, states, _ = _integrate(advance, plan, cfg, starts, noise)
+            rec_times, states = _integrate(advance, times, cfg, starts, noise)
         except DivergenceError as exc:
             raise DivergenceError(exc.step, t=exc.t, trajectory=lo + exc.trajectory) from None
-        out.extend(Trajectory(times=rec_times, states=states[:, i, :],
-                              endpoint=states[-1, i, :]) for i in range(m))
+        out.extend(Trajectory(rec_times, states[:, i, :]) for i in range(m))
     return out
 
 
@@ -306,8 +306,8 @@ def ode_ensemble(drift: GuidedDrift, cfg: SamplerConfig, n: int,
     standard normal draws.  start_fn's rng has trial_rng(seed, i)'s state, but
     its `bit_generator.seed_seq` is not a SeedSequence (see trial_rngs).
     """
-    plan, advance = drift.stepper(cfg.start, cfg.end, cfg.steps)
-    return _ensemble(advance, plan, cfg, n, drift.dim, start_fn, chunk=max(n, 1))
+    times, advance = drift.stepper(cfg.start, cfg.end, cfg.steps)
+    return _ensemble(advance, times, cfg, n, drift.dim, start_fn, chunk=max(n, 1))
 
 
 def sde_ensemble(model: ScoreModel, h_term, schedule: NoiseSchedule,
@@ -315,11 +315,11 @@ def sde_ensemble(model: ScoreModel, h_term, schedule: NoiseSchedule,
     """n Euler-Maruyama runs of the reverse SDE, optionally with a correction h.
 
     Update: x_{t-dt} = x_t - [f - g^2 (s + h)] dt + g sqrt(dt) z; h_term may be
-    None.  The drift part is the law of guidance.unguided_drift, or of
-    h_guided_drift with h, run as guidance.score_drift's update
-    x <- a x + b (s + h) with c = 1 and a new array each step, to which the
-    step's noise is added in place.  Without h the score reads the plan's
-    rows; with h it comes from model.score(x, t), which the exact h rescores.
+    None.  The drift part takes the score source of guidance.unguided_drift,
+    or of h_guided_drift with h, and runs it as guidance.score_drift's update
+    x <- a x + b s with c = 1 and a new array each step, to which the step's
+    noise is added in place.  Without h the score reads the plan's rows; with
+    h it is model.score(x, t) + h(x, t), where the exact h rescores the state.
     start_fn(rng), when given, draws each start, as in ode_ensemble.
     Trajectories run in batches of SDE_CHUNK.  Each draws its noise from its
     own stream NOISE_STEPS steps at a time, bitwise equal to one whole-path
@@ -328,9 +328,9 @@ def sde_ensemble(model: ScoreModel, h_term, schedule: NoiseSchedule,
     plan = schedule.plan(cfg.start, cfg.end, cfg.steps)
     drift = (unguided_drift(model, schedule) if h_term is None
              else h_guided_drift(model, h_term, schedule))
-    advance = score_drift(plan, 1.0, *drift.law(plan))
+    advance = score_drift(plan, 1.0, drift.scores(plan))
     noise_scale = (np.sqrt(plan.g2) * np.sqrt(plan.dt)).tolist()
-    return _ensemble(advance, plan, cfg, n, model.dim, start_fn, SDE_CHUNK, noise_scale)
+    return _ensemble(advance, plan.times, cfg, n, model.dim, start_fn, SDE_CHUNK, noise_scale)
 
 
 def marginal_stats(trajectories: list[Trajectory], t: float):

@@ -18,6 +18,7 @@ import io
 import json
 import tempfile
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -176,6 +177,8 @@ def scratch(tmp_path_factory):
 @example(doc=_record({"mse_to_y_mean": 1.0}, {"mse_to_y_mean": "2"}))
 @example(doc=_record({"mse_to_y_mean": 1.0}, {"mse_to_y_mean": 2.0, "x": "foo"}))
 @example(doc=_record({"mse_to_y_mean": 1.0}, {"mse_to_y_mean": 2.0, "series": ["a"]}))
+@example(doc={**_record({"mse_to_y_mean": 1.0, "series": "a<b & c\x00"},
+                        {"mse_to_y_mean": 2.0, "series": "a<b & c\x00"}), "kind": "<&\x01"})
 def test_accepted_record_re_emits(scratch, doc):
     path = scratch / "record.json"
     path.write_text(json.dumps(doc))
@@ -184,7 +187,8 @@ def test_accepted_record_re_emits(scratch, doc):
     except ConfigError:
         return
     emit_report(record, "csv", scratch)
-    emit_report(record, "svg", scratch)
+    for chart in emit_report(record, "svg", scratch):
+        ElementTree.parse(chart)
 
 
 @st.composite

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -330,7 +331,7 @@ class TestReports:
 
     def test_svg_tick_per_configuration(self, tmp_path):
         path = svg_line_chart(tmp_path / "c.svg", [1, 3, 5, 7, 9],
-                              {"metric": [0.1, 0.2, 0.3, 0.2, 0.4]},
+                              {"metric": ([1, 3, 5, 7, 9], [0.1, 0.2, 0.3, 0.2, 0.4])},
                               xlabel="exponent", ylabel="metric")
         text = (tmp_path / "c.svg").read_text()
         assert text.count('class="xtick"') == 5
@@ -352,6 +353,21 @@ class TestReports:
                                                           exponents=[1.0, 5.0, 9.0]))
         paths = emit_report(record, "svg", tmp_path)
         assert any(p.endswith("mse_to_y.svg") for p in paths)
+
+    def test_emit_report_svg_plots_each_series_at_its_own_x(self, tmp_path):
+        # series a at x 0-3 and b at x 2-3: ticks at the union, b at the ticks of 2 and 3
+        rows = [{"series": name, "x": x, "n": 1, "mse_to_y_mean": float(x + i)}
+                for i, (name, xs) in enumerate((("a", (0, 1, 2, 3)), ("b", (2, 3))))
+                for x in xs]
+        record = RunRecord(kind="k", digest="d", config={}, seed=0, per_trial={},
+                           aggregates=rows)
+        emit_report(record, "svg", tmp_path)
+        root = ElementTree.parse(tmp_path / "mse_to_y.svg").getroot()
+        ticks = [el.get("x1") for el in root.iter() if el.get("class") == "xtick"]
+        lines = [[point.split(",")[0] for point in el.get("points").split()]
+                 for el in root.iter() if el.get("class") == "series"]
+        assert len(ticks) == 4
+        assert lines == [ticks, ticks[2:]]
 
 
 class TestVerifyPlumbing:
@@ -753,6 +769,11 @@ class TestCli:
                           ({"guidance": {"exponent": -1.0}}, "guidance.exponent"),
                           ({"density": {"cells": 10**12}}, "density.cells"),
                           ({"density": {"cells": 1025}}, "density.cells"),
+                          # a mixture's K d^2 covariance entries share the field's bound
+                          ({"density": {"means": [[0.0] * 1025], "weights": [1.0]}},
+                           "density.means"),
+                          ({"density": {"means": [[0.0] * 32] * 1025,
+                                        "weights": [1 / 1025] * 1025}}, "density.means"),
                           # ranges a section's constructor holds: from_dict builds every section
                           ({"density": {"weights": [0.5, 0.6]}}, "density.weights"),
                           ({"density": {"kind": "gaussian_field", "jitter": -1.0}},

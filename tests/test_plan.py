@@ -28,7 +28,7 @@ from htx.guidance import (GuidanceSpec, GuidedDrift, drift_rows, guided_score_dr
                           h_guided_drift, sdedit_start, unguided_drift)
 from htx.oracle import GaussianMixture, exact_h, identity_operator
 from htx.schedules import (CONSTANT, POWER_OF_SIGMA, POWER_OF_TIME, NoiseSchedule,
-                           TimePlan, WeightSchedule)
+                           WeightSchedule)
 from htx.scorenet import ScoreModel, mixture_score_model
 from htx.solvers import SamplerConfig, sample_ode, sde_ensemble, trial_rng
 
@@ -74,7 +74,7 @@ class PerTimeDrift(GuidedDrift):
             out = (1.0 - dt * p) * x + (dt * q) * self.model.score(x, t)
             return out if r is None else out + (dt * r) * self.spec.coarse
 
-        return TimePlan(None, times, times[:-1] - times[1:]), advance
+        return times, advance
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ class PerTimeJumpDrift(PerTimeDrift):
                 u = u + (dt * r) * (self.spec.coarse @ basis)
             return u @ basis.T + x
 
-        return TimePlan(None, times, times[:-1] - times[1:]), advance
+        return times, advance
 
 
 def per_time_drift(model, schedule, spec=None, gm=None) -> GuidedDrift:
@@ -335,8 +335,8 @@ class StepByStep(GuidedDrift):
     planned: GuidedDrift
 
     def stepper(self, start, end, steps):
-        plan, advance = self.planned.stepper(start, end, steps)
-        return plan, lambda x, k: advance(x, k)
+        times, advance = self.planned.stepper(start, end, steps)
+        return times, lambda x, k: advance(x, k)
 
 
 def walked(drift) -> GuidedDrift:

@@ -196,7 +196,7 @@ class TestWeightSchedule:
         for exponent in (0, 0.0, 0.3, 1, 1.0, 2, 2.0, 2.5, 3, 3.0, 5, 5.0, 7.0, 9, 9.0):
             ws = WeightSchedule(family, exponent=exponent, constant=0.25)
             row = ws.weight_row(sigmas, times)
-            per_step = [ws.weight(s, t) for s, t in zip(plan.row("sigma"), plan.row("times"))]
+            per_step = [ws.weight(s, t) for s, t in zip(plan.sigma.tolist(), plan.times.tolist())]
             assert len(row) == len(per_step) == 1000
             assert np.array(row).tobytes() == np.array(per_step).tobytes(), exponent
         exponents = np.linspace(0.0, 9.0, 3)  # a map is weighed step by step

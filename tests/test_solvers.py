@@ -139,6 +139,20 @@ class TestScoreCount:
         sde_ensemble(model, h, VP, cfg, 4)
         assert calls[0] == self.STEPS
 
+    @pytest.mark.parametrize("kind", ["ode", "sde"])
+    def test_exact_h_run_scores_once_per_step(self, kind, monkeypatch):
+        # h = kernel score - s rescores the state that s + h scored: one _score per step
+        scored = []
+        score = oracle._score
+        monkeypatch.setattr(oracle, "_score", lambda *a: scored.append(1) or score(*a))
+        model, h = self._setup()
+        cfg = SamplerConfig(steps=120, seed=3)
+        if kind == "ode":
+            sample_ode(h_guided_drift(model, h, VP), cfg, x_start=np.array([[0.3, -1.2]]))
+        else:
+            sde_ensemble(model, h, VP, cfg, 4)  # one chunk of SDE_CHUNK
+        assert len(scored) == cfg.steps
+
 
 class TestSde:
     def test_seed_reproducibility(self):
@@ -211,6 +225,17 @@ class TestEnsembles:
         for path, solo in zip(paths, solos):
             # batched score arithmetic may differ from a lone run in the last bit
             np.testing.assert_allclose(path.states, solo.states, rtol=0, atol=1e-12)
+
+    def test_endpoint_is_the_last_state(self):
+        model = mixture_score_model(two_mode(), VP)
+        cfg = SamplerConfig(steps=20, seed=5, record_every=7)
+        drift = unguided_drift(model, VP)
+        paths = [sample_ode(drift, cfg, x_start=np.array([0.3, -1.2])),
+                 sample_ode(drift, cfg, x_start=np.array([[0.3, -1.2], [1.0, 0.4]])),
+                 *ode_ensemble(drift, cfg, 3), *sde_ensemble(model, None, VP, cfg, 3)]
+        for path in paths:
+            assert path.endpoint.shape == path.states[-1].shape
+            assert path.endpoint.tobytes() == path.states[-1].tobytes()
 
     def test_sde_ensemble_chunking_invariant(self, monkeypatch):
         model = mixture_score_model(two_mode(), VP)
@@ -297,7 +322,8 @@ def predrawn_sde(model, h, schedule, cfg, n):
     if h is None:
         advance = score_drift(plan, 1.0, model.planned_score(plan))
     else:
-        advance = score_drift(plan, 1.0, plan.per_time(model.score), plan.per_time(h))
+        advance = score_drift(plan, 1.0,
+                              plan.per_time(lambda x, t: model.score(x, t) + h(x, t)))
     scale = (np.sqrt(plan.g2) * np.sqrt(plan.dt)).tolist()
     rec = solvers._record_indices(cfg)
     paths = []
@@ -435,16 +461,14 @@ class TestExactBridge:
 class TestMarginalStats:
     def test_single_trajectory_zero_covariance(self):
         traj = Trajectory(times=np.array([1.0, 0.5]),
-                          states=np.array([[1.0, 2.0], [0.5, 1.0]]),
-                          endpoint=np.array([0.5, 1.0]))
+                          states=np.array([[1.0, 2.0], [0.5, 1.0]]))
         mean, cov = marginal_stats([traj], 0.5)
         np.testing.assert_array_equal(mean, [0.5, 1.0])
         np.testing.assert_array_equal(cov, np.zeros((2, 2)))
 
     def test_lookup_error(self):
         traj = Trajectory(times=np.array([1.0, 0.5]),
-                          states=np.zeros((2, 2)),
-                          endpoint=np.zeros(2))
+                          states=np.zeros((2, 2)))
         with pytest.raises(KeyError):
             marginal_stats([traj], 0.3)
 
