@@ -147,9 +147,9 @@ def _merge_section(name: str, overrides) -> dict:
 def read_document(path):
     """The JSON document at path; ConfigError if it cannot be read or parsed."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+    except (OSError, ValueError) as exc:  # a decode or parse error is a ValueError
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 

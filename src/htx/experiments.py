@@ -83,9 +83,9 @@ class RunRecord:
     @classmethod
     def from_json(cls, path) -> "RunRecord":
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # a decode or parse error is a ValueError
             raise ConfigError(f"cannot read run record {path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"{path} is not a run record: not a JSON object")

@@ -5,43 +5,56 @@ so the diffused density, its score, the endpoint-conditioned drift correction,
 and the restoration posterior under a linear-Gaussian degradation are all exact.
 
 Each component covariance is factored once, at construction, as
-Sigma_k = V_k Lambda_k V_k^T.  The diffused covariance alpha^2 Sigma_k + sigma^2 I
-is diagonal in the same basis, with eigenvalues alpha^2 Lambda_k + sigma^2, so
-`gm_pushforward` only rescales and the score and log density of any diffused
-mixture need no factorization: one matmul projects x onto every V_k at once,
-one more maps the responsibility-weighted result back, and the rest is
-elementwise.  A one-component mixture (the Gaussian field prior) has every
-responsibility equal to 1, so its score skips them: u = Lambda^-1 V^T (mu - x),
-then V u, bitwise what the weighted path gives wherever that is finite.  The
+Sigma_k = V_k Lambda_k V_k^T; where the K covariances are bitwise equal (every
+mixture `config.build_density` makes, verify's two-mode mixture, and any
+one-component prior) one factorization serves them all.  The diffused
+covariance alpha^2 Sigma_k + sigma^2 I is diagonal in the same basis, with
+eigenvalues alpha^2 Lambda_k + sigma^2, so `gm_pushforward` only rescales and
+the score and log density of any diffused mixture need no factorization.  The
 Cholesky factor serves as the SPD check and for sampling, so draws do not
 depend on the basis.
 
-The kernel runs feature-major.  A batch x (n, d) is projected as z = V^T x^T,
-(K d, n), so the rows alpha V^T mu and the eigenvalues it subtracts and
-divides by broadcast down the columns and every elementwise pass runs over
-rows of n contiguous entries; the responsibilities are spread with
-blocks^T r, and the score comes back C-ordered as u^T V^T.  A product with
-one output row or column is a BLAS gemv, whose summation order follows its
-operand's layout, so the kernel gives those two (the log density's sum within
-its one component, and the map back for d = 1) their operands row-wise,
-(n, K d); every result is then bitwise what a row-wise kernel gives (the
-tests keep one as the reference).  With K >= 2 components at d >= 4, BLAS
-may pick another gemm kernel by layout and size, and such a mixture's score
-can differ from the row-wise one in its last bits.
+`_score` has two kernels, both feature-major: a batch x (n, d) is projected
+as V^T x^T, so every row a kernel subtracts or divides by broadcasts down the
+columns, every elementwise pass runs over rows of n contiguous entries, and
+the score comes back C-ordered as u^T V^T.
+
+- Shared covariance, one basis V.  With m_k = alpha V^T mu_k,
+  e = alpha^2 Lambda + sigma^2, g_k = m_k / e and c_k = log w_k - m_k . g_k / 2,
+  the log responsibility of component k at u0 = V^T x is g_k . u0 + c_k plus
+  terms every component shares (the quadratic form in u0 and the
+  log-determinant), which cancel in the softmax.  The kernel forms the (K, n)
+  logits g u0 + c, their softmax r and u = (m^T r - u0) / e.  One component
+  has r = 1 and skips the softmax: u = (m - u0) / e.
+- Distinct covariances.  x is projected onto every V_k at once,
+  z = [V_1 ... V_K]^T x^T (K d, n); the log terms log w_k N(x; mu_k, Sigma_k)
+  are summed within each component by blocks (K, K d), and their softmax
+  weights u_k = Lambda_k^-1 (V_k^T mu_k - z_k), spread with blocks^T r.
+
+A product with one output row or column is a BLAS gemv, whose summation order
+follows its operand's layout, so the kernels give those products (the log
+density's sum within its one component, and m^T r and the map back for d = 1)
+their operands row-wise; every result is then bitwise what a row-wise kernel
+gives (the tests keep one per kernel as the reference).  With K >= 2 distinct
+covariances at d >= 4, BLAS may pick another gemm kernel by layout and size,
+and such a mixture's score can differ from the row-wise one in its last bits.
 
 All mixture evaluations run in log space (max-shifted log-sum-exp) so
-responsibilities never underflow for finite inputs.  At a point so far out that
-its squared Mahalanobis distance overflows (|x| beyond about 1e150) the log
-density, and for K >= 2 components the score, evaluate to nan; a one-component
-score is linear in x and stays finite.
+responsibilities never underflow for finite inputs.  The log density, and the
+score of K >= 2 distinct covariances, square the Mahalanobis distance and
+evaluate to nan at a point so far out that it overflows (|x| beyond about
+1e150).  The shared kernel's logits are linear in x, so a K >= 2 shared score
+stays finite until g_k . u0 overflows (|x| near 1e308 / |g|), or, for a mean
+beyond about 1e154, where c_k is already -inf, at a point near that mean.  A
+one-component score is linear in x and stays finite.
 
-The score has one kernel, `_score`, over a diffused mixture's eigen-rows
-(alpha V^T mu, alpha^2 Lambda + sigma^2, log-normalisers): `gm_score` passes a
-mixture's own, `planned_score` those of each step of a `TimePlan`, formed as
-arrays when the score is built and split into per-step rows on its first call;
-for K = 1, where the score is affine and diagonal in the basis, it also hands
-the arrays to the solver's jump (`guidance.score_drift`), so an arm that jumps
-every step never splits them.
+The kernel's rows of one time (`_score_rows`) are formed once: `gm_score`
+reads a mixture's own, made with it (by `gm_pushforward` for a diffused one),
+and `planned_score` those of each step of a `TimePlan`, formed by `plan_rows`
+as whole arrays, bitwise the rows of each time, and split into per-step rows
+on its first call; for K = 1, where the score is affine and diagonal in the
+basis, it also hands the arrays to the solver's jump (`guidance.score_drift`),
+so an arm that jumps every step never splits them.
 `gm_pushforward`'s memo and the score slot thus serve only float-time
 callers: `exact_h` and the drifts built on it.  A diffused mixture keeps the
 (alpha, sigma) it was made from, and `exact_h` forms its kernel score from
@@ -63,6 +76,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -85,8 +99,11 @@ class GaussianMixture:
     Lambda_K] and `_basis_means` (K d,) is [V_1^T mu_1 ... V_K^T mu_K].
     `_blocks` (K, K d) marks which of the K d columns belong to component k,
     so `_blocks @ v` sums v within each component, and `_log_norms` (K,)
-    holds log w_k - (d log 2 pi + log det Sigma_k) / 2.  `_basis_t` and
-    `_blocks_t` are the kernel's transposed views of the two, made once.
+    holds log w_k - (d log 2 pi + log det Sigma_k) / 2, made on first use.
+    `_basis_t` and `_blocks_t` are the kernel's transposed views of the two,
+    made once.  Where the covariances are bitwise equal, `_shared_basis_t` is
+    the one V^T (d, d), else None.  `_score_rows` holds what the function of
+    that name forms from the mixture's own eigen-rows.
     """
 
     weights: np.ndarray  # (K,)
@@ -106,25 +123,37 @@ class GaussianMixture:
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("mixture weights must sum to 1")
         chols = _check_covariances(c)
-        evals, basis = np.linalg.eigh(c)
+        bits = np.ascontiguousarray(c).view(np.uint64)
+        shared = bool(np.all(bits == bits[0]))
+        evals, basis = np.linalg.eigh(c[:1] if shared else c)
         if np.any(evals <= 0):
             raise ValueError("covariances must be positive definite")
+        k, d = m.shape
+        if shared:
+            evals, basis = np.repeat(evals, k, axis=0), np.repeat(basis, k, axis=0)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "covs", c)
         object.__setattr__(self, "_chols", chols)
         object.__setattr__(self, "_log_weights", np.log(w))
-        k, d = m.shape
         object.__setattr__(self, "_basis", basis.transpose(1, 0, 2).reshape(d, k * d))
         object.__setattr__(self, "_blocks", np.kron(np.eye(k), np.ones(d)))
         object.__setattr__(self, "_basis_t", self._basis.T)
         object.__setattr__(self, "_blocks_t", self._blocks.T)
+        object.__setattr__(self, "_shared_basis_t", basis[0].T if shared else None)
         _set_eigenvalues(self, evals.ravel(), np.matmul(m[:, None, :], basis).ravel())
 
     @cached_property
     def _chols(self) -> np.ndarray:
         """Cholesky factors; made on first use for a mixture built by gm_pushforward."""
         return np.linalg.cholesky(self.covs)
+
+    @cached_property
+    def _log_norms(self) -> np.ndarray:
+        """gm_logpdf's log-normalisers (K,), read-only; made on first use."""
+        norms = _log_norm_row(self, self._evals)
+        norms.flags.writeable = False
+        return norms
 
     @cached_property
     def _pushforwards(self) -> dict:
@@ -167,12 +196,34 @@ def _check_covariances(covs: np.ndarray, error=ValueError) -> np.ndarray:
 def _set_eigenvalues(gm: GaussianMixture, evals, basis_means) -> None:
     object.__setattr__(gm, "_evals", evals)
     object.__setattr__(gm, "_basis_means", basis_means)
-    object.__setattr__(gm, "_log_norms", _log_norms(gm, evals))
+    object.__setattr__(gm, "_score_rows", _score_rows(gm, basis_means, evals))
 
 
-def _log_norms(gm: GaussianMixture, evals) -> np.ndarray:
+def _log_norm_row(gm: GaussianMixture, evals) -> np.ndarray:
     """log w_k - (d log 2 pi + log det) / 2 for one row of eigenvalues (K d,)."""
     return gm._log_weights - 0.5 * (gm.dim * _LOG_2PI + gm._blocks @ np.log(evals))
+
+
+def _score_rows(gm: GaussianMixture, basis_means, evals):
+    """The score kernel's rows for the eigen-rows basis_means and evals of gm
+    diffused to one time, (K d,), or to each step of a plan, (steps, K d).
+
+    With distinct covariances they are (basis_means, evals, log_norms), the
+    log-normalisers taken row by row (a batched matmul sums in another order).
+    With one shared covariance they are (m, e, g, c): the means m (..., K, d),
+    the eigenvalues e (..., d) they share, the gains g = m / e and the logit
+    offsets c_k = log w_k - m_k . g_k / 2 (..., K), with g and c None for K = 1.
+    """
+    k, d = gm.means.shape
+    if gm._shared_basis_t is None:
+        norms = (_log_norm_row(gm, evals) if evals.ndim == 1
+                 else np.stack([_log_norm_row(gm, row) for row in evals]))
+        return basis_means, evals, norms
+    means, evals = basis_means.reshape(basis_means.shape[:-1] + (k, d)), evals[..., :d]
+    if k == 1:
+        return means, evals, None, None
+    gains = means / evals[..., None, :]
+    return means, evals, gains, gm._log_weights - 0.5 * np.add.reduce(means * gains, axis=-1)
 
 
 def _as_batch(x, dim):
@@ -200,23 +251,43 @@ def _log_terms(gm: GaussianMixture, xs: np.ndarray, basis_means, evals, log_norm
     return log_norms[:, None] - 0.5 * (gm._blocks @ z), u
 
 
-def _score(gm: GaussianMixture, xs: np.ndarray, basis_means, evals, log_norms):
-    """The mixture score sum_k r_k V_k u_k at xs (n, d), C-ordered (n, d); one
-    component forms no responsibility (module docstring) and reads no log_norms.
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Normalise logits (K, n) in place to responsibilities down each column, max-shifted.
     The reductions call their ufuncs, not the ndarray methods' Python wrappers."""
-    if gm.n_components == 1:
-        u = gm._basis_t @ xs.T
-        np.subtract(basis_means[:, None], u, out=u)
-        u /= evals[:, None]
+    logits -= np.maximum.reduce(logits, axis=0)
+    np.exp(logits, out=logits)
+    logits /= np.add.reduce(logits, axis=0)
+    return logits
+
+
+def _score(gm: GaussianMixture, xs: np.ndarray, rows):
+    """The mixture score at xs (n, d), C-ordered (n, d), from the kernel rows
+    `_score_rows` of one time: in the shared basis V as V (m^T r - V^T x) / e,
+    one component forming no responsibility, else as sum_k r_k V_k u_k
+    (module docstring)."""
+    # for d = 1, m^T r and the map back have one output row: gemvs, whose sums
+    # follow their operand's layout, so they take it row-wise
+    gemv = xs.shape[1] == 1
+    basis_t = gm._shared_basis_t
+    if basis_t is None:
+        resp, u = _log_terms(gm, xs, *rows)
+        u *= gm._blocks_t @ _softmax(resp)
+        basis_t = gm._basis_t
     else:
-        resp, u = _log_terms(gm, xs, basis_means, evals, log_norms)
-        resp -= np.maximum.reduce(resp, axis=0)
-        np.exp(resp, out=resp)
-        resp /= np.add.reduce(resp, axis=0)
-        u *= gm._blocks_t @ resp
-    if xs.shape[1] == 1:  # the map back is then a gemv, whose sums follow u's layout
-        return np.ascontiguousarray(u.T) @ gm._basis_t
-    return u.T @ gm._basis_t
+        means, evals, gains, consts = rows
+        u = basis_t @ xs.T
+        if gains is None:
+            centre = means.T
+        else:
+            logits = gains @ u
+            logits += consts[:, None]
+            resp = _softmax(logits)
+            centre = (np.ascontiguousarray(resp.T) @ means).T if gemv else means.T @ resp
+        np.subtract(centre, u, out=u)
+        u /= evals[:, None]
+    if gemv:
+        return np.ascontiguousarray(u.T) @ basis_t
+    return u.T @ basis_t
 
 
 def gm_sample(gm: GaussianMixture, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -276,11 +347,13 @@ def _pushforward(gm: GaussianMixture, schedule: NoiseSchedule, t) -> GaussianMix
     object.__setattr__(pushed, "means", a * gm.means)
     object.__setattr__(pushed, "_parent_covs", gm.covs)
     object.__setattr__(pushed, "_alpha_sigma", (a, s))
-    for name in ("_log_weights", "_basis", "_basis_t", "_blocks", "_blocks_t", "_score_slot"):
+    for name in ("_log_weights", "_basis", "_basis_t", "_blocks", "_blocks_t",
+                 "_shared_basis_t", "_score_slot"):
         object.__setattr__(pushed, name, getattr(gm, name))
     _set_eigenvalues(pushed, (a * a) * gm._evals + s * s, a * gm._basis_means)
-    for arr in (pushed.means, pushed._evals, pushed._basis_means, pushed._log_norms):
-        arr.flags.writeable = False
+    for arr in (pushed.means, pushed._evals, pushed._basis_means, *pushed._score_rows):
+        if arr is not None:  # a one-component mixture has no gains and offsets
+            arr.flags.writeable = False
     return pushed
 
 
@@ -319,7 +392,7 @@ def gm_score(gm: GaussianMixture, x):
             and x.dtype == last[3] and x.tobytes() == last[4]):
         return last[5].copy()
     xs, single = _as_batch(x, gm.dim)
-    score = _score(gm, xs, gm._basis_means, gm._evals, gm._log_norms)
+    score = _score(gm, xs, gm._score_rows)
     score = score[0] if single else score
     if isinstance(x, np.ndarray):
         slot[0] = (weakref.ref(gm), x, x.shape, x.dtype, x.tobytes(), score.copy())
@@ -327,16 +400,10 @@ def gm_score(gm: GaussianMixture, x):
 
 
 def plan_rows(gm: GaussianMixture, plan: TimePlan):
-    """(basis_means, evals, log_norms) of gm pushed to each step, as gm_pushforward
-    forms them: (steps, K d), (steps, K d), and (steps, K) or None for K = 1.
-
-    The log-normalisers are taken row by row: a batched matmul sums in another order.
-    """
+    """The score kernel's rows (`_score_rows`) of gm pushed to each step, as
+    gm_pushforward forms them, with one leading axis of steps."""
     a, s = plan.alpha[:, None], plan.sigma[:, None]
-    evals = (a * a) * gm._evals + s * s
-    log_norms = (None if gm.n_components == 1
-                 else np.stack([_log_norms(gm, row) for row in evals]))
-    return a * gm._basis_means, evals, log_norms
+    return _score_rows(gm, a * gm._basis_means, (a * a) * gm._evals + s * s)
 
 
 def planned_score(gm: GaussianMixture, plan: TimePlan):
@@ -348,19 +415,18 @@ def planned_score(gm: GaussianMixture, plan: TimePlan):
     The per-step row tuples are formed on the first call, so a solver that
     jumps over every step never builds them.
     """
-    basis_means, evals, log_norms = plan_rows(gm, plan)
+    steps = plan_rows(gm, plan)
     rows = []
 
     def score(x, k):
         if not rows:
-            rows.extend(zip(basis_means, evals,
-                            [None] * len(evals) if log_norms is None else log_norms))
+            rows.extend(zip(*(repeat(None) if row is None else row for row in steps)))
         xs, single = _as_batch(x, gm.dim)
-        out = _score(gm, xs, *rows[k])
+        out = _score(gm, xs, rows[k])
         return out[0] if single else out
 
     if gm.n_components == 1:
-        score.eigen_rows = (gm._basis, basis_means, evals)
+        score.eigen_rows = (gm._basis, steps[0][:, 0], steps[1])
     return score
 
 

@@ -8,6 +8,7 @@ its text is escaped.  Charts are inspection aids, not publication figures.
 from __future__ import annotations
 
 import csv
+import math
 import re
 from pathlib import Path
 
@@ -17,24 +18,39 @@ _WIDTH, _HEIGHT = 640, 420
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 20, 40, 60
 # what XML 1.0 forbids: controls but tab, newline and return, surrogates, U+FFFE/F
 _NON_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+# what UTF-8 cannot encode: lone surrogates
+_SURROGATES = re.compile("[\ud800-\udfff]")
 
 
 def write_csv(path, header: list[str], rows: list[list]) -> str:
-    """RFC-4180 CSV with a header row; floats use repr so they round-trip."""
+    """RFC-4180 CSV in UTF-8 with a header row; floats use repr so they round-trip,
+    and each character UTF-8 cannot encode is written as U+FFFD."""
     path = Path(path)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        for row in (header, *rows):
+            writer.writerow([repr(v) if isinstance(v, float)
+                             else _SURROGATES.sub("\ufffd", v) if isinstance(v, str) else v
+                             for v in row])
     return str(path)
 
 
-def _scale(values, lo, hi, out_lo, out_hi):
+def _between(lo, hi, frac):
+    """lo + frac (hi - lo) for finite lo <= hi and frac in [0, 1], finite also where
+    the span overflows: lo < 0 < hi then, and the two terms of the weighted sum
+    have opposite signs."""
     span = hi - lo
+    if span == math.inf:
+        return (1.0 - frac) * lo + frac * hi
+    return lo + frac * span
+
+
+def _scale(values, lo, hi, out_lo, out_hi):
+    half = 0.5 if hi - lo == math.inf else 1.0  # halving is exact, so bits are kept
+    span = half * hi - half * lo
     if span == 0:
         span = 1.0
-    return [out_lo + (v - lo) / span * (out_hi - out_lo) for v in values]
+    return [out_lo + (half * v - half * lo) / span * (out_hi - out_lo) for v in values]
 
 
 def _text(value) -> str:
@@ -78,7 +94,7 @@ def svg_line_chart(path, x_values, series: dict[str, tuple[list, list[float]]],
                      f'text-anchor="middle">{xv:g}</text>')
     for tick in range(5):
         frac = tick / 4
-        yv = y_lo + frac * (y_hi - y_lo)
+        yv = _between(y_lo, y_hi, frac)
         yp = plot_bottom - frac * (plot_bottom - _MARGIN_T)
         parts.append(f'<line x1="{_MARGIN_L - 6}" y1="{yp:.1f}" x2="{_MARGIN_L}" '
                      f'y2="{yp:.1f}" stroke="black"/>')
@@ -96,5 +112,5 @@ def svg_line_chart(path, x_values, series: dict[str, tuple[list, list[float]]],
                      f'y2="{ly}" stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{_WIDTH - 134}" y="{ly + 4}">{_text(name)}</text>')
     parts.append("</svg>")
-    path.write_text("\n".join(parts))
+    path.write_text("\n".join(parts), encoding="utf-8")
     return str(path)

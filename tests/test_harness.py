@@ -338,6 +338,21 @@ class TestReports:
         assert text.count('class="series"') == 1
         assert "exponent" in text
 
+    @pytest.mark.parametrize("xs, ys", [
+        ([0.0, 1.0, 2.0], [-1.7e308, 0.0, 1.7e308]),
+        ([-1.7e308, 0.0, 1.7e308], [0.1, 0.3, 0.2]),
+        ([-sys.float_info.max, sys.float_info.max], [sys.float_info.max, -sys.float_info.max]),
+    ])
+    def test_svg_coordinates_finite_at_float_extremes(self, tmp_path, xs, ys):
+        # the span hi - lo of such data overflows
+        path = svg_line_chart(tmp_path / "c.svg", xs, {"s": (xs, ys)}, xlabel="x", ylabel="y")
+        root = ElementTree.parse(path).getroot()
+        values = [v for el in root.iter() for v in (*el.attrib.values(), el.text or "")]
+        assert not [v for v in values if "nan" in v or "inf" in v]
+        points = [p for el in root.iter() if el.get("class") == "series"
+                  for p in el.get("points").split()]
+        assert len(points) == len(xs)
+
     def test_emit_report_csv_matches_aggregates(self, tmp_path):
         record = run_ablate_exponent(small_restore_config(trials=4, exponents=[1.0, 5.0]))
         path = emit_report(record, "csv", tmp_path)
@@ -629,8 +644,10 @@ class TestCli:
         with np.errstate(all="ignore"):
             assert main(["restore", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
+        # the guidance pulls trajectory 2 toward its 1e200 reference, near which the
+        # mixture score overflows (the oracle module's far-point limits)
         assert err.strip().splitlines() == [
-            "run failed: DivergenceError: non-finite state at step 0 (t=1, trajectory 0)"]
+            "run failed: DivergenceError: non-finite state at step 1 (t=0.95005, trajectory 2)"]
 
     def test_diverged_run_prints_only_its_message(self, tmp_path):
         # numpy's overflow warnings on the way to the divergence stay silent
@@ -642,8 +659,8 @@ class TestCli:
                                str(cfg_path), "--trials", "3"], cwd=tmp_path, env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2
-        assert proc.stderr == ("run failed: DivergenceError: non-finite state at step 0 "
-                               "(t=1, trajectory 0)\n")
+        assert proc.stderr == ("run failed: DivergenceError: non-finite state at step 1 "
+                               "(t=0.95005, trajectory 2)\n")
 
     @pytest.mark.parametrize("command, empty", [
         pytest.param(command, empty, id=command + "-empty" * empty)
@@ -900,6 +917,29 @@ class TestCli:
         assert main(["report", "--record", str(path), "--out", str(out)]) == 0
         header, rows = read_csv(out / "metrics.csv")
         assert rows[0][header.index("mse_to_y_mean")] == ""
+
+    def test_report_writes_a_lone_surrogate_as_replacement_character(self, tmp_path):
+        # json reads the escape \ud800 as a lone surrogate, which UTF-8 cannot encode
+        path = self._ablation_record(tmp_path)
+        doc = json.loads(path.read_text())
+        for row in doc["aggregates"]:
+            row["series"] = "a\ud800"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "again"
+        for fmt in ("csv", "svg"):
+            assert main(["report", "--record", str(path), "--format", fmt, "--out", str(out)]) == 0
+        assert "a\ufffd" in (out / "metrics.csv").read_bytes().decode("utf-8")
+        assert "a\ufffd" in (out / "mse_to_y.svg").read_bytes().decode("utf-8")
+
+    @pytest.mark.parametrize("command", ["report", "restore"])
+    def test_document_not_in_utf8_exit_two(self, tmp_path, capsys, command):
+        path = tmp_path / "doc.json"
+        path.write_bytes(b'{"kind": "\xff"}')
+        flag = "--record" if command == "report" else "--config"
+        capsys.readouterr()
+        assert main([command, flag, str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: cannot read")
 
 
 @pytest.fixture(scope="module")

@@ -322,6 +322,99 @@ class TestFeatureMajorKernel:
         assert got.shape == np.broadcast_shapes(x0_shape, x_shape)
 
 
+def random_shared_mixture(k, d, seed):
+    """K components with random means and weights around one random SPD covariance."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.5, 1.5, k)
+    root = rng.standard_normal((d, d))
+    cov = root @ root.T + 0.5 * np.eye(d)
+    return GaussianMixture(w / w.sum(), 2.0 * rng.standard_normal((k, d)), np.stack([cov] * k))
+
+
+def _rowwise_shared_score(gm, xs, means, evals, gains, consts):
+    """The shared-covariance kernel with its products row-wise, (n, d) @ (d, K) and
+    (n, K) @ (K, d), and the softmax over a C-ordered (K, n), as the kernel's: the
+    reference the kernel must match bit for bit."""
+    basis = gm._shared_basis_t.T
+    u0 = xs @ basis
+    if gains is None:
+        centre = means
+    else:
+        resp = np.ascontiguousarray((u0 @ gains.T).T) + consts[:, None]
+        resp -= resp.max(axis=0)
+        np.exp(resp, out=resp)
+        resp /= resp.sum(axis=0)
+        centre = np.ascontiguousarray(resp.T) @ means
+    return (centre - u0) / evals @ basis.T
+
+
+class TestSharedCovarianceKernel:
+    """A mixture whose covariances are bitwise equal is scored through one (K, n)
+    softmax in its one eigenbasis."""
+
+    @pytest.mark.parametrize("n", [1, 7, 2000, 10_000])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize("d", [1, 2, 3, 16])
+    def test_scores_equal_rowwise_kernel(self, d, k, n):
+        gm = random_shared_mixture(k, d, seed=10 * d + k)
+        assert gm._shared_basis_t is not None
+        x = 3.0 * np.random.default_rng(n).standard_normal((n, gm.dim))
+        for t in (1.0, 0.4, 1e-3):
+            pushed = gm_pushforward(gm, NoiseSchedule.vp(), t)
+            got = gm_score(pushed, x)
+            assert got.flags.c_contiguous
+            want = _rowwise_shared_score(pushed, x, *pushed._score_rows)
+            np.testing.assert_array_equal(got, want)
+            one = _rowwise_shared_score(pushed, x[:1], *pushed._score_rows)
+            np.testing.assert_array_equal(gm_score(pushed, x[0]), one[0])
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize("d", [1, 2, 3, 16])
+    def test_matches_direct_solve(self, d, k):
+        gm = random_shared_mixture(k, d, seed=10 * d + k)
+        x = 3.0 * np.random.default_rng(d).standard_normal((7, gm.dim))
+        for t in (0.9, 0.3, 1e-3):
+            sch = NoiseSchedule.vp()
+            pushed = gm_pushforward(gm, sch, t)
+            ref = freshly_diffused(gm, sch, t)
+            for point, score in zip(x, gm_score(pushed, x)):
+                _, want = direct_logpdf_and_score(ref, point)
+                assert np.linalg.norm(score - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("kind", ["vp", "otfm"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_planned_score_equals_pushed_score(self, kind, k):
+        gm = random_shared_mixture(k, 3, seed=k)
+        sch = getattr(NoiseSchedule, kind)()
+        plan = sch.plan(sch.t_max, sch.t_min, 40)
+        score = oracle.planned_score(gm, plan)
+        x = np.random.default_rng(2).standard_normal((5, 3))
+        for step, t in enumerate(plan.times[:-1].tolist()):
+            np.testing.assert_array_equal(score(x, step), gm_score(gm_pushforward(gm, sch, t), x))
+
+    def test_covariances_one_bit_apart_take_the_general_kernel(self):
+        gm = random_shared_mixture(2, 3, seed=4)
+        covs = gm.covs.copy()
+        covs[1, 0, 0] = np.nextafter(covs[1, 0, 0], np.inf)
+        apart = GaussianMixture(gm.weights, gm.means, covs)
+        assert apart._shared_basis_t is None and len(apart._score_rows) == 3
+        x = np.random.default_rng(6).standard_normal((7, 3))
+        np.testing.assert_array_equal(gm_score(apart, x),
+                                      _rowwise_score(apart, x, *apart._score_rows))
+
+    def test_far_out_point_scores_finite(self):
+        # the logits are linear in x, so no squared distance overflows; the nearer
+        # component takes every responsibility
+        gm, sch, t = random_shared_mixture(2, 2, seed=3), NoiseSchedule.vp(), 0.3
+        x = 1e200 * np.array([0.6, -0.8])
+        score = gm_score(gm_pushforward(gm, sch, t), x)
+        assert np.all(np.isfinite(score))
+        alone = [GaussianMixture(np.ones(1), mu[None], gm.covs[:1]) for mu in gm.means]
+        near = [gm_score(gm_pushforward(one, sch, t), x) for one in alone]
+        # max norms: a 2-norm would square 1e200
+        assert min(np.abs(score - s).max() / np.abs(s).max() for s in near) <= 1e-12
+
+
 class TestEigenbasisOracle:
     @pytest.mark.parametrize("prior", [two_mode, field_prior])
     @pytest.mark.parametrize("t", [1.0, 0.5, 0.1, 1e-2, 1e-3])
@@ -444,7 +537,7 @@ class TestPushforwardMemo:
     def test_memoised_arrays_are_read_only(self):
         pushed = gm_pushforward(two_mode(), NoiseSchedule.vp(), 0.4)
         for arr in (pushed.means, pushed.covs, pushed._evals, pushed._basis_means,
-                    pushed._log_norms):
+                    pushed._log_norms, *pushed._score_rows):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 

@@ -78,14 +78,18 @@ class TestOde:
         assert str(exc) == f"non-finite state at step {exc.step} (t={exc.t:g}, trajectory 2)"
 
     def test_ensemble_divergence_names_the_trajectory(self, monkeypatch):
-        # trajectory 3 starts out of range; with chunk=2 it is row 1 of the second chunk
+        # a stiff correction h = -1e10 x, which every Euler step overshoots about
+        # 1e10-fold: trajectory 3, started at 1e200, is the first to leave the float
+        # range, at step 10; with chunk=2 it is row 1 of the second chunk
         monkeypatch.setattr(solvers, "SDE_CHUNK", 2)
         model = mixture_score_model(two_mode(), VP)
         starts = iter([[0.1, 0.2], [0.3, -0.4], [0.5, 0.6], [1e200, 0.0], [0.7, 0.8]])
         cfg = SamplerConfig(steps=20, solver=EULER_MARUYAMA)
         with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
-            sde_ensemble(model, None, VP, cfg, 5, start_fn=lambda rng: next(starts))
-        assert (err.value.step, err.value.t, err.value.trajectory) == (0, cfg.start, 3)
+            sde_ensemble(model, lambda x, t: -1e10 * x, VP, cfg, 5,
+                         start_fn=lambda rng: next(starts))
+        step_10 = float(VP.plan(cfg.start, cfg.end, cfg.steps).times[10])
+        assert (err.value.step, err.value.t, err.value.trajectory) == (10, step_10, 3)
 
     def test_batched_start(self):
         drift = GuidedDrift(lambda x, t: np.zeros_like(x), dim=2)
@@ -95,20 +99,24 @@ class TestOde:
 
 
 class TestScoreCount:
-    """Each drift evaluation scores the state once (oracle._log_terms, one call per step)."""
+    """Each drift evaluation scores the state once (oracle._score, one call per step)."""
 
     STEPS = 30
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
+    @staticmethod
+    def _count(monkeypatch, name):
         count = [0]
-        log_terms = oracle._log_terms
+        fn = getattr(oracle, name)
 
         def counted(*args):
             count[0] += 1
-            return log_terms(*args)
-        monkeypatch.setattr(oracle, "_log_terms", counted)
+            return fn(*args)
+        monkeypatch.setattr(oracle, name, counted)
         return count
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        return self._count(monkeypatch, "_score")
 
     def _setup(self):
         gm = two_mode()
@@ -125,13 +133,18 @@ class TestScoreCount:
             sample_ode(drift, SamplerConfig(steps=self.STEPS), x_start=starts)
             assert calls[0] == self.STEPS
 
-    def test_single_component_forms_no_responsibilities(self, calls):
-        # the log terms serve only the responsibilities, which one component skips
+    def test_single_component_forms_no_responsibilities(self, calls, monkeypatch):
+        # the log terms and the softmax serve only the responsibilities, which one
+        # component skips; its exact-h run still scores once per step
+        formed = [self._count(monkeypatch, name) for name in ("_log_terms", "_softmax")]
         gm = GaussianMixture(np.array([1.0]), np.array([[1.5, -0.5]]), (0.7 * np.eye(2))[None])
         spec = GuidanceSpec(np.array([2.5, -0.5]), WeightSchedule(POWER_OF_SIGMA))
-        drift = guided_score_drift(mixture_score_model(gm, VP), spec, VP)
-        sample_ode(drift, SamplerConfig(steps=self.STEPS), x_start=np.array([[0.3, -1.2]]))
-        assert calls[0] == 0
+        model = mixture_score_model(gm, VP)
+        target = np.array([2.5, -0.5])
+        for drift in (guided_score_drift(model, spec, VP),
+                      h_guided_drift(model, lambda x, t: exact_h(x, target, gm, VP, t), VP)):
+            sample_ode(drift, SamplerConfig(steps=self.STEPS), x_start=np.array([[0.3, -1.2]]))
+        assert formed == [[0], [0]] and calls[0] == self.STEPS
 
     def test_sde_ensemble_with_h(self, calls):
         model, h = self._setup()
